@@ -186,12 +186,6 @@ def balance_deficiency(family: SetFamily) -> tuple[Fraction, BalanceWitness]:
     return opt.value, witness
 
 
-def deficiency_optimum(family: SetFamily):
-    """The deficiency LP together with its solved, verifiable optimum."""
-    system = deficiency_system(family)
-    return system, minimize(system)
-
-
 def is_epsilon_balanced(family: SetFamily, eps) -> tuple[bool, BalanceWitness | None]:
     """Whether some convex combination has gap <= eps; witness when true."""
     eps = Fraction(eps)

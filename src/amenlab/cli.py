@@ -45,7 +45,6 @@ from .folner import (
     invariance_defect,
     is_epsilon_folner,
     weighted_folner,
-    weighted_folner_function,
 )
 from .groups import (
     CapExceeded,
@@ -69,6 +68,7 @@ from .pictures import (
 from .ramsey import (
     RamseyCounterexample,
     RamseyVerdict,
+    _f_gap,
     boost,
     is_epsilon_ramsey,
     ramsey_function,
@@ -136,20 +136,29 @@ def _envelope(job: dict, result: dict) -> dict:
     return body
 
 
+def _render(env: dict) -> str:
+    return json.dumps(env, indent=2, sort_keys=True) + "\n"
+
+
+def _write_file(text: str, out_path: str) -> None:
+    """Replace out_path by text atomically, through a temp file beside it."""
+    directory = os.path.dirname(os.path.abspath(out_path))
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, out_path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def _emit(env: dict, out_path: str | None) -> None:
-    rendered = json.dumps(env, indent=2, sort_keys=True) + "\n"
+    rendered = _render(env)
     sys.stdout.write(rendered)
     if out_path:
-        directory = os.path.dirname(os.path.abspath(out_path))
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(rendered)
-            os.replace(tmp, out_path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        _write_file(rendered, out_path)
 
 
 # ---------------------------------------------------------------- handlers
@@ -396,43 +405,40 @@ def _cmd_f2_infeasible(args) -> int:
         "delta": fmt_q(delta),
         "r": args.r,
     }
-    out_path = args.emit_certificate or args.out
-    _emit(_envelope(job, outcome.to_json()), out_path)
+    _emit(_envelope(job, outcome.to_json()), args.out)
     return 0
 
 
 def _cmd_function_table(args) -> int:
     group = _load_group(args.group)
     cap = _resolve_cap(args)
-    rows = []
-    for k in range(1, args.k_max + 1):
-        eps = Fraction(1, k)
-        try:
-            fol = folner_function(group, k, ball(group, args.window_radius))
-            if fol.size is None:
-                status = "none_in_window"
-            else:
-                status = "exact" if fol.exact else "upper_bound"
-            rows.append(["folner", "", k, fol.size, status])
-        except CapExceeded:
-            rows.append(["folner", "", k, None, "cap"])
-    for m in range(1, args.m_max + 1):
-        for k in range(1, args.k_max + 1):
-            eps = Fraction(1, k)
-            ww = weighted_folner_function(group, m, eps, args.n_max)
-            rows.append(
-                ["weighted_folner", m, k, ww.value, "ok" if ww.value is not None else "exhausted"]
-            )
-            rr = ramsey_function(group, m, eps, args.n_max, cap=cap)
-            rows.append(["ramsey", m, k, rr.value, rr.status])
+    m_values = list(range(1, args.m_max + 1))
+    k_values = list(range(1, args.k_max + 1))
     harness = inequality_harness(
         group,
-        list(range(1, args.m_max + 1)),
-        list(range(1, args.k_max + 1)),
+        m_values,
+        k_values,
         window_radius=args.window_radius,
         n_max=args.n_max,
         ramsey_cap=min(cap, 14),
     )
+    rows = []
+    for k in k_values:
+        fol = harness.folner[k]
+        if fol.size is None:
+            status = "none_in_window"
+        else:
+            status = "exact" if fol.exact else "upper_bound"
+        rows.append(["folner", "", k, fol.size, status])
+    for m in m_values:
+        for k in k_values:
+            ww = harness.weighted[m, k]
+            rows.append(
+                ["weighted_folner", m, k, ww.value, "ok" if ww.value is not None else "exhausted"]
+            )
+            # the harness caps its Ramsey searches lower, so these rows solve their own
+            rr = ramsey_function(group, m, Fraction(1, k), args.n_max, cap=cap)
+            rows.append(["ramsey", m, k, rr.value, rr.status])
     sys.stdout.write("quantity,m,k,value,status\n")
     for row in rows:
         sys.stdout.write(",".join("" if v is None else str(v) for v in row) + "\n")
@@ -452,34 +458,15 @@ def _cmd_function_table(args) -> int:
         "n_max": args.n_max,
         "cap": cap,
     }
-    env = _envelope(job, result)
     if args.out:
-        _write_only(env, args.out)
+        _write_file(_render(_envelope(job, result)), args.out)
     if harness.violated:
         sys.stderr.write("inequality violation detected\n")
         return 1
     return 0
 
 
-def _write_only(env: dict, out_path: str) -> None:
-    rendered = json.dumps(env, indent=2, sort_keys=True) + "\n"
-    directory = os.path.dirname(os.path.abspath(out_path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(rendered)
-        os.replace(tmp, out_path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 # ---------------------------------------------------------------- verify
-
-
-def _reparse_family(obj) -> SetFamily:
-    return SetFamily.from_json(obj)
 
 
 def _verify_ramsey_check(env) -> bool:
@@ -498,7 +485,7 @@ def _verify_ramsey_check(env) -> bool:
     family_witnesses = None
     if "family_witnesses" in result:
         family_witnesses = [
-            (_reparse_family(item["family"]), BalanceWitness.from_json(item["witness"]))
+            (SetFamily.from_json(item["family"]), BalanceWitness.from_json(item["witness"]))
             for item in result["family_witnesses"]
         ]
     counterexample = None
@@ -529,7 +516,7 @@ def _verify_ramsey_check(env) -> bool:
 
 
 def _verify_balance(env) -> bool:
-    family = _reparse_family(env["result"]["family"])
+    family = SetFamily.from_json(env["result"]["family"])
     witness = BalanceWitness.from_json(env["result"]["witness"])
     if not verify_balance_witness(family, witness):
         return False
@@ -538,7 +525,7 @@ def _verify_balance(env) -> bool:
 
 
 def _verify_unbalance(env) -> bool:
-    family = _reparse_family(env["result"]["family"])
+    family = SetFamily.from_json(env["result"]["family"])
     wobj = env["result"]["witness"]
     if wobj is None:
         return env["result"]["balanced"] is True
@@ -603,20 +590,12 @@ def _verify_realize_search(env) -> bool:
     return verify_nonamenability_certificate(cert)
 
 
-def _verify_boost(env) -> bool:
+def _verify_final_gap(env) -> bool:
     job = env["job"]
     group = group_from_json(job["group"])
     result = env["result"]
     nu = Measure.from_json(group, result["measure"])
-    f = _boost_ramp(group, job["ramp_radius"])
-    window = ball(group, job["m"])
-    vals = []
-    for a in window:
-        total = Fraction(0)
-        for c, w in nu.weights.items():
-            total += w * f(a * c)
-        vals.append(total)
-    gap = max(vals) - min(vals)
+    gap = _f_gap(ball(group, job["m"]), nu, _boost_ramp(group, job["ramp_radius"]))
     return gap == parse_q(result["final_gap"]) and gap <= parse_q(result["eps"])
 
 
@@ -654,7 +633,7 @@ _VERIFIERS = {
     "folner-function": _verify_folner_function,
     "weighted-folner": _verify_weighted_folner,
     "realize-search": _verify_realize_search,
-    "boost": _verify_boost,
+    "boost": _verify_final_gap,
     "f2-infeasible": _verify_f2_infeasible,
     "pictures": _verify_pictures,
     # summary-style results embed no certificates to recheck
@@ -690,8 +669,16 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like every other bad input; argparse's 2 means cap exhaustion here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="amenlab",
         description="exact-rational certificates for averaging windows, "
         "balanced families, Folner search, and free-group obstructions",
@@ -779,11 +766,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_f2_verify)
 
     p = sub.add_parser("f2-infeasible", help="five-set invariance LP over a ball")
+    common(p, group=False)
     p.add_argument("K", type=int)
     p.add_argument("delta")
     p.add_argument("r", type=int)
-    p.add_argument("--emit-certificate", default=None, metavar="FILE")
-    p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_f2_infeasible)
 
     p = sub.add_parser("function-table", help="tabulate Folner / weighted / Ramsey functions with inequality checks")

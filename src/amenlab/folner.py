@@ -42,7 +42,7 @@ from .groups import (
 )
 from .linprog import EQ, GE, LE, LinearSystem, minimize
 from .rationals import fmt_q
-from .ramsey import ramsey_function, interior
+from .ramsey import boost_steps_needed, interior, ramsey_function
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -336,6 +336,8 @@ class HarnessInstance:
 class HarnessReport:
     group: dict
     instances: list[HarnessInstance]
+    folner: dict[int, FolnerFunctionResult]  # k -> folner_function result
+    weighted: dict[tuple[int, int], WeightedFolnerFunction]  # (m, k) -> its value at eps 1/k
 
     @property
     def violated(self) -> list[HarnessInstance]:
@@ -347,6 +349,13 @@ class HarnessReport:
             "instances": [i.to_json() for i in self.instances],
             "all_hold": not self.violated,
         }
+
+
+def _compare(name: str, params: dict, lhs, rhs, note: str) -> HarnessInstance:
+    """lhs <= rhs when both sides are known, else untested with `note`."""
+    if lhs is None or rhs is None:
+        return HarnessInstance(name, params, lhs, rhs, "untested", note)
+    return HarnessInstance(name, params, lhs, rhs, "holds" if lhs <= rhs else "violated")
 
 
 def _iterated_ramsey(group, m, times, *, n_max, cap):
@@ -378,9 +387,10 @@ def inequality_harness(
     s = len(group.generators())
     instances: list[HarnessInstance] = []
 
+    folner: dict[int, FolnerFunctionResult] = {}
     fol_values: dict[int, int | None] = {}
     for k in k_values:
-        res = folner_function(group, k, ball(group, window_radius))
+        res = folner[k] = folner_function(group, k, ball(group, window_radius))
         fol_values[k] = res.size if res.exact else None
         if res.size is not None and not res.exact:
             instances.append(
@@ -394,124 +404,64 @@ def inequality_harness(
                 )
             )
 
+    weighted: dict[tuple[int, int], WeightedFolnerFunction] = {}
     for m in m_values:
         for k in k_values:
             eps = Fraction(1, k)
             rr = ramsey_function(group, m, eps, n_max, cap=ramsey_cap)
-            ww = weighted_folner_function(group, m, eps, n_max)
-            if rr.value is None or ww.value is None:
-                instances.append(
-                    HarnessInstance(
-                        "ramsey_le_weighted",
-                        {"m": m, "eps": fmt_q(eps)},
-                        rr.value,
-                        ww.value,
-                        "untested",
-                        "a side exhausted its search bound",
-                    )
-                )
-            else:
-                instances.append(
-                    HarnessInstance(
-                        "ramsey_le_weighted",
-                        {"m": m, "eps": fmt_q(eps)},
-                        rr.value,
-                        ww.value,
-                        "holds" if rr.value <= ww.value else "violated",
-                    )
-                )
-
-    for k in k_values:
-        eps = Fraction(1, k)
-        fol = fol_values.get(k)
-        ww = weighted_folner_function(group, 1, eps, n_max)
-        if fol is None or ww.value is None:
+            ww = weighted[m, k] = weighted_folner_function(group, m, eps, n_max)
             instances.append(
-                HarnessInstance(
-                    "folner_le_exp_weighted",
-                    {"k": k},
-                    fol,
-                    None if ww.value is None else (2 * s + 1) ** ww.value,
-                    "untested",
-                    "needs an exact Folner value and an achieved weighted level",
-                )
-            )
-        else:
-            rhs = (2 * s + 1) ** ww.value
-            instances.append(
-                HarnessInstance(
-                    "folner_le_exp_weighted",
-                    {"k": k},
-                    fol,
-                    rhs,
-                    "holds" if fol <= rhs else "violated",
+                _compare(
+                    "ramsey_le_weighted",
+                    {"m": m, "eps": fmt_q(eps)},
+                    rr.value,
+                    ww.value,
+                    "a side exhausted its search bound",
                 )
             )
 
     for k in k_values:
-        # p-fold averaging with (3/4)^p < 1/(2ks)
-        target = Fraction(1, 2 * k * s)
-        p = 1
-        power = Fraction(3, 4)
-        while power >= target:
-            power *= Fraction(3, 4)
-            p += 1
-        fol = fol_values.get(k)
+        ww = weighted_folner_function(group, 1, Fraction(1, k), n_max)
+        instances.append(
+            _compare(
+                "folner_le_exp_weighted",
+                {"k": k},
+                fol_values.get(k),
+                None if ww.value is None else (2 * s + 1) ** ww.value,
+                "needs an exact Folner value and an achieved weighted level",
+            )
+        )
+
+    for k in k_values:
+        # p-fold averaging with (3/4)^p < 1/(2ks); no power of 3/4 equals
+        # 1/(2ks), so boost_steps_needed's <= gives the same p
+        p = boost_steps_needed(Fraction(1, 2 * k * s))
         iterated = _iterated_ramsey(group, 1, p * s, n_max=n_max, cap=ramsey_cap)
-        if fol is None or iterated is None:
-            instances.append(
-                HarnessInstance(
-                    "folner_le_exp_iterated_ramsey",
-                    {"k": k, "p": p},
-                    fol,
-                    None if iterated is None else (2 * s + 1) ** iterated,
-                    "untested",
-                    "iterated averaging radius exceeded its caps",
-                )
+        instances.append(
+            _compare(
+                "folner_le_exp_iterated_ramsey",
+                {"k": k, "p": p},
+                fol_values.get(k),
+                None if iterated is None else (2 * s + 1) ** iterated,
+                "iterated averaging radius exceeded its caps",
             )
-        else:
-            rhs = (2 * s + 1) ** iterated
-            instances.append(
-                HarnessInstance(
-                    "folner_le_exp_iterated_ramsey",
-                    {"k": k, "p": p},
-                    fol,
-                    rhs,
-                    "holds" if fol <= rhs else "violated",
-                )
-            )
+        )
 
     for m in m_values:
         # weighted level at doubled gap vs iterated averaging: with
         # (3/4)^p < eps, F(m, 2*eps*s) <= R^{s*p}(m)
         eps = Fraction(1, 2)
-        p = 1
-        power = Fraction(3, 4)
-        while power >= eps:
-            power *= Fraction(3, 4)
-            p += 1
+        p = boost_steps_needed(eps)
         ww = weighted_folner_function(group, m, 2 * eps * s, n_max)
         iterated = _iterated_ramsey(group, m, s * p, n_max=n_max, cap=ramsey_cap)
-        if ww.value is None or iterated is None:
-            instances.append(
-                HarnessInstance(
-                    "weighted_le_iterated_ramsey",
-                    {"m": m, "eps": fmt_q(eps)},
-                    ww.value,
-                    iterated,
-                    "untested",
-                    "a side exhausted its search bound",
-                )
+        instances.append(
+            _compare(
+                "weighted_le_iterated_ramsey",
+                {"m": m, "eps": fmt_q(eps)},
+                ww.value,
+                iterated,
+                "a side exhausted its search bound",
             )
-        else:
-            instances.append(
-                HarnessInstance(
-                    "weighted_le_iterated_ramsey",
-                    {"m": m, "eps": fmt_q(eps)},
-                    ww.value,
-                    iterated,
-                    "holds" if ww.value <= iterated else "violated",
-                )
-            )
+        )
 
-    return HarnessReport(group.to_json(), instances)
+    return HarnessReport(group.to_json(), instances, folner, weighted)

@@ -620,24 +620,3 @@ class Measure:
         parts = ", ".join(f"{el!r}: {w}" for el, w in self.weights.items())
         return f"Measure({{{parts}}})"
 
-
-# spec-level operation aliases
-
-def multiply(g: Element, h: Element) -> Element:
-    return g * h
-
-
-def inverse(g: Element) -> Element:
-    return g.inverse()
-
-
-def convolve(mu: Measure, nu: Measure) -> Measure:
-    return mu.convolve(nu)
-
-
-def measure_of_set(nu: Measure, membership) -> Fraction:
-    return nu.of_set(membership)
-
-
-def evaluate_function(nu: Measure, f) -> Fraction:
-    return nu.of_function(f)

@@ -252,18 +252,10 @@ def realized_family(ctx: PictureContext, domain: Iterable[Element]) -> SetFamily
     This is a subfamily of the full picture family; sound for exhibiting
     unbalanced members, silent about members outside the probe.
     """
-    test = ctx.target.compile(ctx.group)
-    window = ctx.window
-    masks = set()
-    for g in domain:
-        mask = 0
-        for i, a in enumerate(window):
-            if test(a * g):
-                mask |= 1 << i
-        masks.add(mask)
+    masks = {picture(ctx, g) for g in domain}
     if not masks:
         raise ValueError("probe domain must be nonempty")
-    return SetFamily(window, masks)
+    return SetFamily(ctx.window, masks)
 
 
 def picture_distribution(ctx: PictureContext, nu: Measure) -> dict[int, Fraction]:

@@ -51,12 +51,12 @@ from .linprog import (
     LE,
     FeasibilityOutcome,
     LinearSystem,
-    Optimum,
     minimize,
     outcome_from_json,
     solve_feasibility,
     verify_certificate,
 )
+from .pictures import PictureContext, picture
 from .rationals import fmt_q, parse_q
 
 _F0 = Fraction(0)
@@ -93,6 +93,16 @@ def _column_masks(
                 mask |= 1 << i
         cols.append(mask)
     return cols
+
+
+def _layout(window: Sequence[Element], bset: Iterable[Element]):
+    """Interior C, the products A*C in canonical order, their position map,
+    and prod_pos[j][i], the position of window[i] * C[j]."""
+    C = interior(window, bset)
+    products = tuple(sort_elements({a * c for a in window for c in C}))
+    pos = {x: i for i, x in enumerate(products)}
+    prod_pos = [[pos[a * c] for a in window] for c in C]
+    return C, products, pos, prod_pos
 
 
 def direct_gap_system(
@@ -205,7 +215,7 @@ def is_epsilon_ramsey(
     window = tuple(sort_elements(window))
     bset_t = tuple(sort_elements(bset))
     group = window[0].group
-    C = interior(window, bset_t)
+    C, products, pos, prod_pos = _layout(window, bset_t)
     if not C:
         return RamseyVerdict(
             False,
@@ -218,13 +228,10 @@ def is_epsilon_ramsey(
             reason="empty_interior",
             counterexample=RamseyCounterexample(0, (), "empty_interior", {}),
         )
-    products = tuple(sort_elements({a * c for a in window for c in C}))
     k = len(products)
     if k > cap:
         raise CapExceeded(f"|A*C| = {k} exceeds enumeration cap {cap}")
-    pos = {x: i for i, x in enumerate(products)}
     width = len(window)
-    prod_pos = [[pos[a * c] for a in window] for c in C]
 
     if collect_witnesses is None:
         collect_witnesses = (1 << k) <= 4096
@@ -248,7 +255,7 @@ def is_epsilon_ramsey(
             ok, _ = hit
             if not ok:
                 family = SetFamily(window, key)
-                _, optimum = _deficiency_certificate(family)
+                optimum = minimize(deficiency_system(family))
                 counterexample = RamseyCounterexample(
                     e_mask,
                     _mask_elements(products, e_mask),
@@ -283,7 +290,7 @@ def is_epsilon_ramsey(
                     if w:
                         nu_weights[c_el] = nu_weights.get(c_el, _F0) + w
                 nu = Measure(group, nu_weights)
-                if not _verify_gap(window, nu, products, e_mask, eps):
+                if not _verify_gap(window, nu, pos, e_mask, eps):
                     raise RuntimeError("internal error: remapped witness failed")
                 if witnesses is not None:
                     witnesses[e_mask] = nu
@@ -335,39 +342,30 @@ def is_epsilon_ramsey(
     )
 
 
-def _deficiency_certificate(family: SetFamily) -> tuple[LinearSystem, Optimum]:
-    system = deficiency_system(family)
-    return system, minimize(system)
-
-
 def _verify_gap(
     window: Sequence[Element],
     nu: Measure,
-    products: Sequence[Element],
+    pos: Mapping[Element, int],
     e_mask: int,
     eps: Fraction,
 ) -> bool:
-    pos = {x: i for i, x in enumerate(products)}
-    vals = []
-    for a in window:
-        total = _F0
-        for c_el, w in nu.weights.items():
-            p = pos.get(a * c_el)
-            if p is not None and e_mask >> p & 1:
-                total += w
-        vals.append(total)
-    return max(vals) - min(vals) <= eps
+    """E-gap of nu at most eps, for E given by a mask over the positions `pos`."""
+
+    def indicator(x: Element) -> int:
+        p = pos.get(x)
+        return 0 if p is None else e_mask >> p & 1
+
+    return _f_gap(window, nu, indicator) <= eps
 
 
 def verify_ramsey_verdict(verdict: RamseyVerdict) -> bool:
     """Recheck a verdict's stored evidence without re-running the search."""
     window = verdict.window
-    C = interior(window, verdict.bset)
+    C, products, pos, prod_pos = _layout(window, verdict.bset)
     if tuple(C) != tuple(verdict.interior):
         return False
     if verdict.reason == "empty_interior":
         return not C and not verdict.is_ramsey
-    products = tuple(sort_elements({a * c for a in window for c in C}))
     if products != tuple(verdict.products):
         return False
     if verdict.is_ramsey:
@@ -375,7 +373,7 @@ def verify_ramsey_verdict(verdict: RamseyVerdict) -> bool:
             for e_mask, nu in verdict.witnesses.items():
                 if set(nu.support()) - set(C):
                     return False
-                if not _verify_gap(window, nu, products, e_mask, verdict.eps):
+                if not _verify_gap(window, nu, pos, e_mask, verdict.eps):
                     return False
         if verdict.family_witnesses is not None:
             for family, wit in verdict.family_witnesses:
@@ -387,8 +385,6 @@ def verify_ramsey_verdict(verdict: RamseyVerdict) -> bool:
         return False
     if ce.kind == "direct_farkas":
         width = len(window)
-        pos = {x: i for i, x in enumerate(products)}
-        prod_pos = [[pos[a * c] for a in window] for c in C]
         cols = _column_masks(prod_pos, ce.e_mask, width)
         system = direct_gap_system(width, cols, verdict.eps)
         farkas = tuple(parse_q(x) for x in ce.payload["farkas"])
@@ -420,20 +416,13 @@ def subset_measure(
     C = interior(window, bset)
     if not C:
         return None
-    epool = frozenset(e_elements)
-    width = len(window)
-    cols = []
-    for c in C:
-        mask = 0
-        for i, a in enumerate(window):
-            if a * c in epool:
-                mask |= 1 << i
-        cols.append(mask)
-    system = direct_gap_system(width, cols, eps)
+    group = window[0].group
+    ctx = PictureContext(group, window, e_elements)
+    cols = [picture(ctx, c) for c in C]
+    system = direct_gap_system(len(window), cols, eps)
     outcome = solve_feasibility(system)
     if not outcome.feasible:
         return None
-    group = window[0].group
     weights = {c: w for c, w in zip(C, outcome.point) if w}
     return Measure(group, weights)
 
@@ -444,7 +433,9 @@ def _f_gap(window: Sequence[Element], nu: Measure, f: Callable) -> Fraction:
     for a in window:
         total = _F0
         for c, w in nu.weights.items():
-            total += w * Fraction(f(a * c))
+            v = f(a * c)
+            if v:
+                total += w * Fraction(v)
         vals.append(total)
     return max(vals) - min(vals)
 

@@ -1,6 +1,12 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
-from amenlab.cli import main
+import pytest
+
+from amenlab.cli import build_parser, main
+from amenlab.rationals import sha256_digest
 
 Z = '{"kind":"free_abelian","rank":1}'
 F2 = '{"kind":"free","generators":["a","b"]}'
@@ -73,8 +79,6 @@ def test_verify_detects_tampering(capsys, tmp_path):
     assert vcode == 1  # digest no longer matches
 
     # re-digest the tampered body: certificates must still fail
-    from amenlab.rationals import sha256_digest
-
     body = {k: env[k] for k in ("tool", "version", "job", "result")}
     env["digest"] = sha256_digest(body)
     path.write_text(json.dumps(env))
@@ -191,3 +195,65 @@ def test_function_table_csv(capsys, tmp_path):
     env = json.loads(path.read_text())
     assert env["result"]["harness"]["all_hold"] is True
     assert run(capsys, "verify", str(path))[0] == 0
+
+
+def test_function_table_cap_exits_two_without_envelope(capsys, tmp_path):
+    # 2^25 normalized Folner candidates exceed the search cap
+    path = tmp_path / "table.json"
+    code, _ = run(
+        capsys, "function-table", "--group", Z, "--window-radius", "25",
+        "--n-max", "1", "--k-max", "1", "--out", str(path),
+    )
+    assert code == 2
+    assert not path.exists()
+
+
+def test_verify_rejects_altered_boost_gap(capsys, tmp_path):
+    path = tmp_path / "boost.json"
+    assert run(capsys, "boost", "--group", Z, "--m", "1", "--eps", "3/4",
+               "--out", str(path))[0] == 0
+    env = json.loads(path.read_text())
+    env["result"]["final_gap"] = "0/1"
+    body = {k: env[k] for k in ("tool", "version", "job", "result")}
+    env["digest"] = sha256_digest(body)
+    path.write_text(json.dumps(env))
+    vcode, vout = run(capsys, "verify", str(path))
+    assert vcode == 1
+    assert "FAILED" in vout
+
+
+def usage_exit_code(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
+def test_missing_required_argument_exits_one(capsys):
+    assert usage_exit_code(["ramsey-check", "--group", Z, "--m", "1"]) == 1
+    assert "required" in capsys.readouterr().err
+
+
+def test_malformed_integer_exits_one(capsys):
+    argv = ["ramsey-check", "--group", Z, "--m", "x", "--n", "1", "--eps", "1/2"]
+    assert usage_exit_code(argv) == 1
+    assert "invalid int value" in capsys.readouterr().err
+
+
+def test_unknown_command_exits_one(capsys):
+    assert usage_exit_code(["no-such-command"]) == 1
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    assert usage_exit_code(["--help"]) == 0
+    assert usage_exit_code(["ramsey-check", "--help"]) == 0
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = "".join(re.findall(r"```sh\n(.*?)```", readme, re.S)).replace("\\\n", " ")
+    commands = [shlex.split(line) for line in lines.splitlines() if line.startswith("amenlab ")]
+    assert len(commands) >= 10
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
