@@ -141,13 +141,12 @@ def _combined_vector(family: SetFamily, weights: Sequence[Fraction]) -> tuple[Fr
     return tuple(v)
 
 
-def _member_sums(family: SetFamily, values: Sequence[Fraction]) -> list[Fraction]:
-    out = []
-    for mask in family.members:
-        out.append(
-            sum((values[i] for i in range(len(family.ground)) if mask >> i & 1), _F0)
-        )
-    return out
+def member_sums(family: SetFamily, values: Sequence[Fraction]) -> list[Fraction]:
+    """The sum of a ground weighting over each member, in member order."""
+    width = len(family.ground)
+    return [
+        sum((values[i] for i in range(width) if mask >> i & 1), _F0) for mask in family.members
+    ]
 
 
 def deficiency_system(family: SetFamily) -> LinearSystem:
@@ -214,7 +213,7 @@ def unbalance_witness(family: SetFamily) -> UnbalanceWitness | None:
     if not out.feasible:
         return None
     values = tuple(out.point)
-    witness = UnbalanceWitness(values, min(_member_sums(family, values)))
+    witness = UnbalanceWitness(values, min(member_sums(family, values)))
     if not verify_unbalance_witness(family, witness):
         raise RuntimeError("internal error: unbalance witness failed verification")
     return witness
@@ -234,19 +233,9 @@ def family_of_positive_sets(values: Sequence, ground: Sequence, *, cap: int = 20
         raise ValueError("values must sum to zero")
     if len(ground) > cap:
         raise CapExceeded(f"ground set larger than cap {cap}")
-    members = []
-    for mask in range(1, 1 << len(ground)):
-        total = _F0
-        m = mask
-        i = 0
-        while m:
-            if m & 1:
-                total += vals[i]
-            m >>= 1
-            i += 1
-        if total > 0:
-            members.append(mask)
-    return SetFamily(ground, members)
+    subsets = SetFamily(ground, range(1, 1 << len(ground)))
+    sums = member_sums(subsets, vals)
+    return SetFamily(ground, [mask for mask, total in zip(subsets.members, sums) if total > 0])
 
 
 def verify_balance_witness(family: SetFamily, witness: BalanceWitness, eps=None) -> bool:
@@ -273,7 +262,7 @@ def verify_unbalance_witness(family: SetFamily, witness: UnbalanceWitness) -> bo
         return False
     if sum(witness.values, _F0) != 0:
         return False
-    sums = _member_sums(family, witness.values)
+    sums = member_sums(family, witness.values)
     if not sums or min(sums) != witness.margin:
         return False
     return witness.margin >= 1

@@ -3,8 +3,11 @@
 Every run produces a JSON envelope: tool version, the job echo, the
 result with any certificates, and a content digest.  Envelopes for
 deterministic jobs are byte-identical across runs.  ``amenlab verify``
-re-validates the certificates embedded in an envelope by plain
-arithmetic, without re-running any search or LP pivoting.
+recomputes the digest and then rechecks the result against the job by
+plain arithmetic: certificates are checked without LP pivoting, while
+``folner-check`` and ``pictures`` recompute their (search-free) results
+and compare.  ``ramsey-function``, ``f2-verify`` and ``function-table``
+embed no certificates, so for them only the digest is checked.
 
 Exit codes: 0 for completed computations (negative mathematical verdicts
 such as "not Ramsey" or "infeasible" are still successes), 1 for errors
@@ -20,7 +23,9 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import __version__
 from .balance import (
@@ -61,15 +66,17 @@ from .pictures import (
     NonAmenabilityCertificate,
     PictureContext,
     SetSpec,
+    height,
     realization_search,
     realized_family,
     verify_nonamenability_certificate,
 )
 from .ramsey import (
-    RamseyCounterexample,
     RamseyVerdict,
     _f_gap,
     boost,
+    boost_steps_needed,
+    interior,
     is_epsilon_ramsey,
     ramsey_function,
     verify_ramsey_verdict,
@@ -83,13 +90,9 @@ class CliError(ValueError):
     pass
 
 
-def _resolve_cap(args) -> int:
-    if getattr(args, "cap", None) is not None:
-        return args.cap
-    env = os.environ.get("AMENLAB_CAP")
-    if env is not None:
-        return int(env)
-    return DEFAULT_CAP
+def _resolve_cap(cap: int | None) -> int:
+    """An explicit --cap, else the environment's AMENLAB_CAP, else the default."""
+    return cap if cap is not None else int(os.environ.get("AMENLAB_CAP", DEFAULT_CAP))
 
 
 def _load_json_arg(text: str):
@@ -125,6 +128,15 @@ def _parse_elements(group: Group, texts) -> tuple:
     return tuple(group.parse_element(t) for t in texts)
 
 
+def _elements_arg(group: Group, set_text, radius, flags: str) -> tuple:
+    """The elements of a JSON list argument, else ball(radius)."""
+    if set_text:
+        return _parse_elements(group, _load_json_arg(set_text))
+    if radius is None:
+        raise CliError(f"provide {flags}")
+    return ball(group, radius)
+
+
 def _envelope(job: dict, result: dict) -> dict:
     body = {
         "tool": "amenlab",
@@ -154,125 +166,103 @@ def _write_file(text: str, out_path: str) -> None:
         raise
 
 
-def _emit(env: dict, out_path: str | None) -> None:
+def _emit(env: dict, out_path: str | None) -> int:
     rendered = _render(env)
     sys.stdout.write(rendered)
     if out_path:
         _write_file(rendered, out_path)
+    return 0
 
 
-# ---------------------------------------------------------------- handlers
+def _digest_only(group, job, result) -> bool:
+    """Summary results embed no certificates to recheck."""
+    return True
 
 
-def _cmd_ramsey_check(args) -> int:
-    group = _load_group(args.group)
-    eps = parse_q(args.eps)
-    cap = _resolve_cap(args)
-    window = ball(group, args.m)
-    bset = ball(group, args.n)
+# ---------------------------------------------------------------- commands
+# run(args) sees --group as a Group, --eps as a Fraction and --cap resolved,
+# and returns (job fields, result); verify(group, job, result) rechecks.
+
+
+def _ramsey_check(args):
     verdict = is_epsilon_ramsey(
-        window,
-        bset,
-        eps,
+        ball(args.group, args.m),
+        ball(args.group, args.n),
+        args.eps,
         method=args.method,
-        cap=cap,
+        cap=args.cap,
         collect_witnesses=False if args.no_witnesses else None,
     )
     result = verdict.to_json()
-    if args.no_witnesses:
-        result.pop("witnesses", None)
+    if args.no_witnesses:  # the pictures route keeps its family witnesses regardless
         result.pop("family_witnesses", None)
+    job = {"m": args.m, "n": args.n, "method": args.method, "witnesses": not args.no_witnesses}
+    return job, result
+
+
+def _verify_ramsey_check(group, job, result) -> bool:
+    verdict = RamseyVerdict.from_json(result, group)
+    return (
+        verdict.eps == parse_q(job["eps"])
+        and verdict.window == ball(group, job["m"])
+        and verdict.bset == ball(group, job["n"])
+        and verify_ramsey_verdict(verdict)
+    )
+
+
+def _ramsey_function(args):
+    res = ramsey_function(
+        args.group, args.m, args.eps, args.n_max, cap=args.cap, method=args.method
+    )
+    return {"m": args.m, "n_max": args.n_max, "method": args.method}, res.to_json()
+
+
+def _folner_check(args):
+    window = _elements_arg(args.group, args.a_set, args.a_radius, "--a-radius or --a-set")
+    bset = _elements_arg(args.group, args.b_set, args.b_radius, "--b-radius or --b-set")
+    report = is_epsilon_folner(window, bset, args.eps)
     job = {
-        "command": "ramsey-check",
-        "group": group.to_json(),
-        "m": args.m,
-        "n": args.n,
-        "eps": fmt_q(eps),
-        "method": args.method,
-        "cap": cap,
-        "witnesses": not args.no_witnesses,
-    }
-    _emit(_envelope(job, result), args.out)
-    return 0
-
-
-def _cmd_ramsey_function(args) -> int:
-    group = _load_group(args.group)
-    eps = parse_q(args.eps)
-    cap = _resolve_cap(args)
-    res = ramsey_function(group, args.m, eps, args.n_max, cap=cap, method=args.method)
-    job = {
-        "command": "ramsey-function",
-        "group": group.to_json(),
-        "m": args.m,
-        "eps": fmt_q(eps),
-        "n_max": args.n_max,
-        "cap": cap,
-        "method": args.method,
-    }
-    _emit(_envelope(job, res.to_json()), args.out)
-    return 0
-
-
-def _window_and_bset(args, group):
-    if args.a_set:
-        window = _parse_elements(group, _load_json_arg(args.a_set))
-    elif args.a_radius is not None:
-        window = ball(group, args.a_radius)
-    else:
-        raise CliError("provide --a-radius or --a-set")
-    if args.b_set:
-        bset = _parse_elements(group, _load_json_arg(args.b_set))
-    elif args.b_radius is not None:
-        bset = ball(group, args.b_radius)
-    else:
-        raise CliError("provide --b-radius or --b-set")
-    return window, bset
-
-
-def _cmd_folner_check(args) -> int:
-    group = _load_group(args.group)
-    eps = parse_q(args.eps)
-    window, bset = _window_and_bset(args, group)
-    report = is_epsilon_folner(window, bset, eps)
-    job = {
-        "command": "folner-check",
-        "group": group.to_json(),
         "window": [repr(a) for a in sort_elements(window)],
         "bset": [repr(b) for b in sort_elements(bset)],
-        "eps": fmt_q(eps),
     }
-    _emit(_envelope(job, report.to_json()), args.out)
-    return 0
+    return job, report.to_json()
 
 
-def _cmd_folner_function(args) -> int:
-    group = _load_group(args.group)
-    res = folner_function(group, args.k, ball(group, args.window_radius))
-    job = {
-        "command": "folner-function",
-        "group": group.to_json(),
-        "k": args.k,
-        "window_radius": args.window_radius,
-    }
-    _emit(_envelope(job, res.to_json()), args.out)
-    return 0
+def _verify_folner_check(group, job, result) -> bool:
+    window = _parse_elements(group, job["window"])
+    bset = _parse_elements(group, job["bset"])
+    return is_epsilon_folner(window, bset, parse_q(job["eps"])).to_json() == result
 
 
-def _cmd_weighted_folner(args) -> int:
-    group = _load_group(args.group)
-    cell = weighted_folner(group, args.m, args.n)
-    job = {
-        "command": "weighted-folner",
-        "group": group.to_json(),
-        "m": args.m,
-        "n": args.n,
-    }
-    _emit(_envelope(job, cell.to_json()), args.out)
-    return 0
+def _folner_function(args):
+    res = folner_function(args.group, args.k, ball(args.group, args.window_radius))
+    return {"k": args.k, "window_radius": args.window_radius}, res.to_json()
 
 
-def _cmd_balance(args) -> int:
+def _verify_folner_function(group, job, result) -> bool:
+    if result["size"] is None:
+        return result["witness"] is None
+    witness = _parse_elements(group, result["witness"])
+    report = is_epsilon_folner(group.generators(), witness, Fraction(1, job["k"]))
+    return len(witness) == result["size"] and report.ok
+
+
+def _weighted_folner(args):
+    return {"m": args.m, "n": args.n}, weighted_folner(args.group, args.m, args.n).to_json()
+
+
+def _verify_weighted_folner(group, job, result) -> bool:
+    window = ball(group, job["m"])
+    C = interior(window, ball(group, job["n"]))
+    if result["status"] == "no_admissible":
+        return not C and result["value"] is None and result["measure"] is None
+    if result["status"] != "ok":
+        return False
+    nu = Measure.from_json(group, result["measure"])
+    return set(nu.support()) <= set(C) and invariance_defect(nu, window) == parse_q(result["value"])
+
+
+def _balance(args):
     family = SetFamily.from_json(_load_json_arg(args.family))
     eps_star, witness = balance_deficiency(family)
     result = {
@@ -281,12 +271,19 @@ def _cmd_balance(args) -> int:
         "witness": witness.to_json(),
         "family": family.to_json(),
     }
-    job = {"command": "balance", "family": family.to_json()}
-    _emit(_envelope(job, result), args.out)
-    return 0
+    return {"family": family.to_json()}, result
 
 
-def _cmd_unbalance_witness(args) -> int:
+def _verify_balance(group, job, result) -> bool:
+    family = SetFamily.from_json(result["family"])
+    witness = BalanceWitness.from_json(result["witness"])
+    if not verify_balance_witness(family, witness):
+        return False
+    balanced = result["balanced"]
+    return balanced == (witness.gap == 0) and parse_q(result["deficiency"]) == witness.gap
+
+
+def _unbalance_witness(args):
     family = SetFamily.from_json(_load_json_arg(args.family))
     witness = unbalance_witness(family)
     result = {
@@ -294,24 +291,24 @@ def _cmd_unbalance_witness(args) -> int:
         "witness": None if witness is None else witness.to_json(),
         "balanced": witness is None,
     }
-    job = {"command": "unbalance-witness", "family": family.to_json()}
-    _emit(_envelope(job, result), args.out)
-    return 0
+    return {"family": family.to_json()}, result
 
 
-def _cmd_pictures(args) -> int:
-    group = _load_group(args.group)
-    if args.window_set:
-        window = _parse_elements(group, _load_json_arg(args.window_set))
-    else:
-        window = ball(group, args.window_radius)
-    target = SetSpec.from_json(_load_json_arg(args.target), group)
-    ctx = PictureContext(group, window, target)
-    domain = ball(group, args.domain_radius)
-    family = realized_family(ctx, domain)
+def _verify_unbalance(group, job, result) -> bool:
+    family = SetFamily.from_json(result["family"])
+    if result["witness"] is None:
+        return result["balanced"] is True
+    return verify_unbalance_witness(family, UnbalanceWitness.from_json(result["witness"]))
+
+
+def _pictures(args):
+    window = _elements_arg(
+        args.group, args.window_set, args.window_radius, "--window-radius or --window-set"
+    )
+    target = SetSpec.from_json(_load_json_arg(args.target), args.group)
+    ctx = PictureContext(args.group, window, target)
+    family = realized_family(ctx, ball(args.group, args.domain_radius))
     job = {
-        "command": "pictures",
-        "group": group.to_json(),
         "window": [repr(a) for a in ctx.window],
         "target": target.to_json(),
         "domain_radius": args.domain_radius,
@@ -320,19 +317,21 @@ def _cmd_pictures(args) -> int:
         "family": family.to_json(),
         "note": "pictures over the probe domain only; the full family may be larger",
     }
-    _emit(_envelope(job, result), args.out)
-    return 0
+    return job, result
 
 
-def _cmd_realize_search(args) -> int:
-    group = _load_group(args.group)
-    window = ball(group, args.window_radius)
+def _verify_pictures(group, job, result) -> bool:
+    window = _parse_elements(group, job["window"])
+    ctx = PictureContext(group, window, SetSpec.from_json(job["target"], group))
+    family = realized_family(ctx, ball(group, job["domain_radius"]))
+    return family.to_json() == result["family"]
+
+
+def _realize_search(args):
     fobj = _load_json_arg(args.f)
-    f = {group.parse_element(k): parse_q(v) for k, v in fobj.items()}
-    cert = realization_search(group, window, f, args.radius)
+    f = {args.group.parse_element(k): parse_q(v) for k, v in fobj.items()}
+    cert = realization_search(args.group, ball(args.group, args.window_radius), f, args.radius)
     job = {
-        "command": "realize-search",
-        "group": group.to_json(),
         "window_radius": args.window_radius,
         "f": {repr(k): fmt_q(v) for k, v in sorted(f.items(), key=lambda kv: kv[0].key())},
         "radius": args.radius,
@@ -340,8 +339,14 @@ def _cmd_realize_search(args) -> int:
     result = {"found": cert is not None}
     if cert is not None:
         result["certificate"] = cert.to_json()
-    _emit(_envelope(job, result), args.out)
-    return 0
+    return job, result
+
+
+def _verify_realize_search(group, job, result) -> bool:
+    if not result["found"]:
+        return "certificate" not in result
+    cert = NonAmenabilityCertificate.from_json(result["certificate"])
+    return cert.group == group and verify_nonamenability_certificate(cert)
 
 
 def _boost_ramp(group: Group, final_radius: int):
@@ -354,73 +359,59 @@ def _boost_ramp(group: Group, final_radius: int):
     if isinstance(group, FreeAbelianGroup):
         return lambda g: clip(Fraction(g.value[0] + final_radius, span))
     if isinstance(group, FreeGroup) and group.rank == 2:
-        from .pictures import height
-
         return lambda g: clip(Fraction(height(g) + final_radius, span))
     # cyclic and table groups: graded by element index
     return lambda g: clip(Fraction(int(g.value), max(1, group.order - 1)))
 
 
-def _cmd_boost(args) -> int:
-    group = _load_group(args.group)
-    eps = parse_q(args.eps)
-    window = ball(group, args.m)
-    from .ramsey import boost_steps_needed
-
-    steps = boost_steps_needed(eps)
-    final_radius = args.m * (2**steps) + 1
-    f = _boost_ramp(group, final_radius)
-    res = boost(window, f, eps)
-    job = {
-        "command": "boost",
-        "group": group.to_json(),
-        "m": args.m,
-        "eps": fmt_q(eps),
-        "ramp_radius": final_radius,
-    }
-    _emit(_envelope(job, res.to_json()), args.out)
-    return 0
+def _boost(args):
+    final_radius = args.m * (2 ** boost_steps_needed(args.eps)) + 1
+    f = _boost_ramp(args.group, final_radius)
+    res = boost(ball(args.group, args.m), f, args.eps)
+    return {"m": args.m, "ramp_radius": final_radius}, res.to_json()
 
 
-def _cmd_f2_verify(args) -> int:
+def _verify_final_gap(group, job, result) -> bool:
+    nu = Measure.from_json(group, result["measure"])
+    gap = _f_gap(ball(group, job["m"]), nu, _boost_ramp(group, job["ramp_radius"]))
+    return gap == parse_q(result["final_gap"]) and gap <= parse_q(result["eps"])
+
+
+def _f2_verify(args):
     if args.identities is not None:
-        report = verify_identities(args.identities)
-        job = {"command": "f2-verify", "identities": args.identities}
-    elif args.disjoint is not None:
+        return {"identities": args.identities}, verify_identities(args.identities).to_json()
+    if args.disjoint is not None:
         k, length = args.disjoint
-        report = verify_disjoint_translates(k, length)
-        job = {"command": "f2-verify", "disjoint": [k, length]}
-    else:
-        raise CliError("provide --identities L or --disjoint K L")
-    _emit(_envelope(job, report.to_json()), args.out)
-    return 0
+        return {"disjoint": [k, length]}, verify_disjoint_translates(k, length).to_json()
+    raise CliError("provide --identities L or --disjoint K L")
 
 
-def _cmd_f2_infeasible(args) -> int:
+def _f2_infeasible(args):
     delta = parse_q(args.delta)
     outcome = simultaneous_invariance(args.K, delta, args.r)
-    job = {
-        "command": "f2-infeasible",
-        "K": args.K,
-        "delta": fmt_q(delta),
-        "r": args.r,
-    }
-    _emit(_envelope(job, outcome.to_json()), args.out)
-    return 0
+    return {"K": args.K, "delta": fmt_q(delta), "r": args.r}, outcome.to_json()
 
 
-def _cmd_function_table(args) -> int:
-    group = _load_group(args.group)
-    cap = _resolve_cap(args)
+def _verify_f2_infeasible(group, job, result) -> bool:
+    outcome = InvarianceOutcome.from_json(result)
+    echoed = (outcome.translate_count, fmt_q(outcome.delta), outcome.radius)
+    return echoed == (job["K"], job["delta"], job["r"]) and verify_invariance_outcome(outcome)
+
+
+_TABLE_COLUMNS = ("quantity", "m", "k", "value", "status")
+_TABLE_ECHO = ("m_max", "k_max", "window_radius", "n_max")
+
+
+def _function_table(args):
     m_values = list(range(1, args.m_max + 1))
     k_values = list(range(1, args.k_max + 1))
     harness = inequality_harness(
-        group,
+        args.group,
         m_values,
         k_values,
         window_radius=args.window_radius,
         n_max=args.n_max,
-        ramsey_cap=min(cap, 14),
+        ramsey_cap=min(args.cap, 14),
     )
     rows = []
     for k in k_values:
@@ -437,214 +428,219 @@ def _cmd_function_table(args) -> int:
                 ["weighted_folner", m, k, ww.value, "ok" if ww.value is not None else "exhausted"]
             )
             # the harness caps its Ramsey searches lower, so these rows solve their own
-            rr = ramsey_function(group, m, Fraction(1, k), args.n_max, cap=cap)
+            rr = ramsey_function(args.group, m, Fraction(1, k), args.n_max, cap=args.cap)
             rows.append(["ramsey", m, k, rr.value, rr.status])
-    sys.stdout.write("quantity,m,k,value,status\n")
-    for row in rows:
-        sys.stdout.write(",".join("" if v is None else str(v) for v in row) + "\n")
     result = {
-        "rows": [
-            {"quantity": q, "m": m, "k": k, "value": v, "status": s}
-            for q, m, k, v, s in rows
-        ],
+        "rows": [dict(zip(_TABLE_COLUMNS, row)) for row in rows],
         "harness": harness.to_json(),
     }
-    job = {
-        "command": "function-table",
-        "group": group.to_json(),
-        "m_max": args.m_max,
-        "k_max": args.k_max,
-        "window_radius": args.window_radius,
-        "n_max": args.n_max,
-        "cap": cap,
-    }
-    if args.out:
-        _write_file(_render(_envelope(job, result)), args.out)
-    if harness.violated:
+    return {name: getattr(args, name) for name in _TABLE_ECHO}, result
+
+
+def _emit_table(env: dict, out_path: str | None) -> int:
+    """CSV on stdout, the envelope only to out_path; exit 1 on a violated inequality."""
+    sys.stdout.write(",".join(_TABLE_COLUMNS) + "\n")
+    for row in env["result"]["rows"]:
+        cells = (row[c] for c in _TABLE_COLUMNS)
+        sys.stdout.write(",".join("" if v is None else str(v) for v in cells) + "\n")
+    if out_path:
+        _write_file(_render(env), out_path)
+    if not env["result"]["harness"]["all_hold"]:
         sys.stderr.write("inequality violation detected\n")
         return 1
     return 0
 
 
-# ---------------------------------------------------------------- verify
+# ---------------------------------------------------------------- table
 
 
-def _verify_ramsey_check(env) -> bool:
-    job = env["job"]
-    group = group_from_json(job["group"])
-    result = env["result"]
-    window = ball(group, job["m"])
-    bset = ball(group, job["n"])
-    eps = parse_q(result["eps"])
-    witnesses = None
-    if "witnesses" in result:
-        witnesses = {
-            int(mask): Measure.from_json(group, m)
-            for mask, m in result["witnesses"].items()
-        }
-    family_witnesses = None
-    if "family_witnesses" in result:
-        family_witnesses = [
-            (SetFamily.from_json(item["family"]), BalanceWitness.from_json(item["witness"]))
-            for item in result["family_witnesses"]
-        ]
-    counterexample = None
-    if "counterexample" in result:
-        ce = result["counterexample"]
-        counterexample = RamseyCounterexample(
-            ce["E_mask"],
-            _parse_elements(group, ce["E"]),
-            ce["kind"],
-            ce["payload"],
-        )
-    verdict = RamseyVerdict(
-        result["is_ramsey"],
-        eps,
-        result["method"],
-        tuple(_parse_elements(group, result["window"])),
-        tuple(_parse_elements(group, result["bset"])),
-        tuple(_parse_elements(group, result["interior"])),
-        tuple(_parse_elements(group, result["products"])),
-        reason=result.get("reason"),
-        witnesses=witnesses,
-        family_witnesses=family_witnesses,
-        counterexample=counterexample,
-    )
-    if tuple(verdict.window) != tuple(window) or tuple(verdict.bset) != tuple(bset):
-        return False
-    return verify_ramsey_verdict(verdict)
+@dataclass(frozen=True)
+class Command:
+    """One command: its own parser arguments, its run and its verifier.
+
+    ``group``, ``eps`` and ``cap`` say which shared options it takes, which
+    `_run` loads and echoes into the job; ``emit(envelope, out_path)``
+    writes the result and returns the exit code.
+    """
+
+    name: str
+    help: str
+    run: Callable
+    verify: Callable
+    arguments: tuple = ()
+    group: bool = True
+    eps: bool = False
+    cap: bool = False
+    emit: Callable = _emit
 
 
-def _verify_balance(env) -> bool:
-    family = SetFamily.from_json(env["result"]["family"])
-    witness = BalanceWitness.from_json(env["result"]["witness"])
-    if not verify_balance_witness(family, witness):
-        return False
-    balanced = env["result"]["balanced"]
-    return balanced == (witness.gap == 0) and parse_q(env["result"]["deficiency"]) == witness.gap
+def _arg(*flags, **options):
+    return flags, options
 
 
-def _verify_unbalance(env) -> bool:
-    family = SetFamily.from_json(env["result"]["family"])
-    wobj = env["result"]["witness"]
-    if wobj is None:
-        return env["result"]["balanced"] is True
-    return verify_unbalance_witness(family, UnbalanceWitness.from_json(wobj))
+_COMMANDS = (
+    Command(
+        "ramsey-check",
+        "decide eps-Ramseyness of ball(n) w.r.t. ball(m)",
+        _ramsey_check,
+        _verify_ramsey_check,
+        (
+            _arg("--m", type=int, required=True),
+            _arg("--n", type=int, required=True),
+            _arg("--method", choices=["direct", "pictures"], default="direct"),
+            _arg("--no-witnesses", action="store_true"),
+        ),
+        eps=True,
+        cap=True,
+    ),
+    Command(
+        "ramsey-function",
+        "least n with ball(n) eps-Ramsey w.r.t. ball(m)",
+        _ramsey_function,
+        _digest_only,
+        (
+            _arg("--m", type=int, required=True),
+            _arg("--n-max", type=int, required=True),
+            _arg("--method", choices=["direct", "pictures"], default="pictures"),
+        ),
+        eps=True,
+        cap=True,
+    ),
+    Command(
+        "folner-check",
+        "exact boundary counts for a candidate set",
+        _folner_check,
+        _verify_folner_check,
+        (
+            _arg("--a-radius", type=int, default=None),
+            _arg("--a-set", default=None, help="JSON list of elements"),
+            _arg("--b-radius", type=int, default=None),
+            _arg("--b-set", default=None, help="JSON list of elements"),
+        ),
+        eps=True,
+    ),
+    Command(
+        "folner-function",
+        "minimum 1/k-Folner size over a window",
+        _folner_function,
+        _verify_folner_function,
+        (
+            _arg("--k", type=int, required=True),
+            _arg("--window-radius", type=int, default=6),
+        ),
+    ),
+    Command(
+        "weighted-folner",
+        "optimal measure invariance defect",
+        _weighted_folner,
+        _verify_weighted_folner,
+        (
+            _arg("--m", type=int, required=True),
+            _arg("--n", type=int, required=True),
+        ),
+    ),
+    Command(
+        "balance",
+        "balance deficiency of a set family",
+        _balance,
+        _verify_balance,
+        (_arg("--family", required=True, help="family JSON or file path"),),
+        group=False,
+    ),
+    Command(
+        "unbalance-witness",
+        "zero-sum positive-on-members weighting",
+        _unbalance_witness,
+        _verify_unbalance,
+        (_arg("--family", required=True),),
+        group=False,
+    ),
+    Command(
+        "pictures",
+        "realized picture family over a probe ball",
+        _pictures,
+        _verify_pictures,
+        (
+            _arg("--window-radius", type=int, default=None),
+            _arg("--window-set", default=None),
+            _arg("--target", required=True, help="set construction JSON"),
+            _arg("--domain-radius", type=int, required=True),
+        ),
+    ),
+    Command(
+        "realize-search",
+        "search the candidate pool for a positive-sum realization",
+        _realize_search,
+        _verify_realize_search,
+        (
+            _arg("--window-radius", type=int, required=True),
+            _arg("--f", required=True, help='JSON mapping element -> "p/q", zero sum'),
+            _arg("--radius", type=int, required=True),
+        ),
+    ),
+    Command(
+        "boost",
+        "compose averaging steps down to a target gap",
+        _boost,
+        _verify_final_gap,
+        (_arg("--m", type=int, required=True, help="window = ball(m)"),),
+        eps=True,
+    ),
+    Command(
+        "f2-verify",
+        "pointwise identity / disjointness scans in the rank-2 free group",
+        _f2_verify,
+        _digest_only,
+        (
+            _arg("--identities", type=int, default=None, metavar="L"),
+            _arg("--disjoint", type=int, nargs=2, default=None, metavar=("K", "L")),
+        ),
+        group=False,
+    ),
+    Command(
+        "f2-infeasible",
+        "five-set invariance LP over a ball",
+        _f2_infeasible,
+        _verify_f2_infeasible,
+        (_arg("K", type=int), _arg("delta"), _arg("r", type=int)),
+        group=False,
+    ),
+    Command(
+        "function-table",
+        "tabulate Folner / weighted / Ramsey functions with inequality checks",
+        _function_table,
+        _digest_only,
+        (
+            _arg("--m-max", type=int, default=1),
+            _arg("--k-max", type=int, default=2),
+            _arg("--window-radius", type=int, default=6),
+            _arg("--n-max", type=int, default=8),
+        ),
+        cap=True,
+        emit=_emit_table,
+    ),
+)
+COMMANDS = {command.name: command for command in _COMMANDS}
 
 
-def _verify_folner_check(env) -> bool:
-    job = env["job"]
-    group = group_from_json(job["group"])
-    window = _parse_elements(group, job["window"])
-    bset = _parse_elements(group, job["bset"])
-    eps = parse_q(env["result"]["threshold"]) / len(bset)
-    report = is_epsilon_folner(window, bset, eps)
-    return report.to_json() == env["result"]
+def _run(command: Command, args) -> int:
+    """Load the shared options, run the command and emit its envelope."""
+    job = {"command": command.name}
+    if command.group:
+        args.group = _load_group(args.group)
+        job["group"] = args.group.to_json()
+    if command.eps:
+        args.eps = parse_q(args.eps)
+        job["eps"] = fmt_q(args.eps)
+    if command.cap:
+        args.cap = job["cap"] = _resolve_cap(args.cap)
+    fields, result = command.run(args)
+    job.update(fields)
+    return command.emit(_envelope(job, result), args.out)
 
 
-def _verify_folner_function(env) -> bool:
-    job = env["job"]
-    group = group_from_json(job["group"])
-    result = env["result"]
-    if result["size"] is None:
-        return result["witness"] is None
-    witness = _parse_elements(group, result["witness"])
-    if len(witness) != result["size"]:
-        return False
-    report = is_epsilon_folner(group.generators(), witness, Fraction(1, job["k"]))
-    return report.ok
-
-
-def _verify_weighted_folner(env) -> bool:
-    job = env["job"]
-    group = group_from_json(job["group"])
-    result = env["result"]
-    if result["status"] != "ok":
-        return result["value"] is None
-    nu = Measure.from_json(group, result["measure"])
-    window = ball(group, job["m"])
-    pool = set(ball(group, job["n"]))
-    from .ramsey import interior as _interior
-
-    if set(nu.support()) - set(_interior(window, pool)):
-        return False
-    return invariance_defect(nu, window) == parse_q(result["value"])
-
-
-def _verify_realize_search(env) -> bool:
-    job = env["job"]
-    group = group_from_json(job["group"])
-    result = env["result"]
-    if not result["found"]:
-        return "certificate" not in result
-    cobj = result["certificate"]
-    cert = NonAmenabilityCertificate(
-        group,
-        _parse_elements(group, cobj["window"]),
-        tuple(parse_q(x) for x in cobj["f"]),
-        cobj["radius"],
-        SetSpec.from_json(cobj["target"], group),
-        SetFamily.from_json(cobj["family"], parse=group.parse_element),
-        UnbalanceWitness.from_json(cobj["witness"]),
-    )
-    return verify_nonamenability_certificate(cert)
-
-
-def _verify_final_gap(env) -> bool:
-    job = env["job"]
-    group = group_from_json(job["group"])
-    result = env["result"]
-    nu = Measure.from_json(group, result["measure"])
-    gap = _f_gap(ball(group, job["m"]), nu, _boost_ramp(group, job["ramp_radius"]))
-    return gap == parse_q(result["final_gap"]) and gap <= parse_q(result["eps"])
-
-
-def _verify_f2_infeasible(env) -> bool:
-    outcome = InvarianceOutcome.from_json(env["result"])
-    job = env["job"]
-    if (
-        outcome.translate_count != job["K"]
-        or fmt_q(outcome.delta) != job["delta"]
-        or outcome.radius != job["r"]
-    ):
-        return False
-    return verify_invariance_outcome(outcome)
-
-
-def _verify_pictures(env) -> bool:
-    job = env["job"]
-    group = group_from_json(job["group"])
-    window = _parse_elements(group, job["window"])
-    target = SetSpec.from_json(job["target"], group)
-    ctx = PictureContext(group, window, target)
-    family = realized_family(ctx, ball(group, job["domain_radius"]))
-    return family.to_json() == env["result"]["family"]
-
-
-def _verify_summary_only(env) -> bool:
-    return True
-
-
-_VERIFIERS = {
-    "ramsey-check": _verify_ramsey_check,
-    "balance": _verify_balance,
-    "unbalance-witness": _verify_unbalance,
-    "folner-check": _verify_folner_check,
-    "folner-function": _verify_folner_function,
-    "weighted-folner": _verify_weighted_folner,
-    "realize-search": _verify_realize_search,
-    "boost": _verify_final_gap,
-    "f2-infeasible": _verify_f2_infeasible,
-    "pictures": _verify_pictures,
-    # summary-style results embed no certificates to recheck
-    "ramsey-function": _verify_summary_only,
-    "f2-verify": _verify_summary_only,
-    "function-table": _verify_summary_only,
-}
-
-
-def _cmd_verify(args) -> int:
-    with open(args.envelope) as fh:
+def _verify(path: str) -> int:
+    with open(path) as fh:
         env = json.load(fh)
     body = {k: env[k] for k in ("tool", "version", "job", "result") if k in env}
     if set(env) != {"tool", "version", "job", "result", "digest"}:
@@ -653,14 +649,19 @@ def _cmd_verify(args) -> int:
     if sha256_digest(body) != env["digest"]:
         sys.stderr.write("verify: digest mismatch\n")
         return 1
-    command = env["job"].get("command")
-    checker = _VERIFIERS.get(command)
-    if checker is None:
-        sys.stderr.write(f"verify: unknown command {command!r}\n")
+    job, result = env["job"], env["result"]
+    name = job.get("command")
+    command = COMMANDS.get(name)
+    if command is None:
+        sys.stderr.write(f"verify: unknown command {name!r}\n")
         return 1
-    ok = checker(env)
+    try:
+        group = group_from_json(job["group"]) if command.group else None
+        ok = command.verify(group, job, result)
+    except (LookupError, TypeError, ValueError, AttributeError):
+        ok = False  # a missing or malformed field is a failed check
     sys.stdout.write(
-        json.dumps({"command": command, "digest": "ok", "certificates": "ok" if ok else "FAILED"})
+        json.dumps({"command": name, "digest": "ok", "certificates": "ok" if ok else "FAILED"})
         + "\n"
     )
     return 0 if ok else 1
@@ -684,114 +685,28 @@ def build_parser() -> argparse.ArgumentParser:
         "balanced families, Folner search, and free-group obstructions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, group=True, eps=False, cap=False):
-        if group:
+    for command in _COMMANDS:
+        p = sub.add_parser(command.name, help=command.help)
+        if command.group:
             p.add_argument("--group", required=True, help="group descriptor JSON or file path")
-        if eps:
+        if command.eps:
             p.add_argument("--eps", required=True, help='rational like "1/2"')
-        if cap:
+        if command.cap:
             p.add_argument("--cap", type=int, default=None, help="enumeration cap (env AMENLAB_CAP overrides the default)")
         p.add_argument("--out", default=None, help="also write the envelope to this file")
-
-    p = sub.add_parser("ramsey-check", help="decide eps-Ramseyness of ball(n) w.r.t. ball(m)")
-    common(p, eps=True, cap=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--method", choices=["direct", "pictures"], default="direct")
-    p.add_argument("--no-witnesses", action="store_true")
-    p.set_defaults(handler=_cmd_ramsey_check)
-
-    p = sub.add_parser("ramsey-function", help="least n with ball(n) eps-Ramsey w.r.t. ball(m)")
-    common(p, eps=True, cap=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--method", choices=["direct", "pictures"], default="pictures")
-    p.set_defaults(handler=_cmd_ramsey_function)
-
-    p = sub.add_parser("folner-check", help="exact boundary counts for a candidate set")
-    common(p, eps=True)
-    p.add_argument("--a-radius", type=int, default=None)
-    p.add_argument("--a-set", default=None, help="JSON list of elements")
-    p.add_argument("--b-radius", type=int, default=None)
-    p.add_argument("--b-set", default=None, help="JSON list of elements")
-    p.set_defaults(handler=_cmd_folner_check)
-
-    p = sub.add_parser("folner-function", help="minimum 1/k-Folner size over a window")
-    common(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--window-radius", type=int, default=6)
-    p.set_defaults(handler=_cmd_folner_function)
-
-    p = sub.add_parser("weighted-folner", help="optimal measure invariance defect")
-    common(p)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_weighted_folner)
-
-    p = sub.add_parser("balance", help="balance deficiency of a set family")
-    common(p, group=False)
-    p.add_argument("--family", required=True, help="family JSON or file path")
-    p.set_defaults(handler=_cmd_balance)
-
-    p = sub.add_parser("unbalance-witness", help="zero-sum positive-on-members weighting")
-    common(p, group=False)
-    p.add_argument("--family", required=True)
-    p.set_defaults(handler=_cmd_unbalance_witness)
-
-    p = sub.add_parser("pictures", help="realized picture family over a probe ball")
-    common(p)
-    p.add_argument("--window-radius", type=int, default=None)
-    p.add_argument("--window-set", default=None)
-    p.add_argument("--target", required=True, help="set construction JSON")
-    p.add_argument("--domain-radius", type=int, required=True)
-    p.set_defaults(handler=_cmd_pictures)
-
-    p = sub.add_parser("realize-search", help="search the candidate pool for a positive-sum realization")
-    common(p)
-    p.add_argument("--window-radius", type=int, required=True)
-    p.add_argument("--f", required=True, help='JSON mapping element -> "p/q", zero sum')
-    p.add_argument("--radius", type=int, required=True)
-    p.set_defaults(handler=_cmd_realize_search)
-
-    p = sub.add_parser("boost", help="compose averaging steps down to a target gap")
-    common(p, eps=True)
-    p.add_argument("--m", type=int, required=True, help="window = ball(m)")
-    p.set_defaults(handler=_cmd_boost)
-
-    p = sub.add_parser("f2-verify", help="pointwise identity / disjointness scans in the rank-2 free group")
-    common(p, group=False)
-    p.add_argument("--identities", type=int, default=None, metavar="L")
-    p.add_argument("--disjoint", type=int, nargs=2, default=None, metavar=("K", "L"))
-    p.set_defaults(handler=_cmd_f2_verify)
-
-    p = sub.add_parser("f2-infeasible", help="five-set invariance LP over a ball")
-    common(p, group=False)
-    p.add_argument("K", type=int)
-    p.add_argument("delta")
-    p.add_argument("r", type=int)
-    p.set_defaults(handler=_cmd_f2_infeasible)
-
-    p = sub.add_parser("function-table", help="tabulate Folner / weighted / Ramsey functions with inequality checks")
-    common(p, cap=True)
-    p.add_argument("--m-max", type=int, default=1)
-    p.add_argument("--k-max", type=int, default=2)
-    p.add_argument("--window-radius", type=int, default=6)
-    p.add_argument("--n-max", type=int, default=8)
-    p.set_defaults(handler=_cmd_function_table)
-
+        for flags, options in command.arguments:
+            p.add_argument(*flags, **options)
     p = sub.add_parser("verify", help="re-validate an emitted envelope without re-solving")
     p.add_argument("envelope")
-    p.set_defaults(handler=_cmd_verify)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        if args.command == "verify":
+            return _verify(args.envelope)
+        return _run(COMMANDS[args.command], args)
     except CapExceeded as exc:
         sys.stderr.write(f"cap exhausted: {exc}\n")
         return 2

@@ -23,6 +23,7 @@ optimal normalized set, and an upper bound otherwise.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -358,11 +359,11 @@ def _compare(name: str, params: dict, lhs, rhs, note: str) -> HarnessInstance:
     return HarnessInstance(name, params, lhs, rhs, "holds" if lhs <= rhs else "violated")
 
 
-def _iterated_ramsey(group, m, times, *, n_max, cap):
+def _iterated_ramsey(ramsey, m, times):
     """R applied `times` times starting from radius m, 1/2 gap each step."""
     radius = m
     for _ in range(times):
-        step = ramsey_function(group, radius, Fraction(1, 2), n_max, cap=cap)
+        step = ramsey(radius, Fraction(1, 2))
         if step.value is None:
             return None
         radius = step.value
@@ -386,6 +387,9 @@ def inequality_harness(
     """
     s = len(group.generators())
     instances: list[HarnessInstance] = []
+    # the comparisons share arguments, so each (m, eps) is solved once per call
+    ramsey = functools.cache(lambda m, eps: ramsey_function(group, m, eps, n_max, cap=ramsey_cap))
+    weighted_fn = functools.cache(lambda m, eps: weighted_folner_function(group, m, eps, n_max))
 
     folner: dict[int, FolnerFunctionResult] = {}
     fol_values: dict[int, int | None] = {}
@@ -393,23 +397,15 @@ def inequality_harness(
         res = folner[k] = folner_function(group, k, ball(group, window_radius))
         fol_values[k] = res.size if res.exact else None
         if res.size is not None and not res.exact:
-            instances.append(
-                HarnessInstance(
-                    "folner_exactness",
-                    {"k": k},
-                    res.size,
-                    None,
-                    "untested",
-                    "window value is only an upper bound",
-                )
-            )
+            note = "window value is only an upper bound"
+            instances.append(_compare("folner_exactness", {"k": k}, res.size, None, note))
 
     weighted: dict[tuple[int, int], WeightedFolnerFunction] = {}
     for m in m_values:
         for k in k_values:
             eps = Fraction(1, k)
-            rr = ramsey_function(group, m, eps, n_max, cap=ramsey_cap)
-            ww = weighted[m, k] = weighted_folner_function(group, m, eps, n_max)
+            rr = ramsey(m, eps)
+            ww = weighted[m, k] = weighted_fn(m, eps)
             instances.append(
                 _compare(
                     "ramsey_le_weighted",
@@ -421,7 +417,7 @@ def inequality_harness(
             )
 
     for k in k_values:
-        ww = weighted_folner_function(group, 1, Fraction(1, k), n_max)
+        ww = weighted_fn(1, Fraction(1, k))
         instances.append(
             _compare(
                 "folner_le_exp_weighted",
@@ -436,7 +432,7 @@ def inequality_harness(
         # p-fold averaging with (3/4)^p < 1/(2ks); no power of 3/4 equals
         # 1/(2ks), so boost_steps_needed's <= gives the same p
         p = boost_steps_needed(Fraction(1, 2 * k * s))
-        iterated = _iterated_ramsey(group, 1, p * s, n_max=n_max, cap=ramsey_cap)
+        iterated = _iterated_ramsey(ramsey, 1, p * s)
         instances.append(
             _compare(
                 "folner_le_exp_iterated_ramsey",
@@ -452,8 +448,8 @@ def inequality_harness(
         # (3/4)^p < eps, F(m, 2*eps*s) <= R^{s*p}(m)
         eps = Fraction(1, 2)
         p = boost_steps_needed(eps)
-        ww = weighted_folner_function(group, m, 2 * eps * s, n_max)
-        iterated = _iterated_ramsey(group, m, s * p, n_max=n_max, cap=ramsey_cap)
+        ww = weighted_fn(m, 2 * eps * s)
+        iterated = _iterated_ramsey(ramsey, m, s * p)
         instances.append(
             _compare(
                 "weighted_le_iterated_ramsey",

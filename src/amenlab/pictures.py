@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .balance import SetFamily, UnbalanceWitness, verify_unbalance_witness
+from .balance import SetFamily, UnbalanceWitness, member_sums, verify_unbalance_witness
 from .groups import (
     CyclicGroup,
     Element,
@@ -40,9 +40,10 @@ from .groups import (
     GroupError,
     Measure,
     ball,
+    group_from_json,
     sort_elements,
 )
-from .rationals import fmt_q
+from .rationals import fmt_q, parse_q
 
 _F0 = Fraction(0)
 
@@ -322,6 +323,19 @@ class NonAmenabilityCertificate:
             "witness": self.witness.to_json(),
         }
 
+    @classmethod
+    def from_json(cls, obj: Mapping) -> "NonAmenabilityCertificate":
+        group = group_from_json(obj["group"])
+        return cls(
+            group,
+            tuple(group.parse_element(a) for a in obj["window"]),
+            tuple(parse_q(x) for x in obj["f"]),
+            obj["radius"],
+            SetSpec.from_json(obj["target"], group),
+            SetFamily.from_json(obj["family"], parse=group.parse_element),
+            UnbalanceWitness.from_json(obj["witness"]),
+        )
+
 
 def verify_nonamenability_certificate(cert: NonAmenabilityCertificate) -> bool:
     """Recompute the family from scratch and recheck both positivity claims."""
@@ -330,13 +344,8 @@ def verify_nonamenability_certificate(cert: NonAmenabilityCertificate) -> bool:
     family = realized_family(ctx, domain)
     if family != cert.family:
         return False
-    if sum(cert.f_values, _F0) != 0:
+    if sum(cert.f_values, _F0) != 0 or min(member_sums(family, cert.f_values)) <= 0:
         return False
-    width = len(ctx.window)
-    for mask in family.members:
-        total = sum((cert.f_values[i] for i in range(width) if mask >> i & 1), _F0)
-        if not total > 0:
-            return False
     return verify_unbalance_witness(family, cert.witness)
 
 
@@ -399,21 +408,12 @@ def realization_search(
     if not any(values):
         raise ValueError("zero weighting is vacuous: no subset has positive sum")
     domain = ball(group, radius, cap=ball_cap)
-    width = len(window)
     for spec in pool if pool is not None else candidate_pool(group):
         ctx = PictureContext(group, window, spec)
         family = realized_family(ctx, domain)
-        ok = True
-        sums = []
-        for mask in family.members:
-            total = sum((values[i] for i in range(width) if mask >> i & 1), _F0)
-            if not total > 0:
-                ok = False
-                break
-            sums.append(total)
-        if not ok:
+        margin = min(member_sums(family, values))
+        if margin <= 0:
             continue
-        margin = min(sums)
         witness = UnbalanceWitness(tuple(v / margin for v in values), Fraction(1))
         cert = NonAmenabilityCertificate(
             group, window, values, radius, spec, family, witness

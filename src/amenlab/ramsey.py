@@ -186,6 +186,41 @@ class RamseyVerdict:
             out["counterexample"] = self.counterexample.to_json()
         return out
 
+    @classmethod
+    def from_json(cls, obj: Mapping, group: Group) -> "RamseyVerdict":
+        def elements(texts) -> tuple[Element, ...]:
+            return tuple(group.parse_element(t) for t in texts)
+
+        witnesses = family_witnesses = counterexample = None
+        if "witnesses" in obj:
+            witnesses = {
+                int(mask): Measure.from_json(group, nu) for mask, nu in obj["witnesses"].items()
+            }
+        if "family_witnesses" in obj:
+            family_witnesses = [
+                (SetFamily.from_json(item["family"]), BalanceWitness.from_json(item["witness"]))
+                for item in obj["family_witnesses"]
+            ]
+        if "counterexample" in obj:
+            ce = obj["counterexample"]
+            counterexample = RamseyCounterexample(
+                ce["E_mask"], elements(ce["E"]), ce["kind"], ce["payload"]
+            )
+        return cls(
+            obj["is_ramsey"],
+            parse_q(obj["eps"]),
+            obj["method"],
+            elements(obj["window"]),
+            elements(obj["bset"]),
+            elements(obj["interior"]),
+            elements(obj["products"]),
+            reason=obj.get("reason"),
+            witnesses=witnesses,
+            family_witnesses=family_witnesses,
+            counterexample=counterexample,
+            subsets_checked=obj["subsets_checked"],
+        )
+
 
 def _mask_elements(products: Sequence[Element], mask: int) -> tuple[Element, ...]:
     return tuple(x for i, x in enumerate(products) if mask >> i & 1)

@@ -249,11 +249,89 @@ def test_help_exits_zero(capsys):
     assert usage_exit_code(["ramsey-check", "--help"]) == 0
 
 
-def test_readme_commands_parse():
+def readme_commands():
+    """argv of every `amenlab ...` line in README's sh blocks, with $Z and $F2 filled in."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     lines = "".join(re.findall(r"```sh\n(.*?)```", readme, re.S)).replace("\\\n", " ")
     commands = [shlex.split(line) for line in lines.splitlines() if line.startswith("amenlab ")]
+    return [[{"$Z": Z, "$F2": F2}.get(arg, arg) for arg in argv[1:]] for argv in commands]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
     assert len(commands) >= 10
     parser = build_parser()
     for argv in commands:
-        parser.parse_args(argv[1:])
+        parser.parse_args(argv)
+
+
+# digests of the README examples of the commands bench/golden.json does not cover
+README_DIGESTS = {
+    "ramsey-function": "aadc5f861763180867acdcdf8ce81d1f2e1c7402d1ffaf54c08a4c85f5e0fc46",
+    "balance": "cf224e42921c2a56e9ecea675b6b67f2894c8a55572c3d499ee2cd64414cee2c",
+    "unbalance-witness": "e56bc02d62640fb5dc98912a2041d833dbfcf6bc451abd8481e9ab5b2a33edb9",
+    "folner-check": "35fb167372066936cfaa2e4acf84333dbd55d671797518337cc3de8e5969f692",
+    "folner-function": "967dcc756bb982e7aac77413de97185cd93d3be296dd2b79c998364e4cd7f668",
+    "weighted-folner": "dabf84b82fd996444ef7fe459b0c92e5526f4d97ad5223aa9762b24910787ab1",
+    "pictures": "b517c17e8579d139b72fd8101686f0b2e6d3168e1321b6815f06d60879fb13e4",
+    "realize-search": "e4884179b88c22ac47cdb9796a2e5c1ae505cd304809d7d7eb4abc95d1579598",
+    "boost": "30efeebdc23ca6914822124cb0ed7d26fe1344408ee7dcb7e0a616cb60778a01",
+}
+
+
+VERIFY_OK = '{{"command": "{}", "digest": "ok", "certificates": "ok"}}\n'
+
+
+@pytest.mark.parametrize("command", sorted(README_DIGESTS))
+def test_readme_example_digest_is_pinned(capsys, tmp_path, command):
+    (argv,) = [argv for argv in readme_commands() if argv[0] == command]
+    path = tmp_path / "env.json"
+    code, env = run_envelope(capsys, *argv, "--out", str(path))
+    assert code == 0
+    assert env["digest"] == "sha256:" + README_DIGESTS[command]
+    assert run(capsys, "verify", str(path)) == (0, VERIFY_OK.format(command))
+
+
+def forge(path, change):
+    """Apply `change` to the envelope at path and recompute its digest."""
+    env = json.loads(path.read_text())
+    change(env)
+    env["digest"] = sha256_digest({k: env[k] for k in ("tool", "version", "job", "result")})
+    path.write_text(json.dumps(env))
+
+
+def test_verify_rejects_no_admissible_claim_with_nonempty_interior(capsys, tmp_path):
+    path = tmp_path / "weighted.json"
+    assert run(capsys, "weighted-folner", "--group", Z, "--m", "1", "--n", "3",
+               "--out", str(path))[0] == 0
+    forge(path, lambda env: env["result"].update(status="no_admissible", value=None, measure=None))
+    vcode, vout = run(capsys, "verify", str(path))
+    assert vcode == 1
+    assert "FAILED" in vout
+    # an honest no_admissible envelope: ball(2) has no translate inside ball(1)
+    assert run(capsys, "weighted-folner", "--group", Z, "--m", "2", "--n", "1",
+               "--out", str(path))[0] == 0
+    assert json.loads(path.read_text())["result"]["status"] == "no_admissible"
+    assert run(capsys, "verify", str(path))[0] == 0
+
+
+def test_verify_folner_check_uses_the_job_eps(capsys, tmp_path):
+    path = tmp_path / "folner.json"
+    argv = ["folner-check", "--group", Z, "--a-set", '["1"]', "--eps", "1/2", "--out", str(path)]
+    assert run(capsys, *argv, "--b-set", '["0","1","2","3"]')[0] == 0
+    forge(path, lambda env: env["job"].update(eps="1/4"))
+    vcode, vout = run(capsys, "verify", str(path))
+    assert vcode == 1
+    assert "FAILED" in vout
+    # a repeated element is echoed in the job but counted once
+    assert run(capsys, *argv, "--b-set", '["0","0","1","2","3"]')[0] == 0
+    assert run(capsys, "verify", str(path)) == (0, VERIFY_OK.format("folner-check"))
+
+
+def test_verify_reports_missing_field_as_failed(capsys, tmp_path):
+    path = tmp_path / "bal.json"
+    assert run(capsys, "balance", "--family", FAMILY, "--out", str(path))[0] == 0
+    forge(path, lambda env: env["result"].pop("witness"))
+    vcode, vout = run(capsys, "verify", str(path))
+    assert vcode == 1
+    assert json.loads(vout)["certificates"] == "FAILED"
