@@ -54,9 +54,7 @@ from .pictures import (
     realized_family,
 )
 from .ramsey import (
-    BoostStepError,
     RamseyVerdict,
-    ball_step_oracle,
     binary_to_unit,
     boost,
     interior,
@@ -78,7 +76,6 @@ from . import f2
 
 __all__ = [
     "BalanceWitness",
-    "BoostStepError",
     "CapExceeded",
     "CyclicGroup",
     "Element",
@@ -104,7 +101,6 @@ __all__ = [
     "__version__",
     "balance_deficiency",
     "ball",
-    "ball_step_oracle",
     "binary_to_unit",
     "boost",
     "candidate_pool",

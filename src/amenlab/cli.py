@@ -72,6 +72,7 @@ from .pictures import (
     verify_nonamenability_certificate,
 )
 from .ramsey import (
+    DEFAULT_ENUMERATION_CAP,
     RamseyVerdict,
     _f_gap,
     boost,
@@ -83,8 +84,6 @@ from .ramsey import (
 )
 from .rationals import fmt_q, parse_q, sha256_digest
 
-DEFAULT_CAP = 24
-
 
 class CliError(ValueError):
     pass
@@ -92,7 +91,7 @@ class CliError(ValueError):
 
 def _resolve_cap(cap: int | None) -> int:
     """An explicit --cap, else the environment's AMENLAB_CAP, else the default."""
-    return cap if cap is not None else int(os.environ.get("AMENLAB_CAP", DEFAULT_CAP))
+    return cap if cap is not None else int(os.environ.get("AMENLAB_CAP", DEFAULT_ENUMERATION_CAP))
 
 
 def _load_json_arg(text: str):
@@ -291,14 +290,18 @@ def _unbalance_witness(args):
         "witness": None if witness is None else witness.to_json(),
         "balanced": witness is None,
     }
+    if witness is None:  # a balanced claim carries its zero-gap balance witness
+        result["balance_witness"] = balance_deficiency(family)[1].to_json()
     return {"family": family.to_json()}, result
 
 
 def _verify_unbalance(group, job, result) -> bool:
     family = SetFamily.from_json(result["family"])
     if result["witness"] is None:
-        return result["balanced"] is True
-    return verify_unbalance_witness(family, UnbalanceWitness.from_json(result["witness"]))
+        witness = BalanceWitness.from_json(result["balance_witness"])
+        return result["balanced"] is True and verify_balance_witness(family, witness, 0)
+    witness = UnbalanceWitness.from_json(result["witness"])
+    return result["balanced"] is False and verify_unbalance_witness(family, witness)
 
 
 def _pictures(args):
@@ -642,10 +645,14 @@ def _run(command: Command, args) -> int:
 def _verify(path: str) -> int:
     with open(path) as fh:
         env = json.load(fh)
-    body = {k: env[k] for k in ("tool", "version", "job", "result") if k in env}
-    if set(env) != {"tool", "version", "job", "result", "digest"}:
+    if (
+        not isinstance(env, dict)
+        or set(env) != {"tool", "version", "job", "result", "digest"}
+        or not isinstance(env["job"], dict)
+    ):
         sys.stderr.write("verify: envelope has unexpected shape\n")
         return 1
+    body = {k: env[k] for k in ("tool", "version", "job", "result")}
     if sha256_digest(body) != env["digest"]:
         sys.stderr.write("verify: digest mismatch\n")
         return 1

@@ -90,6 +90,8 @@ def five_set_specs(group: FreeGroup | None = None) -> dict[str, SetSpec]:
 
 
 MAX_SCAN_LENGTH = 12
+TRANSLATE_RADIUS = 3  # translators of the level-shift check: ball(TRANSLATE_RADIUS)
+INVARIANCE_BALL_CAP = 2000  # largest ball the invariance LP takes as columns
 
 
 @dataclass
@@ -124,14 +126,14 @@ class IdentityReport:
         }
 
 
-def verify_identities(max_length: int, *, translate_radius: int = 3) -> IdentityReport:
+def verify_identities(max_length: int) -> IdentityReport:
     """Pointwise identity checks on every word of length <= max_length.
 
     Covered: the two symmetric-difference identities expressing
     first △ low and rest △ high through the two intersection sets, the
     four containments threading the five sets, and the translation law
     ``w * high = (height > height(w))`` for all w in the translate ball
-    against all words of length <= max_length - translate_radius.
+    against all words of length <= max_length - TRANSLATE_RADIUS.
     """
     if max_length > MAX_SCAN_LENGTH:
         raise CapExceeded(f"scan capped at length {MAX_SCAN_LENGTH}")
@@ -179,8 +181,8 @@ def verify_identities(max_length: int, *, translate_radius: int = 3) -> Identity
         words,
     )
 
-    inner = ball(group, max(0, max_length - translate_radius))
-    translators = ball(group, translate_radius)
+    inner = ball(group, max(0, max_length - TRANSLATE_RADIUS))
+    translators = ball(group, TRANSLATE_RADIUS)
     failures = 0
     checked = 0
     for w in translators:
@@ -334,9 +336,7 @@ class InvarianceOutcome:
         )
 
 
-def simultaneous_invariance(
-    translate_count: int, delta, radius: int, *, ball_cap: int = 2000
-) -> InvarianceOutcome:
+def simultaneous_invariance(translate_count: int, delta, radius: int) -> InvarianceOutcome:
     """Decide the five-set invariance LP, with exact certificates.
 
     Ball elements with identical membership profiles across all
@@ -352,7 +352,7 @@ def simultaneous_invariance(
     if delta < 0:
         raise ValueError("delta must be >= 0")
     group = f2_group()
-    columns = ball(group, radius, cap=ball_cap)
+    columns = ball(group, radius, cap=INVARIANCE_BALL_CAP)
     if delta >= 1:
         # every constraint has the form |p - q| <= delta with p, q in [0,1]
         out = InvarianceOutcome(

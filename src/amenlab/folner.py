@@ -49,8 +49,8 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 MAX_WINDOW_CANDIDATES = 1 << 24
-# keeps default weighted solves at desk scale; pass lp_cap for more
-DEFAULT_WEIGHTED_LP_CAP = 600
+# keeps weighted solves at desk scale
+WEIGHTED_LP_CAP = 600
 
 
 @dataclass
@@ -203,9 +203,7 @@ class WeightedFolnerValue:
         }
 
 
-def weighted_folner(
-    group: Group, m: int, n: int, *, lp_cap: int = DEFAULT_WEIGHTED_LP_CAP
-) -> WeightedFolnerValue:
+def weighted_folner(group: Group, m: int, n: int) -> WeightedFolnerValue:
     """Optimal invariance defect over measures admissible for (ball m, ball n).
 
     One exact LP with an auxiliary variable per (generator-ball element,
@@ -225,8 +223,8 @@ def weighted_folner(
         for x in affected:
             terms.append((g, x))
     nvars = nc + len(terms)
-    if nvars > lp_cap:
-        raise CapExceeded(f"weighted Folner LP has {nvars} variables, beyond {lp_cap}")
+    if nvars > WEIGHTED_LP_CAP:
+        raise CapExceeded(f"weighted Folner LP has {nvars} variables, beyond {WEIGHTED_LP_CAP}")
     rows = [(tuple([_F1] * nc + [_F0] * len(terms)), EQ, _F1)]
     for t_idx, (g, x) in enumerate(terms):
         coeffs = [_F0] * nvars
@@ -271,15 +269,13 @@ class WeightedFolnerFunction:
         }
 
 
-def weighted_folner_function(
-    group: Group, m: int, eps, n_max: int, *, lp_cap: int = DEFAULT_WEIGHTED_LP_CAP
-) -> WeightedFolnerFunction:
+def weighted_folner_function(group: Group, m: int, eps, n_max: int) -> WeightedFolnerFunction:
     """Least n <= n_max whose optimal defect is <= eps, with per-n records."""
     eps = Fraction(eps)
     per_n: list[tuple[int, str]] = []
     for n in range(0, n_max + 1):
         try:
-            cell = weighted_folner(group, m, n, lp_cap=lp_cap)
+            cell = weighted_folner(group, m, n)
         except CapExceeded:
             per_n.append((n, "cap_exceeded"))
             continue

@@ -104,8 +104,7 @@ class Group:
         return g
 
     # concrete kinds supply: identity, multiply, inverse, generators,
-    # sort_key, format_element, parse_element, element_to_json,
-    # element_from_json, to_json
+    # sort_key, format_element, parse_element, to_json
 
     def __repr__(self):
         import json
@@ -196,12 +195,6 @@ class FreeGroup(Group):
                 word.append(letter)
         return Element(self, tuple(word))
 
-    def element_to_json(self, g: Element) -> str:
-        return self.format_element(g)
-
-    def element_from_json(self, obj) -> Element:
-        return self.parse_element(str(obj))
-
     def to_json(self) -> dict:
         return {"kind": "free", "generators": list(self.gen_names)}
 
@@ -255,14 +248,6 @@ class FreeAbelianGroup(Group):
             raise GroupError(f"expected {self.rank} coordinates, got {vec!r}")
         return Element(self, vec)
 
-    def element_to_json(self, g: Element):
-        return list(g.value) if self.rank > 1 else g.value[0]
-
-    def element_from_json(self, obj) -> Element:
-        if isinstance(obj, int):
-            obj = [obj]
-        return self.parse_element(obj)
-
     def to_json(self) -> dict:
         return {"kind": "free_abelian", "rank": self.rank}
 
@@ -304,12 +289,6 @@ class CyclicGroup(Group):
         if not 0 <= v < self.order:
             raise GroupError(f"residue out of range: {v}")
         return Element(self, v)
-
-    def element_to_json(self, g: Element):
-        return g.value
-
-    def element_from_json(self, obj) -> Element:
-        return self.parse_element(obj)
 
     def to_json(self) -> dict:
         return {"kind": "cyclic", "order": self.order}
@@ -428,12 +407,6 @@ class TableGroup(Group):
         if not 0 <= v < self.order:
             raise GroupError(f"table index out of range: {v}")
         return Element(self, v)
-
-    def element_to_json(self, g: Element):
-        return g.value
-
-    def element_from_json(self, obj) -> Element:
-        return self.parse_element(obj)
 
     def to_json(self) -> dict:
         out = {"kind": "finite_table", "table": [list(r) for r in self.table]}
@@ -561,10 +534,6 @@ class Measure:
                 z = x * y
                 out[z] = out.get(z, Fraction(0)) + wx * wy
         return Measure(self.group, out)
-
-    def translated(self, g: Element) -> "Measure":
-        """g·ν, the pushforward under left translation by g."""
-        return Measure(self.group, {g * x: w for x, w in self.weights.items()})
 
     def of_set(self, membership) -> Fraction:
         """ν(E) for E given as an element collection or membership test."""

@@ -47,6 +47,8 @@ from .rationals import fmt_q, parse_q
 
 _F0 = Fraction(0)
 
+REALIZATION_BALL_CAP = 100_000  # largest probe domain realization_search takes
+
 _HEIGHT_WEIGHTS = {1: 1, -1: -1, 2: -1, -2: 1}
 
 
@@ -385,9 +387,6 @@ def realization_search(
     window: Iterable[Element],
     f,
     radius: int,
-    *,
-    ball_cap: int | None = 100_000,
-    pool: Sequence[SetSpec] | None = None,
 ) -> NonAmenabilityCertificate | None:
     """Search the candidate pool for a target realizing only positive pictures.
 
@@ -407,8 +406,8 @@ def realization_search(
         raise ValueError("window weighting must sum to zero")
     if not any(values):
         raise ValueError("zero weighting is vacuous: no subset has positive sum")
-    domain = ball(group, radius, cap=ball_cap)
-    for spec in pool if pool is not None else candidate_pool(group):
+    domain = ball(group, radius, cap=REALIZATION_BALL_CAP)
+    for spec in candidate_pool(group):
         ctx = PictureContext(group, window, spec)
         family = realized_family(ctx, domain)
         margin = min(member_sums(family, values))

@@ -64,6 +64,8 @@ _F1 = Fraction(1)
 
 DEFAULT_ENUMERATION_CAP = 24
 BOOST_STEP_GAP = Fraction(3, 4)
+BOOST_RADIUS_CAP = 64  # largest ball radius in a boost tower
+BOOST_ATTEMPT_CAP = 50  # descents, each after one level's radius is bumped
 
 
 def interior(window: Iterable[Element], bset: Iterable[Element]) -> tuple[Element, ...]:
@@ -462,16 +464,19 @@ def subset_measure(
     return Measure(group, weights)
 
 
+def _average(nu: Measure, f: Callable, g: Element) -> Fraction:
+    """(g nu)(f) = sum over c of nu(c) f(g c), computed exactly."""
+    total = _F0
+    for c, w in nu.weights.items():
+        v = f(g * c)
+        if v:
+            total += w * Fraction(v)
+    return total
+
+
 def _f_gap(window: Sequence[Element], nu: Measure, f: Callable) -> Fraction:
     """max over window pairs of |a nu(f) - a' nu(f)|, computed exactly."""
-    vals = []
-    for a in window:
-        total = _F0
-        for c, w in nu.weights.items():
-            v = f(a * c)
-            if v:
-                total += w * Fraction(v)
-        vals.append(total)
+    vals = [_average(nu, f, a) for a in window]
     return max(vals) - min(vals)
 
 
@@ -551,147 +556,81 @@ def boost_steps_needed(eps: Fraction) -> int:
     return n
 
 
-class BoostStepError(Exception):
-    """A boost level could not produce its single-step measure."""
+def _ball_tower(window: tuple[Element, ...], bumps: Sequence[int]) -> list[tuple[Element, ...]]:
+    """window, then one ball per level: the least ball enclosing the level
+    below has radius r, and the next level is ball(max(2r, r+1) + bump).
 
-    def __init__(self, step: int, message: str):
-        super().__init__(f"boost step {step}: {message}")
-        self.step = step
-
-
-def ball_step_oracle(group: Group, *, radius_cap: int = 64, bumps: Sequence[int] = ()):
-    """The default single-step oracle: enclosing windows are metric balls.
-
-    Given the current window, returns the next window (the smallest ball
-    with at least doubled radius, optionally bumped per level) together
-    with a solver that turns a [0,1] rational function on that window
-    into a measure with gap at most 3/4, via `binary_to_unit`.
+    ball(2r) contains ball(r)·ball(r), so each level holds the pairwise
+    products of the one below.  r is recomputed at every level because a
+    ball can stop growing (on a finite group), which plain doubling misses.
     """
-    bumps = tuple(bumps)
-
-    def oracle(current: tuple[Element, ...], level: int):
-        radius = 0
-        pool = set(current)
-        while not pool <= set(ball(group, radius)):
-            radius += 1
-            if radius > radius_cap:
-                raise BoostStepError(level, "window is not contained in a small ball")
-        next_radius = max(2 * radius, radius + 1)
-        if level < len(bumps):
-            next_radius += bumps[level]
-        if next_radius > radius_cap:
-            raise CapExceeded("boost tower exceeded the radius cap")
-        next_window = tuple(ball(group, next_radius))
-
-        def solver(f_map):
-            try:
-                return binary_to_unit(current, next_window, f_map)
-            except ValueError as exc:
-                raise BoostStepError(level, str(exc)) from None
-
-        return next_window, solver
-
-    return oracle
-
-
-def _run_tower(window, f, eps, n, oracle) -> BoostResult:
     group = window[0].group
     towers = [window]
-    solvers = []
-    for level in range(n):
-        current = towers[-1]
-        next_window, solver = oracle(current, level)
-        pool = set(next_window)
-        if not set(current) <= pool:
-            raise BoostStepError(level, "oracle window does not contain the current one")
-        if any((x * y) not in pool for x in current for y in current):
-            raise BoostStepError(level, "oracle window misses a pairwise product")
-        towers.append(tuple(sort_elements(next_window)))
-        solvers.append(solver)
-    measures: list[Measure | None] = [None] * n
-    # downward recursion: tail(g) = g nu_{i+1} ... nu_{n-1} (f)
-    for i in range(n - 1, -1, -1):
-        tail = _compose_tail(measures[i + 1 :], f)
-        dom = towers[i + 1]
-        tail_vals = {g: tail(g) for g in dom}
-        lo = min(tail_vals.values())
-        scale = BOOST_STEP_GAP ** (n - i - 1)
-        f_i = {g: (v - lo) / scale for g, v in tail_vals.items()}
-        if any(not 0 <= v <= 1 for v in f_i.values()):
-            raise RuntimeError("internal error: rescaled tail left [0,1]")
-        measures[i] = solvers[i](f_i)
-    steps = []
-    total = Measure.point_mass(group.identity())
-    for i in range(n - 1, -1, -1):
-        total = measures[i].convolve(total)
-        tail_gap = _f_gap(towers[i], total, f)
-        bound = BOOST_STEP_GAP ** (n - i)
-        if tail_gap > bound:
-            raise RuntimeError("internal error: contraction bound violated")
-        steps.append(BoostStep(towers[i], towers[i + 1], measures[i], tail_gap))
-    steps.reverse()
-    final_gap = _f_gap(window, total, f)
-    if final_gap > eps:
-        raise RuntimeError("internal error: boosted gap exceeds eps")
-    return BoostResult(total, steps, final_gap, eps)
+    for bump in bumps:
+        current = set(towers[-1])
+        radius = 0
+        while not current <= set(ball(group, radius)):
+            radius += 1
+            if radius > BOOST_RADIUS_CAP:
+                raise CapExceeded(f"boost window is not contained in ball({BOOST_RADIUS_CAP})")
+        next_radius = max(2 * radius, radius + 1) + bump
+        if next_radius > BOOST_RADIUS_CAP:
+            raise CapExceeded("boost tower exceeded the radius cap")
+        towers.append(ball(group, next_radius))
+    return towers
 
 
 def boost(
     window: Iterable[Element],
     f: Callable[[Element], Fraction],
     eps,
-    *,
-    step_oracle=None,
-    max_steps: int | None = None,
-    radius_cap: int = 64,
-    attempt_cap: int = 50,
 ) -> BoostResult:
     """Compose single-step measures until the f-gap over the window is <= eps.
 
-    ``step_oracle(current_window, level)`` must return the next enclosing
-    window (which has to contain the current window and its pairwise
-    products) and a solver mapping a [0,1] rational function on that
-    window to a measure with single-step gap at most 3/4; failures
-    surface as `BoostStepError` carrying the step index.  Without an
-    oracle the default ball tower is used: at least doubling radii, and
-    on a failed level the corresponding radius is bumped and the descent
-    restarts.  All gap bounds, per step and final, are verified exactly.
+    Builds a tower of n = `boost_steps_needed(eps)` balls over the window
+    (see `_ball_tower`) and descends it once from the top.  The running
+    convolution rho = nu_{i+1} * ... * nu_{n-1} gives level i its tail
+    g -> (g rho)(f); rescaled into [0,1], `binary_to_unit` turns it into
+    nu_i, and nu_i * rho gives the tail gap over level i, at most
+    (3/4)^(n-i).  A level whose step fails gets one more unit of radius
+    and the descent restarts, at most `BOOST_ATTEMPT_CAP` times; a tower
+    past `BOOST_RADIUS_CAP` raises `CapExceeded`.  All gap bounds, per
+    step and final, are verified exactly.
     """
     eps = Fraction(eps)
     window = tuple(sort_elements(window))
     if not window:
         raise ValueError("window must be nonempty")
-    group = window[0].group
     n = boost_steps_needed(eps)
-    if max_steps is not None and n > max_steps:
-        raise ValueError(f"need {n} steps for eps={eps}, but max_steps={max_steps}")
-    if step_oracle is not None:
-        return _run_tower(window, f, eps, n, step_oracle)
     bumps = [0] * n
-    for _attempt in range(attempt_cap):
-        oracle = ball_step_oracle(group, radius_cap=radius_cap, bumps=bumps)
-        try:
-            return _run_tower(window, f, eps, n, oracle)
-        except BoostStepError as exc:
-            bumps[exc.step] += 1
+    for _attempt in range(BOOST_ATTEMPT_CAP):
+        towers = _ball_tower(window, bumps)
+        rho = Measure.point_mass(window[0].group.identity())
+        steps: list[BoostStep] = []
+        for i in range(n - 1, -1, -1):
+            tail = {g: _average(rho, f, g) for g in towers[i + 1]}
+            lo = min(tail.values())
+            scale = BOOST_STEP_GAP ** (n - i - 1)
+            f_i = {g: (v - lo) / scale for g, v in tail.items()}
+            if any(not 0 <= v <= 1 for v in f_i.values()):
+                raise RuntimeError("internal error: rescaled tail left [0,1]")
+            try:
+                nu = binary_to_unit(towers[i], towers[i + 1], f_i)
+            except ValueError:  # towers[i + 1] is not 1/2-Ramsey for this tail's level set
+                bumps[i] += 1
+                break
+            rho = nu.convolve(rho)
+            tail_gap = _f_gap(towers[i], rho, f)
+            if tail_gap > scale * BOOST_STEP_GAP:
+                raise RuntimeError("internal error: contraction bound violated")
+            steps.append(BoostStep(towers[i], towers[i + 1], nu, tail_gap))
+        else:  # every level solved
+            steps.reverse()
+            final_gap = _f_gap(window, rho, f)
+            if final_gap > eps:
+                raise RuntimeError("internal error: boosted gap exceeds eps")
+            return BoostResult(rho, steps, final_gap, eps)
     raise CapExceeded("boost failed to find workable windows within the attempt cap")
-
-
-def _compose_tail(measures: Sequence[Measure], f: Callable) -> Callable:
-    chain = [m for m in measures if m is not None]
-    if not chain:
-        return lambda g: Fraction(f(g))
-    rho = chain[0]
-    for m in chain[1:]:
-        rho = rho.convolve(m)
-
-    def tail(g, _rho=rho, _f=f):
-        total = _F0
-        for c, w in _rho.weights.items():
-            total += w * Fraction(_f(g * c))
-        return total
-
-    return tail
 
 
 @dataclass

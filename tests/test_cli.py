@@ -335,3 +335,27 @@ def test_verify_reports_missing_field_as_failed(capsys, tmp_path):
     vcode, vout = run(capsys, "verify", str(path))
     assert vcode == 1
     assert json.loads(vout)["certificates"] == "FAILED"
+
+
+def test_verify_rejects_balanced_claim_without_balance_witness(capsys, tmp_path):
+    path = tmp_path / "unbalance.json"
+    assert run(capsys, "unbalance-witness", "--family", FAMILY, "--out", str(path))[0] == 0
+    forge(path, lambda env: env["result"].update(balanced=True, witness=None))
+    vcode, vout = run(capsys, "verify", str(path))
+    assert vcode == 1
+    assert json.loads(vout)["certificates"] == "FAILED"
+    # an honest balanced family carries its zero-gap balance witness
+    balanced = '{"ground":["x","y"],"members":[["x"],["y"]]}'
+    assert run(capsys, "unbalance-witness", "--family", balanced, "--out", str(path))[0] == 0
+    assert json.loads(path.read_text())["result"]["balance_witness"]["gap"] == "0/1"
+    assert run(capsys, "verify", str(path)) == (0, VERIFY_OK.format("unbalance-witness"))
+
+
+def test_verify_rejects_non_object_job(capsys, tmp_path):
+    path = tmp_path / "unbalance.json"
+    assert run(capsys, "unbalance-witness", "--family", FAMILY, "--out", str(path))[0] == 0
+    forge(path, lambda env: env.update(job=["unbalance-witness"]))
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "verify: envelope has unexpected shape\n"

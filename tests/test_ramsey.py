@@ -1,13 +1,12 @@
+import hashlib
 import random
 from fractions import Fraction as Q
 
 import pytest
 
-from amenlab.groups import CapExceeded, FreeAbelianGroup, FreeGroup, ball
+from amenlab.groups import CapExceeded, CyclicGroup, FreeAbelianGroup, FreeGroup, ball
 from amenlab.rationals import canonical_dumps
 from amenlab.ramsey import (
-    BoostStepError,
-    ball_step_oracle,
     binary_to_unit,
     boost,
     boost_steps_needed,
@@ -248,29 +247,29 @@ def test_boost_single_step_is_binary_to_unit_bound():
     assert res.final_gap <= Q(3, 4)
 
 
-def test_boost_max_steps_guard():
-    with pytest.raises(ValueError):
-        boost(zball(1), _ramp(8), Q(1, 2), max_steps=2)
+def _starts_with_a(g):
+    return Q(1) if g.value and abs(g.value[0]) == 1 else Q(0)
 
 
-def test_boost_with_injected_oracle():
-    oracle = ball_step_oracle(Z, bumps=(1, 0))
-    res = boost(zball(1), _ramp(8), Q(9, 16), step_oracle=oracle)
-    assert res.final_gap <= Q(9, 16)
-    assert [len(s.next_window) for s in res.steps] == [7, 13]
+def _digest(result):
+    return hashlib.sha256(canonical_dumps(result.to_json()).encode()).hexdigest()
 
 
-def test_boost_oracle_failures_carry_step_index():
-    def too_small(current, level):
-        return current, lambda f_map: None
+def test_boost_retries_a_failed_level_with_a_larger_ball():
+    # the step fails at ball(2) and succeeds at ball(3)
+    res = boost(ball(F2, 1), _starts_with_a, Q(3, 4))
+    assert [len(s.next_window) for s in res.steps] == [len(ball(F2, 3))] == [53]
+    assert _digest(res) == "57e71ea71930173701859978d2f6418521a6862fc326b30b9d939521c075bf92"
 
-    with pytest.raises(BoostStepError) as exc:
-        boost(zball(1), _ramp(8), Q(3, 4), step_oracle=too_small)
-    assert exc.value.step == 0
 
-    def no_products(current, level):
-        # contains the window but misses pairwise products
-        return tuple(current), lambda f_map: None
+def test_boost_tower_radius_follows_the_enclosing_ball():
+    # ball(Z5, 2) is all of Z5, so the radius stays at 2 where doubling would pass the cap
+    Z5 = CyclicGroup(5)
+    res = boost(ball(Z5, 1), lambda g: Q(g.value, 4), Q(3, 4) ** 8)
+    assert [len(s.next_window) for s in res.steps] == [5] * 8
+    assert _digest(res) == "55e0c4df01f2ce3479280d85a12d593822cbaf758e4162dcd8cb04d61f3f2762"
 
-    with pytest.raises(BoostStepError):
-        boost(zball(1), _ramp(8), Q(3, 4), step_oracle=no_products)
+
+def test_boost_window_outside_the_radius_cap():
+    with pytest.raises(CapExceeded):
+        boost([zel(65)], _ramp(8), Q(3, 4))
