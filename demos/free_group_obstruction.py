@@ -15,7 +15,8 @@ Two ingredients:
    on its own, but powers of the generators translate them disjointly,
    which an exact LP turns into a Farkas-certified infeasibility for any
    finitely supported measure once the tolerated error drops below a
-   bisection-located threshold.
+   threshold.  One more LP, minimizing the tolerated error, finds that
+   threshold exactly, with dual multipliers proving it minimal.
 """
 
 from fractions import Fraction as Q
@@ -23,10 +24,11 @@ from fractions import Fraction as Q
 from amenlab import FreeAbelianGroup, ball, realization_search
 from amenlab.f2 import (
     f2_group,
+    invariance_threshold,
     simultaneous_invariance,
-    threshold_search,
     verify_disjoint_translates,
     verify_identities,
+    verify_threshold_report,
 )
 
 F2 = f2_group()
@@ -55,10 +57,10 @@ print("disjoint translates (K=4, length <= 6):", verify_disjoint_translates(4, 6
 tight = simultaneous_invariance(8, Q(1, 100), 4)
 print("\nK=8, delta=1/100, radius 4:", "feasible" if tight.feasible else "infeasible")
 
-report = threshold_search(8, 4, steps=4)
+report = invariance_threshold(8, 4)
 print(
-    "bisection bracket at radius 4: infeasible at",
-    report.delta_infeasible,
-    "| feasible at",
-    report.delta_feasible,
+    "exact threshold at radius 4: delta =",
+    report.delta,
+    "| checked against the full ball:",
+    verify_threshold_report(report),
 )

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .groups import CapExceeded
-from .linprog import EQ, GE, LE, LinearSystem, minimize, solve_feasibility
+from .linprog import EQ, GE, LE, LinearSystem, Optimum, minimize, solve_feasibility
 from .rationals import fmt_q, parse_q
 
 _F0 = Fraction(0)
@@ -169,12 +169,13 @@ def deficiency_system(family: SetFamily) -> LinearSystem:
     return LinearSystem(k + 2, rows, objective, nonneg)
 
 
-def balance_deficiency(family: SetFamily) -> tuple[Fraction, BalanceWitness]:
-    """Least eps for which the family is eps-balanced, with attaining weights.
+def deficiency_optimum(family: SetFamily) -> tuple[Optimum, BalanceWitness]:
+    """The solved `deficiency_system` and the balance witness read from it.
 
     One LP: minimize t_hi - t_lo over convex weights, where the combined
     vector is pinned between t_lo and t_hi coordinatewise.  Zero weights
     are allowed, so any superfamily of a balanced family stays balanced.
+    The optimum's duals certify that no smaller gap is attainable.
     """
     k = len(family.members)
     opt = minimize(deficiency_system(family))
@@ -182,6 +183,12 @@ def balance_deficiency(family: SetFamily) -> tuple[Fraction, BalanceWitness]:
     witness = BalanceWitness(weights, _combined_vector(family, weights), opt.value)
     if not verify_balance_witness(family, witness):
         raise RuntimeError("internal error: balance witness failed verification")
+    return opt, witness
+
+
+def balance_deficiency(family: SetFamily) -> tuple[Fraction, BalanceWitness]:
+    """Least eps for which the family is eps-balanced, with attaining weights."""
+    opt, witness = deficiency_optimum(family)
     return opt.value, witness
 
 

@@ -274,6 +274,8 @@ def _balance(args):
 
 
 def _verify_balance(group, job, result) -> bool:
+    if result["family"] != job["family"]:
+        return False
     family = SetFamily.from_json(result["family"])
     witness = BalanceWitness.from_json(result["witness"])
     if not verify_balance_witness(family, witness):
@@ -296,6 +298,8 @@ def _unbalance_witness(args):
 
 
 def _verify_unbalance(group, job, result) -> bool:
+    if result["family"] != job["family"]:
+        return False
     family = SetFamily.from_json(result["family"])
     if result["witness"] is None:
         witness = BalanceWitness.from_json(result["balance_witness"])

@@ -24,9 +24,10 @@ length truncations (exact predicates make truncation sound: reports say
 an LP over measures supported in a ball: for each derived set ``E`` and
 each translate ``w`` in {a^k, b^k : k < K}, require
 ``|nu(w^-1 E) - nu(E)| <= delta``.  For small ``delta`` the LP is
-infeasible with a Farkas certificate; the crossover threshold is located
-by bisection and recorded as a discovered fixture, with no tightness
-claim.
+infeasible with a Farkas certificate.  The exact crossover threshold is
+one more LP, which makes ``delta`` a variable and minimizes it: its
+optimal point gives a measure at the threshold and its duals prove that
+no smaller ``delta`` is feasible.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ from .linprog import (
     GE,
     LE,
     LinearSystem,
+    Optimum,
+    minimize,
     solve_feasibility,
     verify_certificate,
 )
@@ -64,20 +67,14 @@ def f2_group() -> FreeGroup:
     return FreeGroup(["a", "b"])
 
 
-def first_spec(group: FreeGroup | None = None) -> SetSpec:
-    group = group or f2_group()
+def first_spec(group: FreeGroup) -> SetSpec:
     name = group.gen_names[0]
     return SetSpec.first_letter([name, name.upper()])
 
 
-def high_spec(k: int = 0) -> SetSpec:
-    return SetSpec.h_above(k)
-
-
-def five_set_specs(group: FreeGroup | None = None) -> dict[str, SetSpec]:
-    group = group or f2_group()
+def five_set_specs(group: FreeGroup) -> dict[str, SetSpec]:
     first = first_spec(group)
-    high = high_spec(0)
+    high = SetSpec.h_above(0)
     rest = SetSpec.complement(first)
     low = SetSpec.complement(high)
     return {
@@ -140,7 +137,7 @@ def verify_identities(max_length: int) -> IdentityReport:
     group = f2_group()
     words = ball(group, max_length)
     first = first_spec(group).compile(group)
-    high = high_spec(0).compile(group)
+    high = SetSpec.h_above(0).compile(group)
     sets = {k: s.compile(group) for k, s in five_set_specs(group).items()}
     report = IdentityReport(max_length)
 
@@ -336,15 +333,37 @@ class InvarianceOutcome:
         )
 
 
+def _merged_system(
+    group: FreeGroup, columns: tuple[Element, ...], translate_count: int, delta: Fraction
+) -> tuple[LinearSystem, list[Element]]:
+    """The invariance LP with identical columns merged, and their representatives.
+
+    Ball elements with identical membership profiles across all
+    (set, translate) pairs have identical LP columns, so each class is one
+    column on its canonical-least element.  The rows are those of
+    `invariance_system`, which keeps Farkas multipliers and duals valid
+    for the full system.
+    """
+    sets = five_set_specs(group)
+    tests = [sets[k].compile(group) for k in FIVE_SET_ORDER]
+    translates = [group.identity()] + invariance_translates(group, translate_count)
+    classes: dict[tuple, Element] = {}  # profile -> first element in canonical order
+    for x in columns:
+        classes.setdefault(tuple(test(w * x) for test in tests for w in translates), x)
+    rows = [(tuple([_F1] * len(classes)), EQ, _F1)]
+    for base in range(0, len(tests) * len(translates), len(translates)):
+        for wi in range(base + 1, base + len(translates)):
+            coeffs = tuple(Fraction(int(p[wi]) - int(p[base])) for p in classes)
+            rows.append((coeffs, LE, delta))
+            rows.append((coeffs, GE, -delta))
+    return LinearSystem(len(classes), rows, nonneg=True), list(classes.values())
+
+
 def simultaneous_invariance(translate_count: int, delta, radius: int) -> InvarianceOutcome:
     """Decide the five-set invariance LP, with exact certificates.
 
-    Ball elements with identical membership profiles across all
-    (set, translate) pairs have identical LP columns, so they are merged
-    onto their canonical-least representative before solving; the rows
-    are untouched, which keeps Farkas multipliers valid for the full
-    system, and feasible points expand by placing each merged weight on
-    the representative.
+    The LP is solved on merged columns (see `_merged_system`); feasible
+    points expand by placing each merged weight on the representative.
     """
     delta = Fraction(delta)
     if translate_count < 2:
@@ -362,35 +381,8 @@ def simultaneous_invariance(translate_count: int, delta, radius: int) -> Invaria
         if not verify_invariance_outcome(out):
             raise RuntimeError("internal error: vacuous-delta outcome rejected")
         return out
-    sets = five_set_specs(group)
-    tests = [sets[k].compile(group) for k in FIVE_SET_ORDER]
-    translates = [group.identity()] + invariance_translates(group, translate_count)
-    classes: dict[tuple, int] = {}
-    reps: list[Element] = []
-    profiles: list[tuple] = []
-    for x in columns:
-        profile = tuple(
-            test(w * x) for test in tests for w in translates
-        )
-        idx = classes.get(profile)
-        if idx is None:
-            classes[profile] = len(reps)
-            reps.append(x)
-            profiles.append(profile)
-    nclasses = len(reps)
-    translate_index = {w: i for i, w in enumerate(translates)}
-    rows = [(tuple([_F1] * nclasses), EQ, _F1)]
-    for set_i in range(len(FIVE_SET_ORDER)):
-        base = set_i * len(translates)
-        for w in invariance_translates(group, translate_count):
-            wi = translate_index[w]
-            coeffs = tuple(
-                Fraction(int(profiles[c][base + wi]) - int(profiles[c][base]))
-                for c in range(nclasses)
-            )
-            rows.append((coeffs, LE, delta))
-            rows.append((coeffs, GE, -delta))
-    outcome = solve_feasibility(LinearSystem(nclasses, rows, nonneg=True))
+    system, reps = _merged_system(group, columns, translate_count, delta)
+    outcome = solve_feasibility(system)
     if outcome.feasible:
         weights = {rep: w for rep, w in zip(reps, outcome.point) if w}
         result = InvarianceOutcome(
@@ -435,58 +427,66 @@ def verify_invariance_outcome(outcome: InvarianceOutcome) -> bool:
     return verify_certificate(system, FeasibilityOutcome(False, farkas=outcome.farkas))
 
 
+def _threshold_system(system: LinearSystem) -> LinearSystem:
+    """The delta LP of an invariance system written at delta = 0.
+
+    Appends delta as a last, nonnegative column and minimizes it.  Each
+    gap row is written as "<=": ``c.nu <= 0`` becomes ``c.nu - delta <= 0``
+    and ``c.nu >= 0`` becomes ``-c.nu - delta <= 0``, so every gap row
+    starts with a basic slack and only the normalization row needs an
+    artificial column in phase 1.
+    """
+    rows = []
+    for row in system.rows:
+        if row.rel == EQ:
+            rows.append((row.coeffs + (_F0,), EQ, row.rhs))
+        elif row.rel == LE:
+            rows.append((row.coeffs + (-_F1,), LE, row.rhs))
+        else:
+            rows.append((tuple(-c for c in row.coeffs) + (-_F1,), LE, -row.rhs))
+    n = system.num_vars
+    return LinearSystem(n + 1, rows, ((_F0,) * n + (_F1,), "min"), nonneg=True)
+
+
 @dataclass
 class ThresholdReport:
+    """The least delta for which the invariance LP is feasible.
+
+    ``measure`` attains ``delta``; ``duals`` (one per row of the delta LP)
+    certify that no smaller delta is feasible.
+    """
+
     translate_count: int
     radius: int
-    delta_infeasible: Fraction
-    delta_feasible: Fraction
-    infeasible_outcome: InvarianceOutcome
-    feasible_outcome: InvarianceOutcome
-    probes: list[tuple[Fraction, bool]] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "K": self.translate_count,
-            "radius": self.radius,
-            "delta_infeasible": fmt_q(self.delta_infeasible),
-            "delta_feasible": fmt_q(self.delta_feasible),
-            "note": "bracket discovered by bisection; no tightness claimed",
-            "probes": [[fmt_q(d), feas] for d, feas in self.probes],
-            "infeasible_outcome": self.infeasible_outcome.to_json(),
-            "feasible_outcome": self.feasible_outcome.to_json(),
-        }
+    delta: Fraction
+    measure: Measure
+    duals: tuple[Fraction, ...]
 
 
-def threshold_search(
-    translate_count: int,
-    radius: int,
-    *,
-    lo=Fraction(1, 100),
-    hi=Fraction(1),
-    steps: int = 6,
-) -> ThresholdReport:
-    """Bisect the invariance-error threshold between infeasible and feasible.
+def invariance_threshold(translate_count: int, radius: int) -> ThresholdReport:
+    """The exact crossover delta of the five-set invariance LP, by one LP."""
+    if translate_count < 2:
+        raise ValueError("need at least two translates")
+    group = f2_group()
+    columns = ball(group, radius, cap=INVARIANCE_BALL_CAP)
+    system, reps = _merged_system(group, columns, translate_count, _F0)
+    opt = minimize(_threshold_system(system))
+    weights = {rep: w for rep, w in zip(reps, opt.point[:-1]) if w}
+    return ThresholdReport(
+        translate_count, radius, opt.value, Measure(group, weights), opt.duals
+    )
 
-    ``lo`` must be infeasible and ``hi`` feasible; after ``steps``
-    bisections the bracket endpoints, with their certificates, are the
-    discovered fixture.
+
+def verify_threshold_report(report: ThresholdReport) -> bool:
+    """Recheck a threshold against the full-ball delta LP; no merging trusted.
+
+    The measure, extended by ``delta`` as the last coordinate, must be
+    feasible for the delta LP over every ball element, and the duals must
+    match its value exactly, which proves it minimal.
     """
-    lo = Fraction(lo)
-    hi = Fraction(hi)
-    lo_out = simultaneous_invariance(translate_count, lo, radius)
-    if lo_out.feasible:
-        raise ValueError(f"delta={lo} is already feasible; lower the bracket")
-    hi_out = simultaneous_invariance(translate_count, hi, radius)
-    if not hi_out.feasible:
-        raise ValueError(f"delta={hi} is infeasible; raise the bracket")
-    probes = [(lo, False), (hi, True)]
-    for _ in range(steps):
-        mid = (lo + hi) / 2
-        mid_out = simultaneous_invariance(translate_count, mid, radius)
-        probes.append((mid, mid_out.feasible))
-        if mid_out.feasible:
-            hi, hi_out = mid, mid_out
-        else:
-            lo, lo_out = mid, mid_out
-    return ThresholdReport(translate_count, radius, lo, hi, lo_out, hi_out, probes)
+    system, columns = invariance_system(report.translate_count, 0, report.radius)
+    if set(report.measure.support()) - set(columns):
+        return False
+    point = tuple(report.measure.weights.get(x, _F0) for x in columns) + (report.delta,)
+    optimum = Optimum(report.delta, point, report.duals)
+    return verify_certificate(_threshold_system(system), optimum)

@@ -68,11 +68,7 @@ class LinearSystem:
             raise ValueError("a system needs at least one variable")
         self.num_vars = int(num_vars)
         packed = []
-        for item in rows:
-            if isinstance(item, Row):
-                coeffs, rel, rhs = item.coeffs, item.rel, item.rhs
-            else:
-                coeffs, rel, rhs = item
+        for coeffs, rel, rhs in rows:
             coeffs = tuple(_frac(c) for c in coeffs)
             if len(coeffs) != self.num_vars:
                 raise ValueError("row length does not match variable count")
@@ -96,40 +92,6 @@ class LinearSystem:
         self.nonneg: tuple[bool, ...] = tuple(bool(b) for b in nonneg)
         if len(self.nonneg) != self.num_vars:
             raise ValueError("nonneg flags do not match variable count")
-
-    def to_json(self) -> dict:
-        out = {
-            "n": self.num_vars,
-            "rows": [
-                {"coeffs": [fmt_q(c) for c in r.coeffs], "rel": r.rel, "rhs": fmt_q(r.rhs)}
-                for r in self.rows
-            ],
-            "nonneg": list(self.nonneg),
-        }
-        if self.objective is not None:
-            out["objective"] = {
-                "coeffs": [fmt_q(c) for c in self.objective.coeffs],
-                "direction": self.objective.direction,
-            }
-        return out
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "LinearSystem":
-        objective = None
-        if obj.get("objective"):
-            objective = Objective(
-                tuple(parse_q(c) for c in obj["objective"]["coeffs"]),
-                obj["objective"]["direction"],
-            )
-        return cls(
-            obj["n"],
-            [
-                (tuple(parse_q(c) for c in r["coeffs"]), r["rel"], parse_q(r["rhs"]))
-                for r in obj["rows"]
-            ],
-            objective,
-            obj.get("nonneg"),
-        )
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .balance import (
     BalanceWitness,
     SetFamily,
+    deficiency_optimum,
     deficiency_system,
-    is_epsilon_balanced,
     verify_balance_witness,
 )
 from .groups import (
@@ -51,7 +51,6 @@ from .linprog import (
     LE,
     FeasibilityOutcome,
     LinearSystem,
-    minimize,
     outcome_from_json,
     solve_feasibility,
     verify_certificate,
@@ -274,7 +273,7 @@ def is_epsilon_ramsey(
         collect_witnesses = (1 << k) <= 4096
 
     witnesses: dict[int, Measure] | None = {} if (collect_witnesses and method == "direct") else None
-    families_seen: dict[frozenset[int], tuple[bool, BalanceWitness | None]] = {}
+    families_seen: dict[frozenset[int], BalanceWitness] = {}
     direct_memo: dict[tuple[int, ...], tuple] = {}
     counterexample = None
     checked = 0
@@ -284,15 +283,11 @@ def is_epsilon_ramsey(
         cols = _column_masks(prod_pos, e_mask, width)
         if method == "pictures":
             key = frozenset(cols)
-            hit = families_seen.get(key)
-            if hit is None:
-                family = SetFamily(window, key)
-                hit = is_epsilon_balanced(family, eps)
-                families_seen[key] = hit
-            ok, _ = hit
-            if not ok:
-                family = SetFamily(window, key)
-                optimum = minimize(deficiency_system(family))
+            if key in families_seen:  # a family seen before passed: failures stop the search
+                continue
+            family = SetFamily(window, key)
+            optimum, families_seen[key] = deficiency_optimum(family)
+            if optimum.value > eps:
                 counterexample = RamseyCounterexample(
                     e_mask,
                     _mask_elements(products, e_mask),
@@ -361,7 +356,7 @@ def is_epsilon_ramsey(
     if method == "pictures":
         family_witnesses = [
             (SetFamily(window, key), wit)
-            for key, (ok, wit) in sorted(
+            for key, wit in sorted(
                 families_seen.items(), key=lambda kv: sorted(kv[0])
             )
         ]

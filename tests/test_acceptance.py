@@ -18,7 +18,14 @@ from amenlab.balance import (
     verify_unbalance_witness,
 )
 from amenlab.cli import main as cli_main
-from amenlab.f2 import threshold_search, verify_disjoint_translates, verify_identities, verify_invariance_outcome
+from amenlab.f2 import (
+    invariance_threshold,
+    simultaneous_invariance,
+    verify_disjoint_translates,
+    verify_identities,
+    verify_invariance_outcome,
+    verify_threshold_report,
+)
 from amenlab.folner import folner_function, inequality_harness, is_epsilon_folner
 from amenlab.groups import (
     CyclicGroup,
@@ -171,18 +178,19 @@ def test_criterion_05_f2_identities():
 
 def test_criterion_06_invariance_threshold():
     start = time.time()
-    report = threshold_search(8, 6, lo=Q(1, 100), hi=Q(1), steps=6)
-    assert report.delta_infeasible < report.delta_feasible
-    assert not report.infeasible_outcome.feasible
-    assert report.infeasible_outcome.farkas is not None
-    assert verify_invariance_outcome(report.infeasible_outcome)
-    assert report.feasible_outcome.feasible
-    assert report.feasible_outcome.measure is not None
-    assert verify_invariance_outcome(report.feasible_outcome)
+    report = invariance_threshold(8, 6)
+    assert report.delta == Q(1, 2)
+    assert verify_threshold_report(report)
+    above = simultaneous_invariance(8, report.delta, 6)
+    assert above.feasible and above.measure is not None
+    assert verify_invariance_outcome(above)
+    below = simultaneous_invariance(8, Q(49, 100), 6)
+    assert not below.feasible and below.farkas is not None
+    assert verify_invariance_outcome(below)
     _stamp(
         start,
-        "6 PASS: five-set invariance LP infeasible at delta="
-        f"{report.delta_infeasible}, feasible at {report.delta_feasible} (K=8, r=6)",
+        "6 PASS: five-set invariance LP threshold delta="
+        f"{report.delta} exactly: infeasible at 49/100, feasible at {report.delta} (K=8, r=6)",
     )
 
 

@@ -351,6 +351,19 @@ def test_verify_rejects_balanced_claim_without_balance_witness(capsys, tmp_path)
     assert run(capsys, "verify", str(path)) == (0, VERIFY_OK.format("unbalance-witness"))
 
 
+@pytest.mark.parametrize("command", ["balance", "unbalance-witness"])
+def test_verify_rejects_result_for_another_family(capsys, tmp_path, command):
+    balanced, path = tmp_path / "balanced.json", tmp_path / "forged.json"
+    pair = '{"ground":["x","y"],"members":[["x"],["y"]]}'
+    assert run(capsys, command, "--family", pair, "--out", str(balanced))[0] == 0
+    assert run(capsys, command, "--family", FAMILY, "--out", str(path))[0] == 0
+    honest = json.loads(balanced.read_text())["result"]
+    forge(path, lambda env: env.update(result=honest))
+    vcode, vout = run(capsys, "verify", str(path))
+    assert vcode == 1
+    assert json.loads(vout)["certificates"] == "FAILED"
+
+
 def test_verify_rejects_non_object_job(capsys, tmp_path):
     path = tmp_path / "unbalance.json"
     assert run(capsys, "unbalance-witness", "--family", FAMILY, "--out", str(path))[0] == 0

@@ -5,20 +5,21 @@ import pytest
 from amenlab.f2 import (
     FIVE_SET_ORDER,
     InvarianceOutcome,
+    ThresholdReport,
     f2_group,
     first_spec,
     five_set_specs,
-    high_spec,
     invariance_system,
+    invariance_threshold,
     invariance_translates,
     simultaneous_invariance,
-    threshold_search,
     verify_disjoint_translates,
     verify_identities,
     verify_invariance_outcome,
+    verify_threshold_report,
 )
 from amenlab.groups import CapExceeded, ball
-from amenlab.pictures import height
+from amenlab.pictures import SetSpec, height
 
 G = f2_group()
 
@@ -29,7 +30,7 @@ def w(text):
 
 def test_membership_examples():
     first = first_spec(G).compile(G)
-    high = high_spec(0).compile(G)
+    high = SetSpec.h_above(0).compile(G)
     sets = {k: s.compile(G) for k, s in five_set_specs(G).items()}
     assert first(w("Ab"))  # starts with the inverse of the first generator
     assert not first(w("ba"))
@@ -141,24 +142,22 @@ def test_tampered_farkas_rejected():
     assert not verify_invariance_outcome(easier)
 
 
-def test_threshold_search_small_radius():
-    report = threshold_search(8, 2, steps=3)
-    assert report.delta_infeasible < report.delta_feasible
-    assert not report.infeasible_outcome.feasible
-    assert report.feasible_outcome.feasible
-    assert verify_invariance_outcome(report.infeasible_outcome)
-    assert verify_invariance_outcome(report.feasible_outcome)
-    # probes alternate consistently with the final bracket
-    for delta, feasible in report.probes:
-        if feasible:
-            assert delta >= report.delta_feasible
-        else:
-            assert delta <= report.delta_infeasible
+def test_invariance_threshold_small_radius():
+    report = invariance_threshold(8, 2)
+    assert report.delta == Q(1, 2)
+    assert verify_threshold_report(report)
 
 
-def test_threshold_search_validates_bracket():
-    with pytest.raises(ValueError):
-        threshold_search(8, 2, lo=Q(99, 100), hi=Q(1), steps=1)
+def test_threshold_report_with_lowered_delta_rejected():
+    report = invariance_threshold(8, 2)
+    lowered = ThresholdReport(8, 2, report.delta - Q(1, 100), report.measure, report.duals)
+    assert not verify_threshold_report(lowered)
+
+
+def test_threshold_report_with_zeroed_duals_rejected():
+    report = invariance_threshold(8, 2)
+    zeroed = ThresholdReport(8, 2, report.delta, report.measure, (Q(0),) * len(report.duals))
+    assert not verify_threshold_report(zeroed)
 
 
 def test_aggregated_solve_matches_full_system():
