@@ -40,7 +40,6 @@ from .balance import (
     UnbalanceWitness,
     balance_deficiency,
     family_of_positive_sets,
-    is_epsilon_balanced,
     unbalance_witness,
 )
 from .pictures import (
@@ -113,7 +112,6 @@ __all__ = [
     "inequality_harness",
     "interior",
     "invariance_defect",
-    "is_epsilon_balanced",
     "is_epsilon_folner",
     "is_epsilon_ramsey",
     "minimize",

@@ -192,17 +192,6 @@ def balance_deficiency(family: SetFamily) -> tuple[Fraction, BalanceWitness]:
     return opt.value, witness
 
 
-def is_epsilon_balanced(family: SetFamily, eps) -> tuple[bool, BalanceWitness | None]:
-    """Whether some convex combination has gap <= eps; witness when true."""
-    eps = Fraction(eps)
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    value, witness = balance_deficiency(family)
-    if value <= eps:
-        return True, witness
-    return False, None
-
-
 def unbalance_witness(family: SetFamily) -> UnbalanceWitness | None:
     """A zero-sum f positive on every member, or None when balanced.
 

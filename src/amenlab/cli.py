@@ -7,7 +7,10 @@ recomputes the digest and then rechecks the result against the job by
 plain arithmetic: certificates are checked without LP pivoting, while
 ``folner-check`` and ``pictures`` recompute their (search-free) results
 and compare.  ``ramsey-function``, ``f2-verify`` and ``function-table``
-embed no certificates, so for them only the digest is checked.
+embed no certificates, so for them only the digest is checked.  A
+positive ``ramsey-check`` verdict whose witnesses were never collected
+(``--no-witnesses``, or the direct method past 4096 subsets) is reported
+as ``"certificates": "none"`` with exit code 0.
 
 Exit codes: 0 for completed computations (negative mathematical verdicts
 such as "not Ramsey" or "infeasible" are still successes), 1 for errors
@@ -73,6 +76,7 @@ from .pictures import (
 )
 from .ramsey import (
     DEFAULT_ENUMERATION_CAP,
+    WITNESS_MASK_LIMIT,
     RamseyVerdict,
     _f_gap,
     boost,
@@ -180,7 +184,8 @@ def _digest_only(group, job, result) -> bool:
 
 # ---------------------------------------------------------------- commands
 # run(args) sees --group as a Group, --eps as a Fraction and --cap resolved,
-# and returns (job fields, result); verify(group, job, result) rechecks.
+# and returns (job fields, result); verify(group, job, result) rechecks and
+# returns True or False, or None when the result carries no certificates.
 
 
 def _ramsey_check(args):
@@ -199,14 +204,17 @@ def _ramsey_check(args):
     return job, result
 
 
-def _verify_ramsey_check(group, job, result) -> bool:
+def _verify_ramsey_check(group, job, result) -> bool | None:
     verdict = RamseyVerdict.from_json(result, group)
-    return (
-        verdict.eps == parse_q(job["eps"])
-        and verdict.window == ball(group, job["m"])
-        and verdict.bset == ball(group, job["n"])
-        and verify_ramsey_verdict(verdict)
-    )
+    if (verdict.eps, verdict.method, verdict.window, verdict.bset) != (
+        parse_q(job["eps"]), job["method"], ball(group, job["m"]), ball(group, job["n"])
+    ):
+        return False
+    checked = verify_ramsey_verdict(verdict)
+    if checked is None:  # a positive verdict without witnesses: were they ever collected?
+        collected = job["method"] == "pictures" or 1 << len(verdict.products) <= WITNESS_MASK_LIMIT
+        return False if job["witnesses"] and collected else None
+    return checked
 
 
 def _ramsey_function(args):
@@ -671,11 +679,9 @@ def _verify(path: str) -> int:
         ok = command.verify(group, job, result)
     except (LookupError, TypeError, ValueError, AttributeError):
         ok = False  # a missing or malformed field is a failed check
-    sys.stdout.write(
-        json.dumps({"command": name, "digest": "ok", "certificates": "ok" if ok else "FAILED"})
-        + "\n"
-    )
-    return 0 if ok else 1
+    status = "none" if ok is None else "ok" if ok else "FAILED"
+    sys.stdout.write(json.dumps({"command": name, "digest": "ok", "certificates": status}) + "\n")
+    return 1 if status == "FAILED" else 0
 
 
 # ---------------------------------------------------------------- parser

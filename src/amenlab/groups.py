@@ -546,28 +546,6 @@ class Measure:
             test = pool.__contains__
         return sum((w for el, w in self.weights.items() if test(el)), Fraction(0))
 
-    def of_function(self, f) -> Fraction:
-        """ν(f) = Σ ν({g})·f(g); f must be defined on the whole support."""
-        get = f if callable(f) else f.__getitem__
-        total = Fraction(0)
-        for el, w in self.weights.items():
-            try:
-                val = get(el)
-            except KeyError:
-                raise GroupError(f"function undefined on support element {el!r}") from None
-            total += w * _as_fraction(val)
-        return total
-
-    def mix(self, alpha: Fraction, other: "Measure") -> "Measure":
-        """Convex combination α·self + (1-α)·other."""
-        alpha = _as_fraction(alpha)
-        if not 0 <= alpha <= 1:
-            raise GroupError("mixing weight must lie in [0,1]")
-        out = {el: alpha * w for el, w in self.weights.items()}
-        for el, w in other.weights.items():
-            out[el] = out.get(el, Fraction(0)) + (1 - alpha) * w
-        return Measure(self.group, out)
-
     def to_json(self) -> dict:
         from .rationals import fmt_q
 

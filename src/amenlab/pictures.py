@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from .balance import SetFamily, UnbalanceWitness, member_sums, verify_unbalance_witness
 from .groups import (
@@ -38,7 +38,6 @@ from .groups import (
     FreeGroup,
     Group,
     GroupError,
-    Measure,
     ball,
     group_from_json,
     sort_elements,
@@ -259,42 +258,6 @@ def realized_family(ctx: PictureContext, domain: Iterable[Element]) -> SetFamily
     if not masks:
         raise ValueError("probe domain must be nonempty")
     return SetFamily(ctx.window, masks)
-
-
-def picture_distribution(ctx: PictureContext, nu: Measure) -> dict[int, Fraction]:
-    """Pushforward of a measure under the picture map: mask -> total mass."""
-    out: dict[int, Fraction] = {}
-    for g, w in nu.weights.items():
-        mask = picture(ctx, g)
-        out[mask] = out.get(mask, _F0) + w
-    return out
-
-
-def measure_from_family_weights(
-    ctx: PictureContext,
-    domain: Iterable[Element],
-    family: SetFamily,
-    weights: Sequence[Fraction],
-) -> Measure:
-    """Lift convex member weights back to a measure on the probe domain.
-
-    Each member's weight lands on the canonically least vantage point
-    whose picture equals that member (vantages with equal pictures are
-    merged there).
-    """
-    first_with: dict[int, Element] = {}
-    for g in sort_elements(domain):
-        mask = picture(ctx, g)
-        if mask not in first_with:
-            first_with[mask] = g
-    out: dict[Element, Fraction] = {}
-    for mask, lam in zip(family.members, weights):
-        if lam:
-            if mask not in first_with:
-                raise ValueError("family member not realized over the domain")
-            g = first_with[mask]
-            out[g] = out.get(g, _F0) + lam
-    return Measure(ctx.group, out)
 
 
 @dataclass

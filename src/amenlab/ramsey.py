@@ -16,7 +16,12 @@ Two independent decision routes are implemented and must agree:
 Only subsets of ``A*C`` are enumerated: a picture depends on ``E``
 through ``E ∩ A*C`` alone, so every other subset of ``B`` is equivalent
 to one of these.  Subsets are numbered by bitmask over the canonical
-order of ``A*C`` and a failing verdict reports the least failing mask.
+order of ``A*C`` and visited in increasing mask order, so a failing
+verdict reports the least failing mask.  The picture columns are not
+rebuilt per subset: from mask e - 1 to e exactly the positions below
+e's lowest set bit and that bit flip, so one list of columns is updated
+in place by a precomputed XOR per touched column (`_masks_and_columns`).
+The enumeration cap bounds |A*C|.
 
 The module also houses the constructive gap reductions: turning a
 1/2-Ramsey witness for the binary level set of ``f`` into a measure with
@@ -62,6 +67,7 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 DEFAULT_ENUMERATION_CAP = 24
+WITNESS_MASK_LIMIT = 4096  # direct verdicts keep per-subset witnesses up to this many subsets
 BOOST_STEP_GAP = Fraction(3, 4)
 BOOST_RADIUS_CAP = 64  # largest ball radius in a boost tower
 BOOST_ATTEMPT_CAP = 50  # descents, each after one level's radius is bumped
@@ -82,18 +88,28 @@ def interior(window: Iterable[Element], bset: Iterable[Element]) -> tuple[Elemen
     return tuple(sort_elements(out))
 
 
-def _column_masks(
-    prod_pos: list[list[int]], e_mask: int, width: int
-) -> list[int]:
-    """Per-interior-point picture masks over the window, for one E."""
-    cols = []
-    for positions in prod_pos:
-        mask = 0
-        for i in range(width):
-            if e_mask >> positions[i] & 1:
-                mask |= 1 << i
-        cols.append(mask)
-    return cols
+def _masks_and_columns(prod_pos: Sequence[Sequence[int]], k: int):
+    """Yield (e_mask, cols) for e_mask = 0, 1, ..., 2^k - 1 in that order.
+
+    cols[j] is the picture of E at interior point j: bit i is set when
+    position prod_pos[j][i] of A*C is in E.  `cols` is one list, updated
+    in place between yields.  From e - 1 to e exactly positions 0..t flip,
+    t being the index of e's lowest set bit, so each step applies the
+    precomputed XOR of every column those positions feed.
+    """
+    carry = []  # carry[t]: (column, XOR) for every column that positions 0..t feed
+    for t in range(k):
+        flips = (
+            (j, sum(1 << i for i, p in enumerate(positions) if p <= t))
+            for j, positions in enumerate(prod_pos)
+        )
+        carry.append(tuple((j, x) for j, x in flips if x))
+    cols = [0] * len(prod_pos)
+    yield 0, cols
+    for e_mask in range(1, 1 << k):
+        for j, x in carry[(e_mask & -e_mask).bit_length() - 1]:
+            cols[j] ^= x
+        yield e_mask, cols
 
 
 def _layout(window: Sequence[Element], bset: Iterable[Element]):
@@ -199,7 +215,10 @@ class RamseyVerdict:
             }
         if "family_witnesses" in obj:
             family_witnesses = [
-                (SetFamily.from_json(item["family"]), BalanceWitness.from_json(item["witness"]))
+                (
+                    SetFamily.from_json(item["family"], group.parse_element),
+                    BalanceWitness.from_json(item["witness"]),
+                )
                 for item in obj["family_witnesses"]
             ]
         if "counterexample" in obj:
@@ -270,7 +289,7 @@ def is_epsilon_ramsey(
     width = len(window)
 
     if collect_witnesses is None:
-        collect_witnesses = (1 << k) <= 4096
+        collect_witnesses = (1 << k) <= WITNESS_MASK_LIMIT
 
     witnesses: dict[int, Measure] | None = {} if (collect_witnesses and method == "direct") else None
     families_seen: dict[frozenset[int], BalanceWitness] = {}
@@ -278,9 +297,8 @@ def is_epsilon_ramsey(
     counterexample = None
     checked = 0
 
-    for e_mask in range(1 << k):
+    for e_mask, cols in _masks_and_columns(prod_pos, k):
         checked += 1
-        cols = _column_masks(prod_pos, e_mask, width)
         if method == "pictures":
             key = frozenset(cols)
             if key in families_seen:  # a family seen before passed: failures stop the search
@@ -390,8 +408,17 @@ def _verify_gap(
     return _f_gap(window, nu, indicator) <= eps
 
 
-def verify_ramsey_verdict(verdict: RamseyVerdict) -> bool:
-    """Recheck a verdict's stored evidence without re-running the search."""
+def verify_ramsey_verdict(verdict: RamseyVerdict) -> bool | None:
+    """Recheck a verdict's stored evidence without re-running the search.
+
+    A positive verdict's witnesses must cover every subset of A*C: direct
+    witnesses are keyed by exactly the masks 0 .. 2^k - 1, and the
+    pictures route's families are exactly the families those subsets
+    realize, recomputed by enumeration alone (no LP).  A counterexample's
+    columns are rebuilt from its subset with `picture`.  Returns None for
+    a positive verdict that carries no witnesses: only its layout and
+    subset count were checked.
+    """
     window = verdict.window
     C, products, pos, prod_pos = _layout(window, verdict.bset)
     if tuple(C) != tuple(verdict.interior):
@@ -400,32 +427,49 @@ def verify_ramsey_verdict(verdict: RamseyVerdict) -> bool:
         return not C and not verdict.is_ramsey
     if products != tuple(verdict.products):
         return False
+    k = len(products)
     if verdict.is_ramsey:
+        if verdict.subsets_checked != 1 << k:
+            return False
+        if verdict.witnesses is None and verdict.family_witnesses is None:
+            return None
         if verdict.witnesses is not None:
+            if verdict.witnesses.keys() != set(range(1 << k)):
+                return False
             for e_mask, nu in verdict.witnesses.items():
                 if set(nu.support()) - set(C):
                     return False
                 if not _verify_gap(window, nu, pos, e_mask, verdict.eps):
                     return False
         if verdict.family_witnesses is not None:
+            realized = {frozenset(cols) for _, cols in _masks_and_columns(prod_pos, k)}
+            witnessed = [frozenset(family.members) for family, _ in verdict.family_witnesses]
+            if len(witnessed) != len(realized) or set(witnessed) != realized:
+                return False
             for family, wit in verdict.family_witnesses:
-                if not verify_balance_witness(family, wit, verdict.eps):
+                if family.ground != window or not verify_balance_witness(family, wit, verdict.eps):
                     return False
         return True
     ce = verdict.counterexample
-    if ce is None:
+    if (
+        ce is None
+        or not 0 <= ce.e_mask < 1 << k
+        or ce.elements != _mask_elements(products, ce.e_mask)
+        or verdict.subsets_checked != ce.e_mask + 1
+    ):
         return False
+    ctx = PictureContext(window[0].group, window, ce.elements)
+    cols = [picture(ctx, c) for c in C]
     if ce.kind == "direct_farkas":
-        width = len(window)
-        cols = _column_masks(prod_pos, ce.e_mask, width)
-        system = direct_gap_system(width, cols, verdict.eps)
+        system = direct_gap_system(len(window), cols, verdict.eps)
         farkas = tuple(parse_q(x) for x in ce.payload["farkas"])
         return verify_certificate(system, FeasibilityOutcome(False, farkas=farkas))
     if ce.kind == "balance_optimum":
-        family = SetFamily.from_json(ce.payload["family"])
-        system = deficiency_system(family)
+        family = SetFamily(window, cols)
+        if ce.payload["family"] != family.to_json():
+            return False
         optimum = outcome_from_json(ce.payload["optimum"])
-        if not verify_certificate(system, optimum):
+        if not verify_certificate(deficiency_system(family), optimum):
             return False
         return optimum.value > verdict.eps
     return False

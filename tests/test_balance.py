@@ -9,7 +9,6 @@ from amenlab.balance import (
     UnbalanceWitness,
     balance_deficiency,
     family_of_positive_sets,
-    is_epsilon_balanced,
     unbalance_witness,
     verify_balance_witness,
     verify_unbalance_witness,
@@ -45,21 +44,6 @@ def test_single_proper_member():
     assert witness is not None
     assert sum(witness.values) == 0
     assert witness.margin >= 1
-
-
-def test_is_epsilon_balanced_thresholds():
-    f = fam("01", [["0"]])
-    ok, w = is_epsilon_balanced(f, 1)
-    assert ok and w is not None
-    ok, w = is_epsilon_balanced(f, Q(1, 2))
-    assert not ok and w is None
-    ok, _ = is_epsilon_balanced(fam("01", [["0"], ["1"]]), 0)
-    assert ok
-
-
-def test_eps_must_be_nonnegative():
-    with pytest.raises(ValueError):
-        is_epsilon_balanced(fam("01", [["0"]]), -1)
 
 
 def test_empty_family_rejected():
@@ -131,11 +115,10 @@ def test_monotone_in_eps_and_superfamily_closure():
     for _ in range(40):
         members = rng.sample(range(1, 16), rng.randint(1, 6))
         family = SetFamily(ground, members)
-        eps, _ = balance_deficiency(family)
-        # balanced at eps implies balanced at every larger threshold
+        eps, witness = balance_deficiency(family)
+        # the witness at eps proves balance at every larger threshold
         for bump in (0, Q(1, 7), Q(1, 2)):
-            ok, _ = is_epsilon_balanced(family, eps + bump)
-            assert ok
+            assert verify_balance_witness(family, witness, eps + bump)
         # adding members can only help: witnesses may put weight 0 on them
         extra = rng.randint(0, 15)
         superfamily = SetFamily(ground, list(members) + [extra])

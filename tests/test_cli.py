@@ -372,3 +372,75 @@ def test_verify_rejects_non_object_job(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "verify: envelope has unexpected shape\n"
+
+
+def ramsey_envelope(capsys, path, *argv):
+    code, _ = run(capsys, "ramsey-check", "--group", Z, "--out", str(path), *argv)
+    assert code == 0
+    return json.loads(path.read_text())
+
+
+def verify_status(capsys, path):
+    vcode, vout = run(capsys, "verify", str(path))
+    return vcode, json.loads(vout)["certificates"]
+
+
+def test_verify_rejects_flipped_ramsey_verdict(capsys, tmp_path):
+    path = tmp_path / "ramsey.json"
+    env = ramsey_envelope(capsys, path, "--m", "1", "--n", "1", "--eps", "1/2")
+    assert env["result"]["is_ramsey"] is False
+    assert verify_status(capsys, path) == (0, "ok")
+
+    def flip(env):
+        env["result"]["is_ramsey"] = True
+        del env["result"]["counterexample"]
+
+    forge(path, flip)
+    assert verify_status(capsys, path) == (1, "FAILED")
+
+
+def test_verify_rejects_a_dropped_family_witness(capsys, tmp_path):
+    path = tmp_path / "ramsey.json"
+    env = ramsey_envelope(capsys, path, "--m", "1", "--n", "3", "--eps", "1/2",
+                          "--method", "pictures")
+    assert env["result"]["is_ramsey"] is True
+    assert len(env["result"]["family_witnesses"]) > 1
+    assert verify_status(capsys, path) == (0, "ok")
+    forge(path, lambda env: env["result"]["family_witnesses"].pop(1))
+    assert verify_status(capsys, path) == (1, "FAILED")
+
+
+def test_verify_rejects_a_dropped_subset_witness(capsys, tmp_path):
+    path = tmp_path / "ramsey.json"
+    env = ramsey_envelope(capsys, path, "--m", "1", "--n", "3", "--eps", "1/2")
+    assert len(env["result"]["witnesses"]) == 2 ** len(env["result"]["products"])
+    assert verify_status(capsys, path) == (0, "ok")
+    forge(path, lambda env: env["result"]["witnesses"].pop("5"))
+    assert verify_status(capsys, path) == (1, "FAILED")
+
+
+@pytest.mark.parametrize("method", ["direct", "pictures"])
+def test_verify_reports_none_without_witnesses(capsys, tmp_path, method):
+    path = tmp_path / "ramsey.json"
+    env = ramsey_envelope(capsys, path, "--m", "1", "--n", "3", "--eps", "1/2",
+                          "--method", method, "--no-witnesses")
+    assert env["result"]["is_ramsey"] is True
+    assert verify_status(capsys, path) == (0, "none")
+    # the same envelope claiming its witnesses were asked for fails
+    forge(path, lambda env: env["job"].update(witnesses=True))
+    assert verify_status(capsys, path) == (1, "FAILED")
+
+
+def test_verify_rejects_a_counterexample_family_of_another_subset(capsys, tmp_path):
+    path = tmp_path / "ramsey.json"
+    env = ramsey_envelope(capsys, path, "--m", "1", "--n", "1", "--eps", "1/2",
+                          "--method", "pictures")
+    assert env["result"]["counterexample"]["E_mask"] > 0
+    assert verify_status(capsys, path) == (0, "ok")
+
+    def move_to_the_empty_subset(env):
+        env["result"]["counterexample"].update(E_mask=0, E=[])
+        env["result"]["subsets_checked"] = 1
+
+    forge(path, move_to_the_empty_subset)
+    assert verify_status(capsys, path) == (1, "FAILED")
