@@ -56,7 +56,7 @@ print(
 B = [Z.parse_element([i]) for i in range(4)]
 from amenlab import Measure
 
-nu = Measure.uniform(B)
+nu = Measure(Z, {b: Q(1, len(B)) for b in B})
 print("uniform defect on {0..3}:", invariance_defect(nu, Z.generators()))
 
 # the function-level inequalities, checked on computable instances

@@ -26,6 +26,8 @@ from .rationals import fmt_q, parse_q
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
+POSITIVE_SETS_CAP = 20  # largest ground set whose subsets `family_of_positive_sets` enumerates
+
 
 class SetFamily:
     """A deduplicated collection of subsets of an ordered ground set."""
@@ -71,10 +73,10 @@ class SetFamily:
             out.append(tuple(g for i, g in enumerate(self.ground) if mask >> i & 1))
         return out
 
-    def to_json(self, label=str) -> dict:
+    def to_json(self) -> dict:
         return {
-            "ground": [label(g) for g in self.ground],
-            "members": [[label(g) for g in mem] for mem in self.member_labels()],
+            "ground": [str(g) for g in self.ground],
+            "members": [[str(g) for g in mem] for mem in self.member_labels()],
         }
 
     @classmethod
@@ -215,11 +217,11 @@ def unbalance_witness(family: SetFamily) -> UnbalanceWitness | None:
     return witness
 
 
-def family_of_positive_sets(values: Sequence, ground: Sequence, *, cap: int = 20) -> SetFamily:
+def family_of_positive_sets(values: Sequence, ground: Sequence) -> SetFamily:
     """All subsets of the ground set whose value sum is strictly positive.
 
     The input weighting must sum to zero; the ground set is limited to
-    ``cap`` points because every subset is enumerated.
+    `POSITIVE_SETS_CAP` points because every subset is enumerated.
     """
     ground = tuple(ground)
     vals = [Fraction(v) for v in values]
@@ -227,8 +229,8 @@ def family_of_positive_sets(values: Sequence, ground: Sequence, *, cap: int = 20
         raise ValueError("values must align with the ground set")
     if sum(vals, _F0) != 0:
         raise ValueError("values must sum to zero")
-    if len(ground) > cap:
-        raise CapExceeded(f"ground set larger than cap {cap}")
+    if len(ground) > POSITIVE_SETS_CAP:
+        raise CapExceeded(f"ground set larger than cap {POSITIVE_SETS_CAP}")
     subsets = SetFamily(ground, range(1, 1 << len(ground)))
     sums = member_sums(subsets, vals)
     return SetFamily(ground, [mask for mask, total in zip(subsets.members, sums) if total > 0])

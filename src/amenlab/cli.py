@@ -5,12 +5,14 @@ result with any certificates, and a content digest.  Envelopes for
 deterministic jobs are byte-identical across runs.  ``amenlab verify``
 recomputes the digest and then rechecks the result against the job by
 plain arithmetic: certificates are checked without LP pivoting, while
-``folner-check`` and ``pictures`` recompute their (search-free) results
-and compare.  ``ramsey-function``, ``f2-verify`` and ``function-table``
+``folner-check``, ``pictures`` and ``f2-verify`` recompute their
+(search-free) results and compare, and ``folner-function`` recomputes
+its ``exact`` flag and note.  ``ramsey-function`` and ``function-table``
 embed no certificates, so for them only the digest is checked.  A
 positive ``ramsey-check`` verdict whose witnesses were never collected
 (``--no-witnesses``, or the direct method past 4096 subsets) is reported
-as ``"certificates": "none"`` with exit code 0.
+as ``"certificates": "none"`` with exit code 0.  The enumeration cap is
+``--cap`` alone, default ``ramsey.DEFAULT_ENUMERATION_CAP``.
 
 Exit codes: 0 for completed computations (negative mathematical verdicts
 such as "not Ramsey" or "infeasible" are still successes), 1 for errors
@@ -48,6 +50,7 @@ from .f2 import (
     verify_invariance_outcome,
 )
 from .folner import (
+    _exactness,
     folner_function,
     inequality_harness,
     invariance_defect,
@@ -76,13 +79,13 @@ from .pictures import (
 )
 from .ramsey import (
     DEFAULT_ENUMERATION_CAP,
-    WITNESS_MASK_LIMIT,
     RamseyVerdict,
     _f_gap,
     boost,
     boost_steps_needed,
     interior,
     is_epsilon_ramsey,
+    keeps_witnesses,
     ramsey_function,
     verify_ramsey_verdict,
 )
@@ -93,38 +96,12 @@ class CliError(ValueError):
     pass
 
 
-def _resolve_cap(cap: int | None) -> int:
-    """An explicit --cap, else the environment's AMENLAB_CAP, else the default."""
-    return cap if cap is not None else int(os.environ.get("AMENLAB_CAP", DEFAULT_ENUMERATION_CAP))
-
-
 def _load_json_arg(text: str):
     text = text.strip()
     if text.startswith("{") or text.startswith("["):
         return json.loads(text)
     with open(text) as fh:
         return json.load(fh)
-
-
-_GROUP_KEYS = {
-    "free": {"kind", "generators"},
-    "free_abelian": {"kind", "rank"},
-    "cyclic": {"kind", "order"},
-    "finite_table": {"kind", "table", "generators"},
-}
-
-
-def _load_group(text: str) -> Group:
-    obj = _load_json_arg(text)
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise CliError("group descriptor must be a JSON object with a 'kind'")
-    allowed = _GROUP_KEYS.get(obj["kind"])
-    if allowed is None:
-        raise CliError(f"unknown group kind {obj['kind']!r}")
-    extra = set(obj) - allowed
-    if extra:
-        raise CliError(f"unknown group fields: {sorted(extra)}")
-    return group_from_json(obj)
 
 
 def _parse_elements(group: Group, texts) -> tuple:
@@ -183,9 +160,9 @@ def _digest_only(group, job, result) -> bool:
 
 
 # ---------------------------------------------------------------- commands
-# run(args) sees --group as a Group, --eps as a Fraction and --cap resolved,
-# and returns (job fields, result); verify(group, job, result) rechecks and
-# returns True or False, or None when the result carries no certificates.
+# run(args) sees --group as a Group and --eps as a Fraction, and returns
+# (job fields, result); verify(group, job, result) rechecks and returns
+# True or False, or None when the result carries no certificates.
 
 
 def _ramsey_check(args):
@@ -195,10 +172,10 @@ def _ramsey_check(args):
         args.eps,
         method=args.method,
         cap=args.cap,
-        collect_witnesses=False if args.no_witnesses else None,
     )
     result = verdict.to_json()
-    if args.no_witnesses:  # the pictures route keeps its family witnesses regardless
+    if args.no_witnesses:
+        result.pop("witnesses", None)
         result.pop("family_witnesses", None)
     job = {"m": args.m, "n": args.n, "method": args.method, "witnesses": not args.no_witnesses}
     return job, result
@@ -212,16 +189,14 @@ def _verify_ramsey_check(group, job, result) -> bool | None:
         return False
     checked = verify_ramsey_verdict(verdict)
     if checked is None:  # a positive verdict without witnesses: were they ever collected?
-        collected = job["method"] == "pictures" or 1 << len(verdict.products) <= WITNESS_MASK_LIMIT
+        collected = keeps_witnesses(job["method"], len(verdict.products))
         return False if job["witnesses"] and collected else None
     return checked
 
 
 def _ramsey_function(args):
-    res = ramsey_function(
-        args.group, args.m, args.eps, args.n_max, cap=args.cap, method=args.method
-    )
-    return {"m": args.m, "n_max": args.n_max, "method": args.method}, res.to_json()
+    res = ramsey_function(args.group, args.m, args.eps, args.n_max, cap=args.cap)
+    return {"m": args.m, "n_max": args.n_max}, res.to_json()
 
 
 def _folner_check(args):
@@ -247,6 +222,9 @@ def _folner_function(args):
 
 
 def _verify_folner_function(group, job, result) -> bool:
+    exact, note = _exactness(group, job["k"], result["size"], ball(group, job["window_radius"]))
+    if (result["k"], result["exact"], result["note"]) != (job["k"], exact, note):
+        return False
     if result["size"] is None:
         return result["witness"] is None
     witness = _parse_elements(group, result["witness"])
@@ -401,6 +379,13 @@ def _f2_verify(args):
     raise CliError("provide --identities L or --disjoint K L")
 
 
+def _verify_f2_verify(group, job, result) -> bool:
+    if "identities" in job:
+        return verify_identities(job["identities"]).to_json() == result
+    k, length = job["disjoint"]
+    return verify_disjoint_translates(k, length).to_json() == result
+
+
 def _f2_infeasible(args):
     delta = parse_q(args.delta)
     outcome = simultaneous_invariance(args.K, delta, args.r)
@@ -516,7 +501,6 @@ _COMMANDS = (
         (
             _arg("--m", type=int, required=True),
             _arg("--n-max", type=int, required=True),
-            _arg("--method", choices=["direct", "pictures"], default="pictures"),
         ),
         eps=True,
         cap=True,
@@ -605,7 +589,7 @@ _COMMANDS = (
         "f2-verify",
         "pointwise identity / disjointness scans in the rank-2 free group",
         _f2_verify,
-        _digest_only,
+        _verify_f2_verify,
         (
             _arg("--identities", type=int, default=None, metavar="L"),
             _arg("--disjoint", type=int, nargs=2, default=None, metavar=("K", "L")),
@@ -642,13 +626,13 @@ def _run(command: Command, args) -> int:
     """Load the shared options, run the command and emit its envelope."""
     job = {"command": command.name}
     if command.group:
-        args.group = _load_group(args.group)
+        args.group = group_from_json(_load_json_arg(args.group))
         job["group"] = args.group.to_json()
     if command.eps:
         args.eps = parse_q(args.eps)
         job["eps"] = fmt_q(args.eps)
     if command.cap:
-        args.cap = job["cap"] = _resolve_cap(args.cap)
+        job["cap"] = args.cap
     fields, result = command.run(args)
     job.update(fields)
     return command.emit(_envelope(job, result), args.out)
@@ -709,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
         if command.eps:
             p.add_argument("--eps", required=True, help='rational like "1/2"')
         if command.cap:
-            p.add_argument("--cap", type=int, default=None, help="enumeration cap (env AMENLAB_CAP overrides the default)")
+            p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP, help="enumeration cap")
         p.add_argument("--out", default=None, help="also write the envelope to this file")
         for flags, options in command.arguments:
             p.add_argument(*flags, **options)

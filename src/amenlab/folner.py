@@ -123,17 +123,13 @@ def _normalized_pool(group: Group, window: Sequence[Element]):
     return [w for w in window if w.key() > ekey]
 
 
-def folner_function(
-    group: Group,
-    k: int,
-    window: Iterable[Element],
-    *,
-    max_candidates: int = MAX_WINDOW_CANDIDATES,
-) -> FolnerFunctionResult:
+def folner_function(group: Group, k: int, window: Iterable[Element]) -> FolnerFunctionResult:
     """Minimum size of a 1/k-Folner set among normalized window subsets.
 
     Deterministic tie-breaking: smallest size first, then the first hit
     in lexicographic combination order over the canonically sorted pool.
+    A window with more than `MAX_WINDOW_CANDIDATES` normalized subsets
+    raises `CapExceeded`.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -142,9 +138,9 @@ def folner_function(
     e = group.identity()
     window = tuple(sort_elements(set(window) | {e}))
     pool = _normalized_pool(group, window)
-    if 2 ** len(pool) > max_candidates:
+    if 2 ** len(pool) > MAX_WINDOW_CANDIDATES:
         raise CapExceeded(
-            f"window admits 2^{len(pool)} candidates, beyond the {max_candidates} cap"
+            f"window admits 2^{len(pool)} candidates, beyond the {MAX_WINDOW_CANDIDATES} cap"
         )
     checked = 0
     for size in range(1, len(pool) + 2):
@@ -156,12 +152,14 @@ def folner_function(
                 witness = tuple(sort_elements(candidate))
                 exact, note = _exactness(group, k, size, window)
                 return FolnerFunctionResult(k, size, witness, exact, note, checked)
-    return FolnerFunctionResult(
-        k, None, None, False, "no Folner set inside the window", checked
-    )
+    exact, note = _exactness(group, k, None, window)
+    return FolnerFunctionResult(k, None, None, exact, note, checked)
 
 
-def _exactness(group: Group, k: int, size: int, window) -> tuple[bool, str]:
+def _exactness(group: Group, k: int, size: int | None, window) -> tuple[bool, str]:
+    """The `exact` flag and note for a least size found in a window (None: none found)."""
+    if size is None:
+        return False, "no Folner set inside the window"
     if isinstance(group, (CyclicGroup, TableGroup)):
         if len(window) == group.order:
             return True, "window covers the whole finite group"
@@ -258,15 +256,6 @@ class WeightedFolnerFunction:
     n_max: int
     value: int | None
     per_n: list[tuple[int, str]] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "eps": fmt_q(self.eps),
-            "n_max": self.n_max,
-            "value": self.value,
-            "per_n": [{"n": n, "status": s} for n, s in self.per_n],
-        }
 
 
 def weighted_folner_function(group: Group, m: int, eps, n_max: int) -> WeightedFolnerFunction:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import string
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 
 class CapExceeded(Exception):
@@ -417,18 +417,35 @@ class TableGroup(Group):
         return out
 
 
+# descriptor fields per kind: (required, optional)
+_DESCRIPTOR_FIELDS = {
+    "free": ({"generators"}, set()),
+    "free_abelian": ({"rank"}, set()),
+    "cyclic": ({"order"}, set()),
+    "finite_table": ({"table"}, {"generators"}),
+}
+
+
 def group_from_json(obj: Mapping) -> Group:
-    """Build a group from its descriptor JSON."""
-    kind = obj.get("kind")
+    """Build a group from its descriptor JSON; unknown or missing fields are errors."""
+    if not isinstance(obj, Mapping) or "kind" not in obj:
+        raise GroupError("group descriptor must be a JSON object with a 'kind'")
+    kind = obj["kind"]
+    if kind not in _DESCRIPTOR_FIELDS:
+        raise GroupError(f"unknown group kind: {kind!r}")
+    required, optional = _DESCRIPTOR_FIELDS[kind]
+    fields = set(obj) - {"kind"}
+    if fields - required - optional:
+        raise GroupError(f"unknown group fields: {sorted(fields - required - optional)}")
+    if required - fields:
+        raise GroupError(f"missing group fields: {sorted(required - fields)}")
     if kind == "free":
         return FreeGroup(obj["generators"])
     if kind == "free_abelian":
         return FreeAbelianGroup(int(obj["rank"]))
     if kind == "cyclic":
         return CyclicGroup(int(obj["order"]))
-    if kind == "finite_table":
-        return TableGroup(obj["table"], obj.get("generators"))
-    raise GroupError(f"unknown group kind: {kind!r}")
+    return TableGroup(obj["table"], obj.get("generators"))
 
 
 def ball(group: Group, radius: int, *, cap: int | None = None) -> tuple[Element, ...]:
@@ -503,14 +520,6 @@ class Measure:
     def point_mass(cls, g: Element) -> "Measure":
         return cls(g.group, {g: Fraction(1)})
 
-    @classmethod
-    def uniform(cls, elems: Iterable[Element]) -> "Measure":
-        elems = list(elems)
-        if not elems:
-            raise GroupError("uniform measure needs a nonempty support")
-        w = Fraction(1, len(elems))
-        return cls(elems[0].group, {el: w for el in elems})
-
     def support(self) -> tuple[Element, ...]:
         return tuple(self.weights)
 
@@ -535,15 +544,8 @@ class Measure:
                 out[z] = out.get(z, Fraction(0)) + wx * wy
         return Measure(self.group, out)
 
-    def of_set(self, membership) -> Fraction:
-        """ν(E) for E given as an element collection or membership test."""
-        if callable(membership):
-            test = membership
-        elif hasattr(membership, "contains"):
-            test = membership.contains
-        else:
-            pool = frozenset(membership)
-            test = pool.__contains__
+    def of_set(self, test: Callable[[Element], bool]) -> Fraction:
+        """ν(E) for E given by its membership test."""
         return sum((w for el, w in self.weights.items() if test(el)), Fraction(0))
 
     def to_json(self) -> dict:

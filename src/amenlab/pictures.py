@@ -64,7 +64,6 @@ class SetSpec:
     def __init__(self, kind: str, **params):
         self.kind = kind
         self.params = params
-        self._test: Callable[[Element], bool] | None = None
 
     # constructors
 
@@ -102,8 +101,6 @@ class SetSpec:
 
     def compile(self, group: Group) -> Callable[[Element], bool]:
         """A fast membership closure bound to one group."""
-        if self._test is not None:
-            return self._test
         kind = self.kind
         if kind == "explicit":
             pool = self.params["elements"]
@@ -164,11 +161,7 @@ class SetSpec:
 
         else:
             raise ValueError(f"unknown set kind {kind!r}")
-        self._test = test
         return test
-
-    def contains(self, el: Element) -> bool:
-        return self.compile(el.group)(el)
 
     def to_json(self) -> dict:
         kind = self.kind
@@ -216,31 +209,24 @@ class SetSpec:
         return f"SetSpec({json.dumps(self.to_json(), sort_keys=True)})"
 
 
-def _as_spec(target) -> SetSpec:
-    if isinstance(target, SetSpec):
-        return target
-    return SetSpec.explicit(target)
-
-
-@dataclass
 class PictureContext:
-    """A window (canonically ordered) plus a target membership predicate."""
+    """A window (canonically ordered) plus a target compiled for the group.
 
-    group: Group
-    window: tuple[Element, ...]
-    target: SetSpec
+    ``target`` is a `SetSpec` or a collection of elements.
+    """
 
     def __init__(self, group: Group, window: Iterable[Element], target):
         self.group = group
         self.window = tuple(sort_elements(window))
         if not self.window:
             raise ValueError("window must be nonempty")
-        self.target = _as_spec(target)
+        self.target = target if isinstance(target, SetSpec) else SetSpec.explicit(target)
+        self.test = self.target.compile(group)
 
 
 def picture(ctx: PictureContext, g: Element) -> int:
     """Bitmask over the window: bit i set when window[i] * g is in the target."""
-    test = ctx.target.compile(ctx.group)
+    test = ctx.test
     mask = 0
     for i, a in enumerate(ctx.window):
         if test(a * g):

@@ -246,6 +246,23 @@ def _mask_elements(products: Sequence[Element], mask: int) -> tuple[Element, ...
     return tuple(x for i, x in enumerate(products) if mask >> i & 1)
 
 
+def keeps_witnesses(method: str, k: int) -> bool:
+    """Whether a positive verdict over the 2^k subsets of A*C carries witnesses.
+
+    The pictures route always keeps its family witnesses; the direct
+    route keeps one measure per subset up to `WITNESS_MASK_LIMIT` subsets.
+    """
+    return method == "pictures" or 1 << k <= WITNESS_MASK_LIMIT
+
+
+def _column_gap(width: int, cols: Sequence[int], support) -> Fraction:
+    """E-gap of the measure with weight w at interior point j, for (j, w) in
+    support: max - min over window positions i of the weight of the points
+    whose column has bit i set.  No group products are taken."""
+    vals = [sum((w for j, w in support if cols[j] >> i & 1), _F0) for i in range(width)]
+    return max(vals) - min(vals)
+
+
 def is_epsilon_ramsey(
     window: Iterable[Element],
     bset: Iterable[Element],
@@ -253,14 +270,13 @@ def is_epsilon_ramsey(
     *,
     method: str = "direct",
     cap: int = DEFAULT_ENUMERATION_CAP,
-    collect_witnesses: bool | None = None,
 ) -> RamseyVerdict:
     """Decide eps-Ramseyness of B with respect to the window A.
 
     Enumerates every subset of A*C (bitmask order) and reports either
-    witnesses for all of them or the least failing subset with an exact
-    infeasibility certificate.  ``method`` selects the decision route;
-    both produce identical verdicts.
+    witnesses for all of them (as far as `keeps_witnesses` allows) or the
+    least failing subset with an exact infeasibility certificate.
+    ``method`` selects the decision route; both produce identical verdicts.
     """
     eps = Fraction(eps)
     if eps < 0:
@@ -270,7 +286,7 @@ def is_epsilon_ramsey(
     window = tuple(sort_elements(window))
     bset_t = tuple(sort_elements(bset))
     group = window[0].group
-    C, products, pos, prod_pos = _layout(window, bset_t)
+    C, products, _, prod_pos = _layout(window, bset_t)
     if not C:
         return RamseyVerdict(
             False,
@@ -287,11 +303,8 @@ def is_epsilon_ramsey(
     if k > cap:
         raise CapExceeded(f"|A*C| = {k} exceeds enumeration cap {cap}")
     width = len(window)
-
-    if collect_witnesses is None:
-        collect_witnesses = (1 << k) <= WITNESS_MASK_LIMIT
-
-    witnesses: dict[int, Measure] | None = {} if (collect_witnesses and method == "direct") else None
+    keep = method == "direct" and keeps_witnesses(method, k)
+    witnesses: dict[int, Measure] | None = {} if keep else None
     families_seen: dict[frozenset[int], BalanceWitness] = {}
     direct_memo: dict[tuple[int, ...], tuple] = {}
     counterexample = None
@@ -333,17 +346,13 @@ def is_epsilon_ramsey(
                 direct_memo[key] = hit
             feasible, payload = hit
             if feasible:
-                nu_weights: dict[Element, Fraction] = {}
+                # each column's weight goes to the first interior point with that column
                 assigned = dict(payload)
-                for c_el, col in zip(C, cols):
-                    w = assigned.pop(col, None)
-                    if w:
-                        nu_weights[c_el] = nu_weights.get(c_el, _F0) + w
-                nu = Measure(group, nu_weights)
-                if not _verify_gap(window, nu, pos, e_mask, eps):
+                support = [(j, assigned.pop(col)) for j, col in enumerate(cols) if col in assigned]
+                if sum(w for _, w in support) != 1 or _column_gap(width, cols, support) > eps:
                     raise RuntimeError("internal error: remapped witness failed")
                 if witnesses is not None:
-                    witnesses[e_mask] = nu
+                    witnesses[e_mask] = Measure(group, {C[j]: w for j, w in support})
             else:
                 system = direct_gap_system(width, cols, eps)
                 cert = FeasibilityOutcome(False, farkas=payload)
@@ -699,11 +708,10 @@ def ramsey_function(
     n_max: int,
     *,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    method: str = "pictures",
 ) -> RamseyFunctionResult:
     """Least n <= n_max with ball(n) eps-Ramsey w.r.t. ball(m), else exhausted.
 
-    Radii where the enumeration cap is exceeded are recorded as
+    Each radius is decided by the pictures route.  Radii where the enumeration cap is exceeded are recorded as
     "cap_exceeded" and do not count as negative verdicts.
     """
     eps = Fraction(eps)
@@ -712,9 +720,7 @@ def ramsey_function(
     for n in range(0, n_max + 1):
         bset = ball(group, n)
         try:
-            verdict = is_epsilon_ramsey(
-                window, bset, eps, method=method, cap=cap, collect_witnesses=False
-            )
+            verdict = is_epsilon_ramsey(window, bset, eps, method="pictures", cap=cap)
         except CapExceeded:
             per_n.append((n, "cap_exceeded"))
             continue

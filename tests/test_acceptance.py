@@ -107,7 +107,7 @@ def test_criterion_02_ramsey_method_agreement():
                 compared += 1
         # the aggregated verdicts must agree as well
         for eps in (Q(0), Q(1, 2)):
-            a = is_epsilon_ramsey(window, bset, eps, method="direct", collect_witnesses=False)
+            a = is_epsilon_ramsey(window, bset, eps, method="direct")
             b = is_epsilon_ramsey(window, bset, eps, method="pictures")
             assert a.is_ramsey == b.is_ramsey
             if not a.is_ramsey:

@@ -107,20 +107,6 @@ def test_cap_exhaustion_exit_two(capsys):
     assert code == 2
 
 
-def test_cap_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("AMENLAB_CAP", "3")
-    code, _ = run(
-        capsys, "ramsey-check", "--group", Z, "--m", "1", "--n", "2", "--eps", "1/2"
-    )
-    assert code == 2
-    # explicit flag wins over the environment
-    code2, _ = run(
-        capsys, "ramsey-check", "--group", Z, "--m", "1", "--n", "2",
-        "--eps", "1/2", "--cap", "24",
-    )
-    assert code2 == 0
-
-
 def test_error_exits_one(capsys):
     assert run(capsys, "balance", "--family", '{"broken')[0] == 1
     assert run(capsys, "ramsey-check", "--group", Z, "--m", "1", "--n", "1", "--eps", "1/0")[0] == 1
@@ -249,6 +235,11 @@ def test_help_exits_zero(capsys):
     assert usage_exit_code(["ramsey-check", "--help"]) == 0
 
 
+def test_ramsey_function_has_one_route(capsys):
+    assert usage_exit_code(["ramsey-function", "--help"]) == 0
+    assert "--method" not in capsys.readouterr().out
+
+
 def readme_commands():
     """argv of every `amenlab ...` line in README's sh blocks, with $Z and $F2 filled in."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -265,9 +256,10 @@ def test_readme_commands_parse():
         parser.parse_args(argv)
 
 
-# digests of the README examples of the commands bench/golden.json does not cover
+# digests of the README examples of the commands bench/golden.json does not cover;
+# ramsey-function's job no longer echoes a "method", since it has one route
 README_DIGESTS = {
-    "ramsey-function": "aadc5f861763180867acdcdf8ce81d1f2e1c7402d1ffaf54c08a4c85f5e0fc46",
+    "ramsey-function": "1e0f31ace6b39286d1f3ff64a77a5d86dccff3b1c037b0a5c9b2b91dca2a2d57",
     "balance": "cf224e42921c2a56e9ecea675b6b67f2894c8a55572c3d499ee2cd64414cee2c",
     "unbalance-witness": "e56bc02d62640fb5dc98912a2041d833dbfcf6bc451abd8481e9ab5b2a33edb9",
     "folner-check": "35fb167372066936cfaa2e4acf84333dbd55d671797518337cc3de8e5969f692",
@@ -443,4 +435,30 @@ def test_verify_rejects_a_counterexample_family_of_another_subset(capsys, tmp_pa
         env["result"]["subsets_checked"] = 1
 
     forge(path, move_to_the_empty_subset)
+    assert verify_status(capsys, path) == (1, "FAILED")
+
+
+@pytest.mark.parametrize("argv", [["--identities", "4"], ["--disjoint", "3", "4"]])
+def test_verify_recomputes_f2_scans(capsys, tmp_path, argv):
+    path = tmp_path / "f2.json"
+    assert run(capsys, "f2-verify", *argv, "--out", str(path))[0] == 0
+    assert verify_status(capsys, path) == (0, "ok")
+    forge(path, lambda env: env["result"]["checks"][0].update(checked=1))
+    assert verify_status(capsys, path) == (1, "FAILED")
+
+
+def test_verify_rechecks_folner_function_exact_flag(capsys, tmp_path):
+    (argv,) = [argv for argv in readme_commands() if argv[0] == "folner-function"]
+    path = tmp_path / "folner.json"
+    env = run_envelope(capsys, *argv, "--out", str(path))[1]
+    assert env["result"]["exact"] is True
+    forge(path, lambda env: env["result"].update(exact=False))
+    assert verify_status(capsys, path) == (1, "FAILED")
+
+
+def test_verify_rejects_unknown_group_field(capsys, tmp_path):
+    path = tmp_path / "weighted.json"
+    assert run(capsys, "weighted-folner", "--group", Z, "--m", "1", "--n", "2",
+               "--out", str(path))[0] == 0
+    forge(path, lambda env: env["job"]["group"].update(x=2))
     assert verify_status(capsys, path) == (1, "FAILED")

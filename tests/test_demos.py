@@ -16,7 +16,6 @@ def test_demos_exist():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("AMENLAB_CAP", None)
     proc = subprocess.run(
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True
     )

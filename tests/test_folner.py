@@ -2,6 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from amenlab import folner
 from amenlab.folner import (
     folner_from_weighted,
     folner_function,
@@ -84,9 +85,10 @@ def test_folner_function_cyclic_whole_group():
     assert res2.size == 2 and res2.exact
 
 
-def test_folner_function_window_cap():
+def test_folner_function_window_cap(monkeypatch):
+    monkeypatch.setattr(folner, "MAX_WINDOW_CANDIDATES", 8)
     with pytest.raises(CapExceeded):
-        folner_function(Z, 1, ball(Z, 6), max_candidates=8)
+        folner_function(Z, 1, ball(Z, 6))
 
 
 def test_weighted_folner_values():
@@ -141,7 +143,7 @@ def test_uniform_measure_link():
         B = interval(0, hi)
         report = is_epsilon_folner(Z.generators(), B, Q(1, k))
         assert report.ok
-        nu = Measure.uniform(B)
+        nu = Measure(Z, {b: Q(1, len(B)) for b in B})
         defect = invariance_defect(nu, Z.generators())
         assert defect == Q(report.total, len(B))
         assert defect <= Q(2, k)

@@ -261,6 +261,20 @@ def test_setspec_group_mismatch():
         SetSpec.first_letter(["z"]).compile(F2)
 
 
+def test_setspec_compile_respects_group():
+    # one spec compiled for two groups: each closure answers for its own group
+    x_first = SetSpec.first_letter(["x"])
+    xy, ax = FreeGroup(["x", "y"]), FreeGroup(["a", "x"])
+    assert x_first.compile(xy)(xy.parse_element("x"))
+    test = x_first.compile(ax)
+    assert test(ax.parse_element("x")) and not test(ax.parse_element("a"))
+    evens = SetSpec.progression(1, 2, [0])
+    assert evens.compile(FreeAbelianGroup(2))(FreeAbelianGroup(2).parse_element([1, 2]))
+    with pytest.raises(GroupError):
+        evens.compile(Z)
+    assert not hasattr(evens, "_test")
+
+
 def test_window_sorted_and_nonempty():
     ctx = PictureContext(Z, [zel(1), zel(-1), zel(0)], EVENS)
     assert [x.value[0] for x in ctx.window] == [-1, 0, 1]

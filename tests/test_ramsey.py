@@ -79,11 +79,13 @@ def test_empty_interior_not_ramsey():
 
 def test_z_half_ramsey_fixture():
     # discovered fixture: radius 2 is the least 1/2-Ramsey ball for window ball(1)
-    res = ramsey_function(Z, 1, Q(1, 2), 4, method="direct")
+    res = ramsey_function(Z, 1, Q(1, 2), 4)
     assert res.value == 2
-    assert res.per_n[:2] == [(0, "not_ramsey"), (1, "not_ramsey")]
-    res_p = ramsey_function(Z, 1, Q(1, 2), 4, method="pictures")
-    assert res_p.value == 2
+    assert res.per_n == [(0, "not_ramsey"), (1, "not_ramsey"), (2, "ramsey")]
+    # ramsey_function decides by pictures; the direct route must give the same per-n verdicts
+    for n, verdict in res.per_n:
+        direct = is_epsilon_ramsey(zball(1), zball(n), Q(1, 2), method="direct")
+        assert ("ramsey" if direct.is_ramsey else "not_ramsey") == verdict
 
 
 def test_z_eps_one_fixture():
@@ -93,14 +95,12 @@ def test_z_eps_one_fixture():
 def test_method_agreement_small_z():
     for eps in (Q(0), Q(1, 3), Q(1, 2)):
         for n in range(1, 5):
-            a = is_epsilon_ramsey(zball(1), zball(n), eps, method="direct",
-                                  collect_witnesses=False)
+            a = is_epsilon_ramsey(zball(1), zball(n), eps, method="direct")
             b = is_epsilon_ramsey(zball(1), zball(n), eps, method="pictures")
             assert a.is_ramsey == b.is_ramsey
             if not a.is_ramsey:
                 assert a.counterexample.e_mask == b.counterexample.e_mask
-            # a positive direct verdict without witnesses carries nothing to check
-            assert verify_ramsey_verdict(a) is (None if a.is_ramsey else True)
+            assert verify_ramsey_verdict(a) is True
             assert verify_ramsey_verdict(b) is True
 
 
@@ -110,16 +110,14 @@ def test_f2_ball2_fails_at_zero():
     # regression fixture: least failing subset in bitmask order
     assert [repr(x) for x in v.counterexample.elements] == ["e", "a", "b"]
     assert verify_ramsey_verdict(v)
-    d = is_epsilon_ramsey(ball(F2, 1), ball(F2, 2), 0, method="direct",
-                          collect_witnesses=False)
+    d = is_epsilon_ramsey(ball(F2, 1), ball(F2, 2), 0, method="direct")
     assert not d.is_ramsey
     assert d.counterexample.e_mask == v.counterexample.e_mask
     assert verify_ramsey_verdict(d)
 
 
 def test_counterexample_is_least():
-    v = is_epsilon_ramsey(ball(F2, 1), ball(F2, 2), 0, method="direct",
-                          collect_witnesses=False)
+    v = is_epsilon_ramsey(ball(F2, 1), ball(F2, 2), 0, method="direct")
     ce = v.counterexample.e_mask
     window = v.window
     C = v.interior
