@@ -25,11 +25,8 @@ from .groups import (
 )
 from .linprog import (
     FeasibilityOutcome,
-    InfeasibleProblem,
     LinearSystem,
     Optimum,
-    UnboundedProblem,
-    UnboundedWitness,
     minimize,
     solve_feasibility,
     verify_certificate,
@@ -84,7 +81,6 @@ __all__ = [
     "FreeGroup",
     "Group",
     "GroupError",
-    "InfeasibleProblem",
     "LinearSystem",
     "Measure",
     "NonAmenabilityCertificate",
@@ -95,8 +91,6 @@ __all__ = [
     "SetSpec",
     "TableGroup",
     "UnbalanceWitness",
-    "UnboundedProblem",
-    "UnboundedWitness",
     "__version__",
     "balance_deficiency",
     "ball",

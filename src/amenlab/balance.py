@@ -166,7 +166,7 @@ def deficiency_system(family: SetFamily) -> LinearSystem:
         coeffs = [_F1 if mask >> i & 1 else _F0 for mask in family.members]
         rows.append((tuple(coeffs + [Fraction(-1), _F0]), LE, _F0))
         rows.append((tuple(coeffs + [_F0, Fraction(-1)]), GE, _F0))
-    objective = (tuple([_F0] * k + [_F1, Fraction(-1)]), "min")
+    objective = [_F0] * k + [_F1, Fraction(-1)]
     nonneg = [True] * k + [False, False]
     return LinearSystem(k + 2, rows, objective, nonneg)
 

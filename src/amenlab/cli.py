@@ -7,12 +7,15 @@ recomputes the digest and then rechecks the result against the job by
 plain arithmetic: certificates are checked without LP pivoting, while
 ``folner-check``, ``pictures`` and ``f2-verify`` recompute their
 (search-free) results and compare, and ``folner-function`` recomputes
-its ``exact`` flag and note.  ``ramsey-function`` and ``function-table``
-embed no certificates, so for them only the digest is checked.  A
-positive ``ramsey-check`` verdict whose witnesses were never collected
-(``--no-witnesses``, or the direct method past 4096 subsets) is reported
-as ``"certificates": "none"`` with exit code 0.  The enumeration cap is
-``--cap`` alone, default ``ramsey.DEFAULT_ENUMERATION_CAP``.
+its ``exact`` flag and note.  A checked result must answer its own job:
+each parameter it restates, such as the eps of ``boost`` or the window
+of a ``realize-search`` certificate, must equal the job's.
+``ramsey-function`` and ``function-table`` embed no certificates, so for
+them only the digest is checked.  A positive ``ramsey-check`` verdict
+whose witnesses were never collected (``--no-witnesses``, or the direct
+method past 4096 subsets) is reported as ``"certificates": "none"`` with
+exit code 0.  The enumeration cap is ``--cap`` alone, default
+``ramsey.DEFAULT_ENUMERATION_CAP``.
 
 Exit codes: 0 for completed computations (negative mathematical verdicts
 such as "not Ramsey" or "infeasible" are still successes), 1 for errors
@@ -108,15 +111,6 @@ def _parse_elements(group: Group, texts) -> tuple:
     return tuple(group.parse_element(t) for t in texts)
 
 
-def _elements_arg(group: Group, set_text, radius, flags: str) -> tuple:
-    """The elements of a JSON list argument, else ball(radius)."""
-    if set_text:
-        return _parse_elements(group, _load_json_arg(set_text))
-    if radius is None:
-        raise CliError(f"provide {flags}")
-    return ball(group, radius)
-
-
 def _envelope(job: dict, result: dict) -> dict:
     body = {
         "tool": "amenlab",
@@ -200,8 +194,8 @@ def _ramsey_function(args):
 
 
 def _folner_check(args):
-    window = _elements_arg(args.group, args.a_set, args.a_radius, "--a-radius or --a-set")
-    bset = _elements_arg(args.group, args.b_set, args.b_radius, "--b-radius or --b-set")
+    window = _parse_elements(args.group, _load_json_arg(args.a_set))
+    bset = _parse_elements(args.group, _load_json_arg(args.b_set))
     report = is_epsilon_folner(window, bset, args.eps)
     job = {
         "window": [repr(a) for a in sort_elements(window)],
@@ -237,6 +231,8 @@ def _weighted_folner(args):
 
 
 def _verify_weighted_folner(group, job, result) -> bool:
+    if (result["m"], result["n"]) != (job["m"], job["n"]):
+        return False
     window = ball(group, job["m"])
     C = interior(window, ball(group, job["n"]))
     if result["status"] == "no_admissible":
@@ -295,11 +291,8 @@ def _verify_unbalance(group, job, result) -> bool:
 
 
 def _pictures(args):
-    window = _elements_arg(
-        args.group, args.window_set, args.window_radius, "--window-radius or --window-set"
-    )
     target = SetSpec.from_json(_load_json_arg(args.target), args.group)
-    ctx = PictureContext(args.group, window, target)
+    ctx = PictureContext(args.group, ball(args.group, args.window_radius), target)
     family = realized_family(ctx, ball(args.group, args.domain_radius))
     job = {
         "window": [repr(a) for a in ctx.window],
@@ -339,7 +332,11 @@ def _verify_realize_search(group, job, result) -> bool:
     if not result["found"]:
         return "certificate" not in result
     cert = NonAmenabilityCertificate.from_json(result["certificate"])
-    return cert.group == group and verify_nonamenability_certificate(cert)
+    window = tuple(sort_elements(ball(group, job["window_radius"])))
+    f = tuple(parse_q(job["f"][repr(a)]) for a in window)
+    if (cert.group, cert.window, cert.f_values, cert.radius) != (group, window, f, job["radius"]):
+        return False
+    return verify_nonamenability_certificate(cert)
 
 
 def _boost_ramp(group: Group, final_radius: int):
@@ -357,17 +354,24 @@ def _boost_ramp(group: Group, final_radius: int):
     return lambda g: clip(Fraction(int(g.value), max(1, group.order - 1)))
 
 
+def _ramp_radius(m: int, eps: Fraction) -> int:
+    return m * (2 ** boost_steps_needed(eps)) + 1
+
+
 def _boost(args):
-    final_radius = args.m * (2 ** boost_steps_needed(args.eps)) + 1
+    final_radius = _ramp_radius(args.m, args.eps)
     f = _boost_ramp(args.group, final_radius)
     res = boost(ball(args.group, args.m), f, args.eps)
     return {"m": args.m, "ramp_radius": final_radius}, res.to_json()
 
 
 def _verify_final_gap(group, job, result) -> bool:
+    eps = parse_q(job["eps"])
+    if parse_q(result["eps"]) != eps or job["ramp_radius"] != _ramp_radius(job["m"], eps):
+        return False
     nu = Measure.from_json(group, result["measure"])
     gap = _f_gap(ball(group, job["m"]), nu, _boost_ramp(group, job["ramp_radius"]))
-    return gap == parse_q(result["final_gap"]) and gap <= parse_q(result["eps"])
+    return gap == parse_q(result["final_gap"]) and gap <= eps
 
 
 def _f2_verify(args):
@@ -511,10 +515,8 @@ _COMMANDS = (
         _folner_check,
         _verify_folner_check,
         (
-            _arg("--a-radius", type=int, default=None),
-            _arg("--a-set", default=None, help="JSON list of elements"),
-            _arg("--b-radius", type=int, default=None),
-            _arg("--b-set", default=None, help="JSON list of elements"),
+            _arg("--a-set", required=True, help="JSON list of elements"),
+            _arg("--b-set", required=True, help="JSON list of elements"),
         ),
         eps=True,
     ),
@@ -560,8 +562,7 @@ _COMMANDS = (
         _pictures,
         _verify_pictures,
         (
-            _arg("--window-radius", type=int, default=None),
-            _arg("--window-set", default=None),
+            _arg("--window-radius", type=int, required=True),
             _arg("--target", required=True, help="set construction JSON"),
             _arg("--domain-radius", type=int, required=True),
         ),

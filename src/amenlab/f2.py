@@ -445,7 +445,7 @@ def _threshold_system(system: LinearSystem) -> LinearSystem:
         else:
             rows.append((tuple(-c for c in row.coeffs) + (-_F1,), LE, -row.rhs))
     n = system.num_vars
-    return LinearSystem(n + 1, rows, ((_F0,) * n + (_F1,), "min"), nonneg=True)
+    return LinearSystem(n + 1, rows, (_F0,) * n + (_F1,), nonneg=True)
 
 
 @dataclass

@@ -239,7 +239,7 @@ def weighted_folner(group: Group, m: int, n: int) -> WeightedFolnerValue:
         dn = list(coeffs)
         dn[tcol] = _F1
         rows.append((tuple(dn), GE, _F0))
-    objective = (tuple([_F0] * nc + [_F1] * len(terms)), "min")
+    objective = [_F0] * nc + [_F1] * len(terms)
     opt = minimize(LinearSystem(nvars, rows, objective, nonneg=True))
     weights = {c: w for c, w in zip(C, opt.point[:nc]) if w}
     nu = Measure(group, weights)

@@ -294,8 +294,8 @@ class CyclicGroup(Group):
         return {"kind": "cyclic", "order": self.order}
 
 
-# Associativity of a multiplication table is verified eagerly only up to
-# this order; larger tables are accepted with the check skipped and flagged.
+# The largest multiplication table accepted: its associativity check takes
+# order^3 lookups, so larger tables raise `CapExceeded`.
 ASSOCIATIVITY_CHECK_LIMIT = 256
 
 
@@ -303,10 +303,9 @@ class TableGroup(Group):
     """Finite group given by an explicit multiplication table.
 
     ``table[i][j]`` is the index of the product of elements i and j.  The
-    table must be a Latin square with a two-sided identity; associativity
-    is verified at construction for orders up to
-    `ASSOCIATIVITY_CHECK_LIMIT` (the `associativity_verified` attribute
-    records whether the check ran).
+    table must be a Latin square with a two-sided identity, and it must be
+    associative, which is checked at construction.  Orders past
+    `ASSOCIATIVITY_CHECK_LIMIT` raise `CapExceeded`.
     """
 
     kind = "finite_table"
@@ -316,6 +315,8 @@ class TableGroup(Group):
         n = len(rows)
         if n < 1:
             raise GroupError("empty multiplication table")
+        if n > ASSOCIATIVITY_CHECK_LIMIT:
+            raise CapExceeded(f"table of order {n} is past the limit {ASSOCIATIVITY_CHECK_LIMIT}")
         for row in rows:
             if len(row) != n or any(not 0 <= x < n for x in row):
                 raise GroupError("multiplication table must be square with entries in range")
@@ -335,17 +336,15 @@ class TableGroup(Group):
         self.table = rows
         self.order = n
         self._identity_index = ident
-        self.associativity_verified = n <= ASSOCIATIVITY_CHECK_LIMIT
-        if self.associativity_verified:
-            rng = range(n)
-            for a in rng:
-                ra = rows[a]
-                for b in rng:
-                    rab = rows[ra[b]]
-                    rb = rows[b]
-                    for c in rng:
-                        if rab[c] != ra[rb[c]]:
-                            raise GroupError("table is not associative")
+        rng = range(n)
+        for a in rng:
+            ra = rows[a]
+            for b in rng:
+                rab = rows[ra[b]]
+                rb = rows[b]
+                for c in rng:
+                    if rab[c] != ra[rb[c]]:
+                        raise GroupError("table is not associative")
         inv = [None] * n
         for a in range(n):
             for b in range(n):

@@ -1,4 +1,4 @@
-"""Exact rational linear feasibility and optimization with certificates.
+"""Exact rational linear feasibility and minimization with certificates.
 
 A dense two-phase simplex over `fractions.Fraction` with Bland's
 anti-cycling rule, so pivoting terminates and identical systems produce
@@ -8,9 +8,12 @@ can be re-checked by plain arithmetic, independent of the solver:
 * Feasible     -> a rational point satisfying every constraint exactly.
 * Infeasible   -> Farkas multipliers, one per constraint row, that
                   combine the rows into the contradiction 0 <= h < 0.
-* Optimal      -> the attaining point plus a dual vector whose objective
+* Minimum      -> the attaining point plus a dual vector whose objective
                   matches the primal value exactly (strong duality).
-* Unbounded    -> a feasible point plus an improving recession ray.
+
+The objective is always minimized.  `minimize` is meant for systems that
+are feasible and bounded below; it raises `ValueError` otherwise, without
+a certificate (use `solve_feasibility` for a Farkas certificate).
 
 Farkas convention: multiplier i scales row i oriented as "<=" (so a ">="
 row contributes with flipped sign).  Multipliers on inequality rows must
@@ -48,21 +51,19 @@ class Row:
     rhs: Fraction
 
 
-@dataclass(frozen=True)
-class Objective:
-    coeffs: tuple[Fraction, ...]
-    direction: str  # "min" | "max"
-
-
 class LinearSystem:
-    """Immutable constraint system over named-by-index rational variables."""
+    """Immutable constraint system over named-by-index rational variables.
+
+    ``objective``, when given, holds one coefficient per variable of the
+    linear form to minimize.
+    """
 
     def __init__(
         self,
         num_vars: int,
         rows: Iterable[tuple],
-        objective: Objective | tuple | None = None,
-        nonneg: Sequence[bool] | bool | None = None,
+        objective: Sequence | None = None,
+        nonneg: Sequence[bool] | bool = False,
     ):
         if num_vars < 1:
             raise ValueError("a system needs at least one variable")
@@ -76,17 +77,11 @@ class LinearSystem:
                 raise ValueError(f"unknown relation {rel!r}")
             packed.append(Row(coeffs, rel, _frac(rhs)))
         self.rows: tuple[Row, ...] = tuple(packed)
-        if objective is not None and not isinstance(objective, Objective):
-            coeffs, direction = objective
-            objective = Objective(tuple(_frac(c) for c in coeffs), direction)
         if objective is not None:
-            if len(objective.coeffs) != self.num_vars:
+            objective = tuple(_frac(c) for c in objective)
+            if len(objective) != self.num_vars:
                 raise ValueError("objective length does not match variable count")
-            if objective.direction not in ("min", "max"):
-                raise ValueError("objective direction must be 'min' or 'max'")
-        self.objective = objective
-        if nonneg is None:
-            nonneg = False
+        self.objective: tuple[Fraction, ...] | None = objective
         if isinstance(nonneg, bool):
             nonneg = [nonneg] * self.num_vars
         self.nonneg: tuple[bool, ...] = tuple(bool(b) for b in nonneg)
@@ -120,50 +115,15 @@ class Optimum:
             "duals": [fmt_q(y) for y in self.duals],
         }
 
-
-@dataclass(frozen=True)
-class UnboundedWitness:
-    point: tuple[Fraction, ...]
-    ray: tuple[Fraction, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "status": "unbounded",
-            "point": [fmt_q(x) for x in self.point],
-            "ray": [fmt_q(x) for x in self.ray],
-        }
-
-
-def outcome_from_json(obj: Mapping):
-    status = obj.get("status")
-    if status == "feasible":
-        return FeasibilityOutcome(True, tuple(parse_q(x) for x in obj["point"]))
-    if status == "infeasible":
-        return FeasibilityOutcome(False, None, tuple(parse_q(x) for x in obj["farkas"]))
-    if status == "optimal":
-        return Optimum(
+    @classmethod
+    def from_json(cls, obj: Mapping) -> "Optimum":
+        if obj.get("status") != "optimal":
+            raise ValueError(f"not an optimum: status {obj.get('status')!r}")
+        return cls(
             parse_q(obj["value"]),
             tuple(parse_q(x) for x in obj["point"]),
             tuple(parse_q(x) for x in obj["duals"]),
         )
-    if status == "unbounded":
-        return UnboundedWitness(
-            tuple(parse_q(x) for x in obj["point"]),
-            tuple(parse_q(x) for x in obj["ray"]),
-        )
-    raise ValueError(f"unknown outcome status {status!r}")
-
-
-class InfeasibleProblem(Exception):
-    def __init__(self, certificate: FeasibilityOutcome):
-        super().__init__("linear system is infeasible")
-        self.certificate = certificate
-
-
-class UnboundedProblem(Exception):
-    def __init__(self, witness: UnboundedWitness):
-        super().__init__("objective is unbounded over the feasible region")
-        self.witness = witness
 
 
 class _Simplex:
@@ -229,8 +189,6 @@ class _Simplex:
             body.append(rhs)
         self.T = tableau
         self.basis = basis
-        self.slack_col = slack_col
-        self.art_col = art_col
         self.reader_col = reader_col
         self.reader_is_artificial = reader_is_artificial
         self.ncols = ncols
@@ -239,7 +197,6 @@ class _Simplex:
         # Bland's rule terminates within the number of distinct bases.
         self.pivot_cap = comb(ncols, m) if m else 1
         self.zrow: list[Fraction] = []
-        self._enter_col: int | None = None
 
     def _build_zrow(self, costs: dict[int, Fraction]):
         z = [costs.get(j, _F0) for j in range(self.ncols)] + [_F0]
@@ -276,7 +233,8 @@ class _Simplex:
         if self.pivots > self.pivot_cap:
             raise RuntimeError("pivot safety cap exceeded; anti-cycling violated")
 
-    def _iterate(self, *, forbid_enter=frozenset()) -> str:
+    def _iterate(self, *, forbid_enter=frozenset()) -> bool:
+        """Pivot to optimality (True), or stop at an unbounded column (False)."""
         z = self.zrow
         T = self.T
         while True:
@@ -286,7 +244,7 @@ class _Simplex:
                     enter = j
                     break
             if enter < 0:
-                return "optimal"
+                return True
             best_ratio = None
             best_row = -1
             best_basic = -1
@@ -303,32 +261,28 @@ class _Simplex:
                         best_row = i
                         best_basic = self.basis[i]
             if best_row < 0:
-                self._enter_col = enter
-                return "unbounded"
+                return False
             self._pivot(best_row, enter)
 
     def run_phase1(self) -> bool:
         costs = {c: _F1 for c in self.art_set}
         self._build_zrow(costs)
-        status = self._iterate()
-        assert status == "optimal", "phase 1 is always bounded below by 0"
+        bounded = self._iterate()
+        assert bounded, "phase 1 is always bounded below by 0"
         return -self.zrow[-1] == 0
 
-    def _duals(self, phase1: bool) -> list[Fraction]:
+    def duals(self, phase1: bool) -> tuple[Fraction, ...]:
+        """Row duals read off the reduced costs, in the rows' own orientation."""
         out = []
         for i in range(len(self.T)):
             col = self.reader_col[i]
             cost = _F1 if (phase1 and self.reader_is_artificial[i]) else _F0
-            out.append(cost - self.zrow[col])
-        return out
+            out.append(self.sigma[i] * (cost - self.zrow[col]))
+        return tuple(out)
 
     def farkas_multipliers(self) -> tuple[Fraction, ...]:
-        y = self._duals(phase1=True)
-        lam = []
-        for i, row in enumerate(self.system.rows):
-            m_i = self.sigma[i] * y[i]
-            lam.append(m_i if row.rel == GE else -m_i)
-        return tuple(lam)
+        y = self.duals(phase1=True)
+        return tuple(m_i if row.rel == GE else -m_i for m_i, row in zip(y, self.system.rows))
 
     def _drive_out_artificials(self):
         for i in range(len(self.T)):
@@ -341,19 +295,16 @@ class _Simplex:
                 # otherwise the row is identically zero outside artificial
                 # columns (redundant) and can never change again
 
-    def run_phase2(self) -> str:
+    def run_phase2(self, objective: Sequence[Fraction]) -> bool:
+        """Minimize `objective` from phase 1's basis; False when unbounded below."""
         self._drive_out_artificials()
-        costs = dict(self._phase2_costs)
-        self._build_zrow(costs)
-        return self._iterate(forbid_enter=self.art_set)
-
-    def set_phase2_costs(self, minimize_coeffs: Sequence[Fraction]):
         costs = {}
         for col, (j, sign) in enumerate(self.var_cols):
-            c = minimize_coeffs[j]
+            c = objective[j]
             if c:
                 costs[col] = Fraction(sign) * c
-        self._phase2_costs = costs
+        self._build_zrow(costs)
+        return self._iterate(forbid_enter=self.art_set)
 
     def primal_point(self) -> tuple[Fraction, ...]:
         vals = [_F0] * self.ncols
@@ -364,27 +315,6 @@ class _Simplex:
             if vals[col]:
                 x[j] += sign * vals[col]
         return tuple(x)
-
-    def objective_value(self) -> Fraction:
-        return -self.zrow[-1]
-
-    def dual_point(self) -> tuple[Fraction, ...]:
-        y = self._duals(phase1=False)
-        return tuple(self.sigma[i] * y[i] for i in range(len(y)))
-
-    def ray(self) -> tuple[Fraction, ...]:
-        enter = self._enter_col
-        d = [_F0] * self.ncols
-        d[enter] = _F1
-        for i, col in enumerate(self.basis):
-            t = self.T[i][enter]
-            if t:
-                d[col] = -t
-        dx = [_F0] * self.system.num_vars
-        for col, (j, sign) in enumerate(self.var_cols):
-            if d[col]:
-                dx[j] += sign * d[col]
-        return tuple(dx)
 
 
 def solve_feasibility(system: LinearSystem) -> FeasibilityOutcome:
@@ -400,42 +330,22 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityOutcome:
 
 
 def minimize(system: LinearSystem) -> Optimum:
-    """Solve the system's stated objective (either direction) exactly.
+    """Minimize the system's objective exactly.
 
-    Raises `InfeasibleProblem` (with a Farkas certificate) or
-    `UnboundedProblem` (with a feasible point and improving ray).
+    Raises `ValueError` when the system has no objective, is infeasible
+    or is unbounded below.
     """
     if system.objective is None:
         raise ValueError("system has no objective")
-    flip = system.objective.direction == "max"
-    coeffs = system.objective.coeffs
-    mincoeffs = tuple(-c for c in coeffs) if flip else coeffs
     sx = _Simplex(system)
-    sx.set_phase2_costs(mincoeffs)
     if not sx.run_phase1():
-        cert = FeasibilityOutcome(False, farkas=sx.farkas_multipliers())
-        if not verify_certificate(system, cert):
-            raise RuntimeError("internal error: Farkas certificate failed")
-        raise InfeasibleProblem(cert)
-    status = sx.run_phase2()
-    if status == "unbounded":
-        witness = UnboundedWitness(sx.primal_point(), sx.ray())
-        if not verify_certificate(system, witness):
-            raise RuntimeError("internal error: unbounded witness failed")
-        raise UnboundedProblem(witness)
-    value = sx.objective_value()
-    duals = sx.dual_point()
-    if flip:
-        value = -value
-        duals = tuple(-y for y in duals)
-    out = Optimum(value, sx.primal_point(), duals)
+        raise ValueError("linear system is infeasible")
+    if not sx.run_phase2(system.objective):
+        raise ValueError("objective is unbounded below over the feasible region")
+    out = Optimum(-sx.zrow[-1], sx.primal_point(), sx.duals(phase1=False))
     if not verify_certificate(system, out):
         raise RuntimeError("internal error: optimality certificate failed")
     return out
-
-
-def _row_value(row: Row, point: Sequence[Fraction]) -> Fraction:
-    return sum((c * x for c, x in zip(row.coeffs, point) if c), _F0)
 
 
 def _point_feasible(system: LinearSystem, point: Sequence[Fraction]) -> bool:
@@ -445,7 +355,7 @@ def _point_feasible(system: LinearSystem, point: Sequence[Fraction]) -> bool:
         if flag and point[j] < 0:
             return False
     for row in system.rows:
-        v = _row_value(row, point)
+        v = sum((c * x for c, x in zip(row.coeffs, point) if c), _F0)
         if row.rel == LE and not v <= row.rhs:
             return False
         if row.rel == GE and not v >= row.rhs:
@@ -489,16 +399,13 @@ def _optimum_valid(system: LinearSystem, opt: Optimum) -> bool:
         return False
     if len(opt.duals) != len(system.rows):
         return False
-    c = system.objective.coeffs
-    maximizing = system.objective.direction == "max"
+    c = system.objective
     primal = sum((cj * xj for cj, xj in zip(c, opt.point) if cj), _F0)
     if primal != opt.value:
         return False
-    # dual feasibility, oriented by optimization direction
+    # dual feasibility for a minimization
     for y, row in zip(opt.duals, system.rows):
-        if row.rel == LE and ((y > 0) if not maximizing else (y < 0)):
-            return False
-        if row.rel == GE and ((y < 0) if not maximizing else (y > 0)):
+        if (row.rel == LE and y > 0) or (row.rel == GE and y < 0):
             return False
     for j in range(system.num_vars):
         reduced = c[j] - sum(
@@ -506,36 +413,12 @@ def _optimum_valid(system: LinearSystem, opt: Optimum) -> bool:
             _F0,
         )
         if system.nonneg[j]:
-            if (reduced < 0) if not maximizing else (reduced > 0):
+            if reduced < 0:
                 return False
         elif reduced != 0:
             return False
     dual_value = sum((y * row.rhs for y, row in zip(opt.duals, system.rows) if y), _F0)
     return dual_value == opt.value
-
-
-def _unbounded_valid(system: LinearSystem, witness: UnboundedWitness) -> bool:
-    if system.objective is None:
-        return False
-    if not _point_feasible(system, witness.point):
-        return False
-    if len(witness.ray) != system.num_vars:
-        return False
-    for j, flag in enumerate(system.nonneg):
-        if flag and witness.ray[j] < 0:
-            return False
-    for row in system.rows:
-        v = _row_value(row, witness.ray)
-        if row.rel == LE and v > 0:
-            return False
-        if row.rel == GE and v < 0:
-            return False
-        if row.rel == EQ and v != 0:
-            return False
-    drift = sum(
-        (cj * dj for cj, dj in zip(system.objective.coeffs, witness.ray) if cj), _F0
-    )
-    return drift < 0 if system.objective.direction == "min" else drift > 0
 
 
 def verify_certificate(system: LinearSystem, outcome) -> bool:
@@ -546,6 +429,4 @@ def verify_certificate(system: LinearSystem, outcome) -> bool:
         return outcome.farkas is not None and _farkas_valid(system, outcome.farkas)
     if isinstance(outcome, Optimum):
         return _optimum_valid(system, outcome)
-    if isinstance(outcome, UnboundedWitness):
-        return _unbounded_valid(system, outcome)
     raise TypeError(f"unknown certificate type: {type(outcome).__name__}")

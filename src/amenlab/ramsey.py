@@ -56,7 +56,7 @@ from .linprog import (
     LE,
     FeasibilityOutcome,
     LinearSystem,
-    outcome_from_json,
+    Optimum,
     solve_feasibility,
     verify_certificate,
 )
@@ -477,7 +477,7 @@ def verify_ramsey_verdict(verdict: RamseyVerdict) -> bool | None:
         family = SetFamily(window, cols)
         if ce.payload["family"] != family.to_json():
             return False
-        optimum = outcome_from_json(ce.payload["optimum"])
+        optimum = Optimum.from_json(ce.payload["optimum"])
         if not verify_certificate(deficiency_system(family), optimum):
             return False
         return optimum.value > verdict.eps

@@ -183,6 +183,13 @@ def test_function_table_csv(capsys, tmp_path):
     assert run(capsys, "verify", str(path))[0] == 0
 
 
+def test_oversized_table_exits_two(capsys):
+    n = 257  # past groups.ASSOCIATIVITY_CHECK_LIMIT
+    group = json.dumps({"kind": "finite_table", "table": [[(i + j) % n for j in range(n)]
+                                                          for i in range(n)]})
+    assert run(capsys, "weighted-folner", "--group", group, "--m", "1", "--n", "1") == (2, "")
+
+
 def test_function_table_cap_exits_two_without_envelope(capsys, tmp_path):
     # 2^25 normalized Folner candidates exceed the search cap
     path = tmp_path / "table.json"
@@ -462,3 +469,61 @@ def test_verify_rejects_unknown_group_field(capsys, tmp_path):
                "--out", str(path))[0] == 0
     forge(path, lambda env: env["job"]["group"].update(x=2))
     assert verify_status(capsys, path) == (1, "FAILED")
+
+
+def readme_envelope(capsys, path, command):
+    (argv,) = [argv for argv in readme_commands() if argv[0] == command]
+    assert run(capsys, *argv, "--out", str(path))[0] == 0
+    return json.loads(path.read_text())
+
+
+def test_verify_rejects_boost_result_for_another_eps(capsys, tmp_path):
+    path = tmp_path / "boost.json"
+    assert run(capsys, "boost", "--group", Z5, "--m", "1", "--eps", "9/16",
+               "--out", str(path))[0] == 0
+    assert verify_status(capsys, path) == (0, "ok")
+    forge(path, lambda env: env["result"].update(eps="1/1", measure={"0": "1/1"}, final_gap="1/1"))
+    assert verify_status(capsys, path) == (1, "FAILED")
+
+
+def test_verify_rejects_boost_job_with_another_ramp(capsys, tmp_path):
+    # a flatter ramp than the job's m and eps call for makes a point mass pass
+    path = tmp_path / "boost.json"
+    assert run(capsys, "boost", "--group", Z, "--m", "1", "--eps", "9/16",
+               "--out", str(path))[0] == 0
+
+    def flatten(env):
+        env["job"]["ramp_radius"] = 10**6
+        env["result"].update(measure={"0": "1/1"}, final_gap="1/1000000")
+
+    forge(path, flatten)
+    assert verify_status(capsys, path) == (1, "FAILED")
+
+
+def test_verify_rejects_realize_search_certificate_for_another_job(capsys, tmp_path):
+    honest = readme_envelope(capsys, tmp_path / "honest.json", "realize-search")
+    path = tmp_path / "search.json"
+    f = '{"e":"4/1","a":"-1/1","A":"-1/1","b":"-1/1","B":"-1/1"}'
+    assert run(capsys, "realize-search", "--group", F2, "--window-radius", "1",
+               "--f", f, "--radius", "2", "--out", str(path))[0] == 0
+    assert json.loads(path.read_text())["result"] == {"found": False}
+    forge(path, lambda env: env.update(result=honest["result"]))
+    assert verify_status(capsys, path) == (1, "FAILED")
+
+
+def test_verify_rejects_weighted_folner_result_for_another_size(capsys, tmp_path):
+    path = tmp_path / "weighted.json"
+    env = readme_envelope(capsys, path, "weighted-folner")
+    assert (env["result"]["m"], env["result"]["n"]) == (1, 3)
+    forge(path, lambda env: env["result"].update(m=2, n=5))
+    assert verify_status(capsys, path) == (1, "FAILED")
+
+
+@pytest.mark.parametrize("command, gone", [
+    ("folner-check", ("--a-radius", "--b-radius")),
+    ("pictures", ("--window-set",)),
+])
+def test_element_arguments_have_one_form(capsys, command, gone):
+    assert usage_exit_code([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert not [flag for flag in gone if flag in out]

@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from amenlab.groups import (
+    ASSOCIATIVITY_CHECK_LIMIT,
     CapExceeded,
     CyclicGroup,
     FreeAbelianGroup,
@@ -243,7 +244,6 @@ def test_cross_group_operations_rejected():
 
 def test_table_group_s3():
     g = TableGroup(s3_table())
-    assert g.associativity_verified
     assert g.order == 6
     e = g.identity()
     for x in ball(g, 3):
@@ -272,13 +272,11 @@ def test_table_group_rejections():
         TableGroup(s3_table(), generators=[4])  # 3-cycle alone is not generating
 
 
-def test_large_table_skips_associativity_check():
-    n = 300  # past the eager-verification limit
+def test_large_table_exceeds_cap():
+    n = ASSOCIATIVITY_CHECK_LIMIT + 1  # too large to check associativity
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    g = TableGroup(table, generators=[1])
-    assert not g.associativity_verified
-    assert g.order == n
-    assert len(ball(g, 2)) == 5
+    with pytest.raises(CapExceeded):
+        TableGroup(table, generators=[1])
 
 
 def test_group_json_roundtrip():
