@@ -41,7 +41,6 @@ from .balance import (
 )
 from .pictures import (
     NonAmenabilityCertificate,
-    PictureContext,
     SetSpec,
     candidate_pool,
     height,
@@ -85,7 +84,6 @@ __all__ = [
     "Measure",
     "NonAmenabilityCertificate",
     "Optimum",
-    "PictureContext",
     "RamseyVerdict",
     "SetFamily",
     "SetSpec",

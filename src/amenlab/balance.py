@@ -49,6 +49,8 @@ class SetFamily:
             else:
                 mask = 0
                 for label in member:
+                    if label not in index:
+                        raise ValueError(f"member label {label!r} is not in the ground set")
                     mask |= 1 << index[label]
             masks.add(mask)
         self.members: tuple[int, ...] = tuple(sorted(masks))
@@ -81,6 +83,8 @@ class SetFamily:
 
     @classmethod
     def from_json(cls, obj: Mapping, parse: Callable = None) -> "SetFamily":
+        if not isinstance(obj, Mapping) or set(obj) != {"ground", "members"}:
+            raise ValueError("a set family is a JSON object with the fields ground and members")
         parse = parse or (lambda s: s)
         ground = [parse(g) for g in obj["ground"]]
         members = [[parse(g) for g in mem] for mem in obj["members"]]

@@ -4,18 +4,20 @@ Every run produces a JSON envelope: tool version, the job echo, the
 result with any certificates, and a content digest.  Envelopes for
 deterministic jobs are byte-identical across runs.  ``amenlab verify``
 recomputes the digest and then rechecks the result against the job by
-plain arithmetic: certificates are checked without LP pivoting, while
-``folner-check``, ``pictures`` and ``f2-verify`` recompute their
-(search-free) results and compare, and ``folner-function`` recomputes
-its ``exact`` flag and note.  A checked result must answer its own job:
-each parameter it restates, such as the eps of ``boost`` or the window
-of a ``realize-search`` certificate, must equal the job's.
-``ramsey-function`` and ``function-table`` embed no certificates, so for
-them only the digest is checked.  A positive ``ramsey-check`` verdict
-whose witnesses were never collected (``--no-witnesses``, or the direct
-method past 4096 subsets) is reported as ``"certificates": "none"`` with
-exit code 0.  The enumeration cap is ``--cap`` alone, default
-``ramsey.DEFAULT_ENUMERATION_CAP``.
+plain arithmetic: certificates are checked without LP pivoting (every
+step of a ``boost`` tower included), while ``folner-check``,
+``pictures`` and ``f2-verify`` recompute their (search-free) results and
+compare, and ``folner-function`` recomputes its ``exact`` flag and note.
+A checked result must answer its own job: each parameter it restates,
+such as the eps of ``boost`` or the window of a ``realize-search``
+certificate, must equal the job's.  ``ramsey-function`` and
+``function-table`` embed no certificates, so their job is run again and
+the envelopes compared.  A result that carries no evidence is reported
+as ``"certificates": "none"`` with exit code 0: a positive
+``ramsey-check`` verdict whose witnesses were never collected
+(``--no-witnesses``, or the direct method past 4096 subsets) and a
+``realize-search`` that found nothing.  The enumeration cap is ``--cap``
+alone, default ``ramsey.DEFAULT_ENUMERATION_CAP``.
 
 Exit codes: 0 for completed computations (negative mathematical verdicts
 such as "not Ramsey" or "infeasible" are still successes), 1 for errors
@@ -73,7 +75,6 @@ from .groups import (
 )
 from .pictures import (
     NonAmenabilityCertificate,
-    PictureContext,
     SetSpec,
     height,
     realization_search,
@@ -81,6 +82,8 @@ from .pictures import (
     verify_nonamenability_certificate,
 )
 from .ramsey import (
+    BOOST_RADIUS_CAP,
+    BOOST_STEP_GAP,
     DEFAULT_ENUMERATION_CAP,
     RamseyVerdict,
     _f_gap,
@@ -92,7 +95,7 @@ from .ramsey import (
     ramsey_function,
     verify_ramsey_verdict,
 )
-from .rationals import fmt_q, parse_q, sha256_digest
+from .rationals import canonical_dumps, fmt_q, parse_q, sha256_digest
 
 
 class CliError(ValueError):
@@ -146,11 +149,6 @@ def _emit(env: dict, out_path: str | None) -> int:
     if out_path:
         _write_file(rendered, out_path)
     return 0
-
-
-def _digest_only(group, job, result) -> bool:
-    """Summary results embed no certificates to recheck."""
-    return True
 
 
 # ---------------------------------------------------------------- commands
@@ -292,10 +290,10 @@ def _verify_unbalance(group, job, result) -> bool:
 
 def _pictures(args):
     target = SetSpec.from_json(_load_json_arg(args.target), args.group)
-    ctx = PictureContext(args.group, ball(args.group, args.window_radius), target)
-    family = realized_family(ctx, ball(args.group, args.domain_radius))
+    window, domain = ball(args.group, args.window_radius), ball(args.group, args.domain_radius)
+    family = realized_family(window, target.compile(args.group), domain)
     job = {
-        "window": [repr(a) for a in ctx.window],
+        "window": [repr(a) for a in window],
         "target": target.to_json(),
         "domain_radius": args.domain_radius,
     }
@@ -307,16 +305,21 @@ def _pictures(args):
 
 
 def _verify_pictures(group, job, result) -> bool:
-    window = _parse_elements(group, job["window"])
-    ctx = PictureContext(group, window, SetSpec.from_json(job["target"], group))
-    family = realized_family(ctx, ball(group, job["domain_radius"]))
+    window = tuple(sort_elements(_parse_elements(group, job["window"])))
+    test = SetSpec.from_json(job["target"], group).compile(group)
+    family = realized_family(window, test, ball(group, job["domain_radius"]))
     return family.to_json() == result["family"]
 
 
 def _realize_search(args):
+    window = ball(args.group, args.window_radius)
     fobj = _load_json_arg(args.f)
+    if not isinstance(fobj, dict):
+        raise CliError("--f must be a JSON object mapping window elements to rationals")
     f = {args.group.parse_element(k): parse_q(v) for k, v in fobj.items()}
-    cert = realization_search(args.group, ball(args.group, args.window_radius), f, args.radius)
+    if len(f) != len(fobj) or set(f) != set(window):
+        raise CliError("the keys of --f must be the window's elements, each once")
+    cert = realization_search(args.group, window, f, args.radius)
     job = {
         "window_radius": args.window_radius,
         "f": {repr(k): fmt_q(v) for k, v in sorted(f.items(), key=lambda kv: kv[0].key())},
@@ -328,9 +331,9 @@ def _realize_search(args):
     return job, result
 
 
-def _verify_realize_search(group, job, result) -> bool:
-    if not result["found"]:
-        return "certificate" not in result
+def _verify_realize_search(group, job, result) -> bool | None:
+    if not result["found"]:  # an exhausted pool is no evidence either way
+        return False if "certificate" in result else None
     cert = NonAmenabilityCertificate.from_json(result["certificate"])
     window = tuple(sort_elements(ball(group, job["window_radius"])))
     f = tuple(parse_q(job["f"][repr(a)]) for a in window)
@@ -365,22 +368,54 @@ def _boost(args):
     return {"m": args.m, "ramp_radius": final_radius}, res.to_json()
 
 
-def _verify_final_gap(group, job, result) -> bool:
-    eps = parse_q(job["eps"])
-    if parse_q(result["eps"]) != eps or job["ramp_radius"] != _ramp_radius(job["m"], eps):
+def _ball_with_size(group: Group, size: int) -> tuple:
+    """The ball with exactly `size` elements; ValueError when there is none."""
+    for radius in range(BOOST_RADIUS_CAP + 1):
+        try:
+            found = ball(group, radius, cap=size)
+        except CapExceeded:  # the balls grew past `size`
+            break
+        if len(found) == size:
+            return found
+    raise ValueError(f"no ball has {size} elements")
+
+
+def _verify_boost(group, job, result) -> bool:
+    """Rebuild the tower from its sizes and recompose rho_i = nu_i * rho_(i+1), rho_n = delta_e:
+    each nu_i lies in its levels' interior, each tail gap is rho_i's f-gap over
+    level i and at most (3/4)^(n-i), and rho_0 is the result's measure."""
+    eps, steps = parse_q(job["eps"]), result["steps"]
+    if (parse_q(result["eps"]), job["ramp_radius"], len(steps)) != (
+        eps, _ramp_radius(job["m"], eps), boost_steps_needed(eps)
+    ):
         return False
-    nu = Measure.from_json(group, result["measure"])
-    gap = _f_gap(ball(group, job["m"]), nu, _boost_ramp(group, job["ramp_radius"]))
-    return gap == parse_q(result["final_gap"]) and gap <= eps
+    n = len(steps)
+    towers = [ball(group, job["m"])]
+    towers += [_ball_with_size(group, s["next_window_size"]) for s in steps]
+    if [len(t) for t in towers[:n]] != [s["window_size"] for s in steps]:
+        return False
+    f = _boost_ramp(group, job["ramp_radius"])
+    rho = Measure.point_mass(group.identity())
+    for i in range(n - 1, -1, -1):
+        nu = Measure.from_json(group, steps[i]["measure"])
+        if set(nu.support()) - set(interior(towers[i], towers[i + 1])):
+            return False
+        rho = nu.convolve(rho)
+        gap = _f_gap(towers[i], rho, f)
+        if gap != parse_q(steps[i]["tail_gap"]) or gap > BOOST_STEP_GAP ** (n - i):
+            return False
+    gap = _f_gap(towers[0], rho, f)
+    final = Measure.from_json(group, result["measure"])
+    return rho == final and gap == parse_q(result["final_gap"]) and gap <= eps
 
 
 def _f2_verify(args):
+    if (args.identities is None) == (args.disjoint is None):
+        raise CliError("provide exactly one of --identities L and --disjoint K L")
     if args.identities is not None:
         return {"identities": args.identities}, verify_identities(args.identities).to_json()
-    if args.disjoint is not None:
-        k, length = args.disjoint
-        return {"disjoint": [k, length]}, verify_disjoint_translates(k, length).to_json()
-    raise CliError("provide --identities L or --disjoint K L")
+    k, length = args.disjoint
+    return {"disjoint": [k, length]}, verify_disjoint_translates(k, length).to_json()
 
 
 def _verify_f2_verify(group, job, result) -> bool:
@@ -455,6 +490,13 @@ def _emit_table(env: dict, out_path: str | None) -> int:
     return 0
 
 
+def _verify_by_rerun(group, job, result) -> bool:
+    """A summary carries no certificates: run its job again and compare."""
+    args = argparse.Namespace(**{**job, "group": json.dumps(job["group"])})
+    again = _job_and_result(COMMANDS[job["command"]], args)
+    return canonical_dumps(again) == canonical_dumps((job, result))
+
+
 # ---------------------------------------------------------------- table
 
 
@@ -501,7 +543,7 @@ _COMMANDS = (
         "ramsey-function",
         "least n with ball(n) eps-Ramsey w.r.t. ball(m)",
         _ramsey_function,
-        _digest_only,
+        _verify_by_rerun,
         (
             _arg("--m", type=int, required=True),
             _arg("--n-max", type=int, required=True),
@@ -582,7 +624,7 @@ _COMMANDS = (
         "boost",
         "compose averaging steps down to a target gap",
         _boost,
-        _verify_final_gap,
+        _verify_boost,
         (_arg("--m", type=int, required=True, help="window = ball(m)"),),
         eps=True,
     ),
@@ -609,7 +651,7 @@ _COMMANDS = (
         "function-table",
         "tabulate Folner / weighted / Ramsey functions with inequality checks",
         _function_table,
-        _digest_only,
+        _verify_by_rerun,
         (
             _arg("--m-max", type=int, default=1),
             _arg("--k-max", type=int, default=2),
@@ -623,8 +665,8 @@ _COMMANDS = (
 COMMANDS = {command.name: command for command in _COMMANDS}
 
 
-def _run(command: Command, args) -> int:
-    """Load the shared options, run the command and emit its envelope."""
+def _job_and_result(command: Command, args) -> tuple[dict, dict]:
+    """Load the shared options, run the command and echo its inputs as the job."""
     job = {"command": command.name}
     if command.group:
         args.group = group_from_json(_load_json_arg(args.group))
@@ -636,7 +678,11 @@ def _run(command: Command, args) -> int:
         job["cap"] = args.cap
     fields, result = command.run(args)
     job.update(fields)
-    return command.emit(_envelope(job, result), args.out)
+    return job, result
+
+
+def _run(command: Command, args) -> int:
+    return command.emit(_envelope(*_job_and_result(command, args)), args.out)
 
 
 def _verify(path: str) -> int:
@@ -698,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="also write the envelope to this file")
         for flags, options in command.arguments:
             p.add_argument(*flags, **options)
-    p = sub.add_parser("verify", help="re-validate an emitted envelope without re-solving")
+    p = sub.add_parser("verify", help="recheck an envelope's certificates; rerun summaries")
     p.add_argument("envelope")
     return parser
 

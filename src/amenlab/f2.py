@@ -69,21 +69,22 @@ def f2_group() -> FreeGroup:
 
 def first_spec(group: FreeGroup) -> SetSpec:
     name = group.gen_names[0]
-    return SetSpec.first_letter([name, name.upper()])
+    return SetSpec.from_json({"kind": "first_letter", "letters": [name, name.upper()]})
 
 
 def five_set_specs(group: FreeGroup) -> dict[str, SetSpec]:
-    first = first_spec(group)
-    high = SetSpec.h_above(0)
-    rest = SetSpec.complement(first)
-    low = SetSpec.complement(high)
-    return {
-        "first_or_low": SetSpec.union([first, low]),
-        "first_and_high": SetSpec.intersection([first, high]),
-        "rest_or_high": SetSpec.union([rest, high]),
-        "rest_and_low": SetSpec.intersection([rest, low]),
+    first = first_spec(group).to_json()
+    high = {"kind": "h_above", "k": 0}
+    rest = {"kind": "complement", "of": first}
+    low = {"kind": "complement", "of": high}
+    sets = {
+        "first_or_low": {"kind": "union", "of": [first, low]},
+        "first_and_high": {"kind": "intersection", "of": [first, high]},
+        "rest_or_high": {"kind": "union", "of": [rest, high]},
+        "rest_and_low": {"kind": "intersection", "of": [rest, low]},
         "high": high,
     }
+    return {key: SetSpec.from_json(obj) for key, obj in sets.items()}
 
 
 MAX_SCAN_LENGTH = 12
@@ -137,8 +138,8 @@ def verify_identities(max_length: int) -> IdentityReport:
     group = f2_group()
     words = ball(group, max_length)
     first = first_spec(group).compile(group)
-    high = SetSpec.h_above(0).compile(group)
     sets = {k: s.compile(group) for k, s in five_set_specs(group).items()}
+    high = sets["high"]
     report = IdentityReport(max_length)
 
     def run(name, predicate, pool):
@@ -372,15 +373,6 @@ def simultaneous_invariance(translate_count: int, delta, radius: int) -> Invaria
         raise ValueError("delta must be >= 0")
     group = f2_group()
     columns = ball(group, radius, cap=INVARIANCE_BALL_CAP)
-    if delta >= 1:
-        # every constraint has the form |p - q| <= delta with p, q in [0,1]
-        out = InvarianceOutcome(
-            translate_count, delta, radius, True,
-            Measure.point_mass(group.identity()), None,
-        )
-        if not verify_invariance_outcome(out):
-            raise RuntimeError("internal error: vacuous-delta outcome rejected")
-        return out
     system, reps = _merged_system(group, columns, translate_count, delta)
     outcome = solve_feasibility(system)
     if outcome.feasible:

@@ -1,7 +1,8 @@
 """Pictures of a subset through a finite window, and realization search.
 
-Fix a finite ordered window ``A`` inside a group and a target set ``E``
-(given by a membership predicate).  The picture of ``E`` at vantage
+Fix a finite ordered window ``A`` inside a group and a target set ``E``,
+given by a membership predicate: a compiled `SetSpec`, or
+``frozenset(E).__contains__`` for a finite E.  The picture of ``E`` at vantage
 ``g`` is the bitmask ``{a in A : a*g in E}``; collecting pictures over a
 finite probe domain yields a `SetFamily` over the window.  A probe-domain
 family is always a subfamily of the full picture family, so it can
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .balance import SetFamily, UnbalanceWitness, member_sums, verify_unbalance_witness
 from .groups import (
@@ -58,192 +59,169 @@ def height(el: Element) -> int:
     return sum(_HEIGHT_WEIGHTS[l] for l in el.value)
 
 
-class SetSpec:
-    """A named, JSON-serializable membership predicate for group subsets."""
+def _typed(value, json_type: type, name: str):
+    """value, when it has the JSON type json_type (a bool is no int)."""
+    if not isinstance(value, json_type) or isinstance(value, bool):
+        raise ValueError(f"set construction field {name!r} must be a JSON {json_type.__name__}")
+    return value
 
-    def __init__(self, kind: str, **params):
-        self.kind = kind
-        self.params = params
 
-    # constructors
+def _items(obj: Mapping, name: str, json_type: type) -> list:
+    """The JSON array obj[name], each of its items of json_type."""
+    return [_typed(x, json_type, name) for x in _typed(obj[name], list, name)]
 
-    @classmethod
-    def explicit(cls, elements: Iterable[Element]) -> "SetSpec":
-        return cls("explicit", elements=frozenset(elements))
 
-    @classmethod
-    def first_letter(cls, letters: Iterable[str]) -> "SetSpec":
-        return cls("first_letter", letters=tuple(sorted(set(letters))))
+def _explicit(obj: Mapping, group: Group | None) -> dict:
+    if group is None:
+        raise ValueError("explicit sets need a group for parsing")
+    elements = {group.parse_element(t) for t in _typed(obj["elements"], list, "elements")}
+    return {"elements": [repr(e) for e in sort_elements(elements)]}
 
-    @classmethod
-    def h_above(cls, k: int) -> "SetSpec":
-        return cls("h_above", k=int(k))
 
-    @classmethod
-    def progression(cls, axis: int, modulus: int, residues: Iterable[int]) -> "SetSpec":
-        modulus = int(modulus)
-        if modulus < 1:
-            raise ValueError("modulus must be >= 1")
-        residues = tuple(sorted({int(r) % modulus for r in residues}))
-        return cls("progression", axis=int(axis), modulus=modulus, residues=residues)
+def _progression(obj: Mapping, group: Group | None) -> dict:
+    modulus = _typed(obj["modulus"], int, "modulus")
+    if modulus < 1:
+        raise ValueError("modulus must be >= 1")
+    residues = sorted({r % modulus for r in _items(obj, "residues", int)})
+    return {"axis": _typed(obj["axis"], int, "axis"), "modulus": modulus, "residues": residues}
 
-    @classmethod
-    def complement(cls, inner: "SetSpec") -> "SetSpec":
-        return cls("complement", of=inner)
 
-    @classmethod
-    def union(cls, parts: Iterable["SetSpec"]) -> "SetSpec":
-        return cls("union", of=tuple(parts))
+def _parts(obj: Mapping, group: Group | None) -> dict:
+    return {"of": [_canonical(part, group) for part in _typed(obj["of"], list, "of")]}
 
-    @classmethod
-    def intersection(cls, parts: Iterable["SetSpec"]) -> "SetSpec":
-        return cls("intersection", of=tuple(parts))
 
-    def compile(self, group: Group) -> Callable[[Element], bool]:
-        """A fast membership closure bound to one group."""
-        kind = self.kind
-        if kind == "explicit":
-            pool = self.params["elements"]
-            test = pool.__contains__
-        elif kind == "first_letter":
-            if not isinstance(group, FreeGroup):
-                raise GroupError("first_letter sets live in free groups")
-            letters = set()
-            for ch in self.params["letters"]:
-                low = ch.lower()
-                if low not in group.gen_names:
-                    raise GroupError(f"unknown generator letter {ch!r}")
-                idx = group.gen_names.index(low) + 1
-                letters.add(idx if ch.islower() else -idx)
-            lset = frozenset(letters)
+# kind -> (its fields, their canonical values from a JSON object that has exactly them)
+_KINDS = {
+    "explicit": (("elements",), _explicit),
+    "first_letter": (
+        ("letters",), lambda obj, group: {"letters": sorted(set(_items(obj, "letters", str)))}
+    ),
+    "h_above": (("k",), lambda obj, group: {"k": _typed(obj["k"], int, "k")}),
+    "progression": (("axis", "modulus", "residues"), _progression),
+    "complement": (("of",), lambda obj, group: {"of": _canonical(obj["of"], group)}),
+    "union": (("of",), _parts),
+    "intersection": (("of",), _parts),
+}
 
-            def test(el, _l=lset):
-                return bool(el.value) and el.value[0] in _l
 
-        elif kind == "h_above":
-            if not isinstance(group, FreeGroup) or group.rank != 2:
-                raise GroupError("h_above sets live in rank-2 free groups")
-            k = self.params["k"]
+def _canonical(obj, group: Group | None) -> dict:
+    """The canonical JSON of a set construction; ValueError when it is malformed."""
+    kind = obj.get("kind") if isinstance(obj, Mapping) else None
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ValueError(f"unknown set kind {kind!r}")
+    fields, normalize = _KINDS[kind]
+    if set(obj) != {"kind", *fields}:
+        raise ValueError(f"a {kind} set has exactly the fields kind, {', '.join(fields)}")
+    return {"kind": kind, **normalize(obj, group)}
 
-            def test(el, _k=k, _w=_HEIGHT_WEIGHTS):
-                return sum(_w[l] for l in el.value) > _k
 
-        elif kind == "progression":
-            axis = self.params["axis"]
-            modulus = self.params["modulus"]
-            residues = frozenset(self.params["residues"])
-            if isinstance(group, FreeAbelianGroup):
-                if not 0 <= axis < group.rank:
-                    raise GroupError("progression axis out of range")
+def _compile(spec: Mapping, group: Group) -> Callable[[Element], bool]:
+    """The membership closure of a canonical construction, bound to one group."""
+    kind = spec["kind"]
+    if kind == "explicit":
+        test = frozenset(group.parse_element(t) for t in spec["elements"]).__contains__
+    elif kind == "first_letter":
+        if not isinstance(group, FreeGroup):
+            raise GroupError("first_letter sets live in free groups")
+        letters = set()
+        for ch in spec["letters"]:
+            low = ch.lower()
+            if low not in group.gen_names:
+                raise GroupError(f"unknown generator letter {ch!r}")
+            idx = group.gen_names.index(low) + 1
+            letters.add(idx if ch.islower() else -idx)
+        lset = frozenset(letters)
 
-                def test(el, _a=axis, _m=modulus, _r=residues):
-                    return el.value[_a] % _m in _r
+        def test(el, _l=lset):
+            return bool(el.value) and el.value[0] in _l
 
-            elif isinstance(group, CyclicGroup):
+    elif kind == "h_above":
+        if not isinstance(group, FreeGroup) or group.rank != 2:
+            raise GroupError("h_above sets live in rank-2 free groups")
+        k = spec["k"]
 
-                def test(el, _m=modulus, _r=residues):
-                    return el.value % _m in _r
+        def test(el, _k=k, _w=_HEIGHT_WEIGHTS):
+            return sum(_w[l] for l in el.value) > _k
 
-            else:
-                raise GroupError("progression sets live in abelian groups")
-        elif kind == "complement":
-            inner = self.params["of"].compile(group)
+    elif kind == "progression":
+        axis = spec["axis"]
+        modulus = spec["modulus"]
+        residues = frozenset(spec["residues"])
+        if isinstance(group, FreeAbelianGroup):
+            if not 0 <= axis < group.rank:
+                raise GroupError("progression axis out of range")
 
-            def test(el, _inner=inner):
-                return not _inner(el)
+            def test(el, _a=axis, _m=modulus, _r=residues):
+                return el.value[_a] % _m in _r
 
-        elif kind in ("union", "intersection"):
-            parts = [p.compile(group) for p in self.params["of"]]
-            agg = any if kind == "union" else all
+        elif isinstance(group, CyclicGroup):
 
-            def test(el, _parts=tuple(parts), _agg=agg):
-                return _agg(p(el) for p in _parts)
+            def test(el, _m=modulus, _r=residues):
+                return el.value % _m in _r
 
         else:
-            raise ValueError(f"unknown set kind {kind!r}")
-        return test
+            raise GroupError("progression sets live in abelian groups")
+    elif kind == "complement":
+        inner = _compile(spec["of"], group)
 
-    def to_json(self) -> dict:
-        kind = self.kind
-        if kind == "explicit":
-            elems = sort_elements(self.params["elements"])
-            return {"kind": kind, "elements": [repr(e) for e in elems]}
-        if kind == "first_letter":
-            return {"kind": kind, "letters": list(self.params["letters"])}
-        if kind == "h_above":
-            return {"kind": kind, "k": self.params["k"]}
-        if kind == "progression":
-            return {
-                "kind": kind,
-                "axis": self.params["axis"],
-                "modulus": self.params["modulus"],
-                "residues": list(self.params["residues"]),
-            }
-        if kind == "complement":
-            return {"kind": kind, "of": self.params["of"].to_json()}
-        return {"kind": kind, "of": [p.to_json() for p in self.params["of"]]}
+        def test(el, _inner=inner):
+            return not _inner(el)
+
+    else:  # union or intersection
+        parts = [_compile(p, group) for p in spec["of"]]
+        agg = any if kind == "union" else all
+
+        def test(el, _parts=tuple(parts), _agg=agg):
+            return _agg(p(el) for p in _parts)
+
+    return test
+
+
+class SetSpec:
+    """A set construction, held as its canonical JSON.
+
+    `from_json` is the one way to build one: it validates the JSON and
+    normalizes it (sorted letters, residues and explicit elements).
+    `compile` turns it into a membership predicate for one group.
+    """
+
+    def __init__(self, canonical: dict):
+        self._json = canonical
 
     @classmethod
     def from_json(cls, obj: Mapping, group: Group | None = None) -> "SetSpec":
-        kind = obj["kind"]
-        if kind == "explicit":
-            if group is None:
-                raise ValueError("explicit sets need a group for parsing")
-            return cls.explicit(group.parse_element(t) for t in obj["elements"])
-        if kind == "first_letter":
-            return cls.first_letter(obj["letters"])
-        if kind == "h_above":
-            return cls.h_above(obj["k"])
-        if kind == "progression":
-            return cls.progression(obj["axis"], obj["modulus"], obj["residues"])
-        if kind == "complement":
-            return cls.complement(cls.from_json(obj["of"], group))
-        if kind in ("union", "intersection"):
-            parts = [cls.from_json(p, group) for p in obj["of"]]
-            return cls.union(parts) if kind == "union" else cls.intersection(parts)
-        raise ValueError(f"unknown set kind {kind!r}")
+        """Explicit element lists need the group to parse them."""
+        return cls(_canonical(obj, group))
 
-    def __repr__(self):
-        import json
+    def to_json(self) -> dict:
+        return self._json
 
-        return f"SetSpec({json.dumps(self.to_json(), sort_keys=True)})"
+    def compile(self, group: Group) -> Callable[[Element], bool]:
+        """A fast membership closure bound to one group."""
+        return _compile(self._json, group)
 
 
-class PictureContext:
-    """A window (canonically ordered) plus a target compiled for the group.
-
-    ``target`` is a `SetSpec` or a collection of elements.
-    """
-
-    def __init__(self, group: Group, window: Iterable[Element], target):
-        self.group = group
-        self.window = tuple(sort_elements(window))
-        if not self.window:
-            raise ValueError("window must be nonempty")
-        self.target = target if isinstance(target, SetSpec) else SetSpec.explicit(target)
-        self.test = self.target.compile(group)
-
-
-def picture(ctx: PictureContext, g: Element) -> int:
-    """Bitmask over the window: bit i set when window[i] * g is in the target."""
-    test = ctx.test
+def picture(window: Sequence[Element], test: Callable[[Element], bool], g: Element) -> int:
+    """Bitmask over the canonically ordered window: bit i set when test(window[i] * g)."""
     mask = 0
-    for i, a in enumerate(ctx.window):
+    for i, a in enumerate(window):
         if test(a * g):
             mask |= 1 << i
     return mask
 
 
-def realized_family(ctx: PictureContext, domain: Iterable[Element]) -> SetFamily:
+def realized_family(
+    window: Sequence[Element], test: Callable[[Element], bool], domain: Iterable[Element]
+) -> SetFamily:
     """Deduplicated pictures over a finite probe domain.
 
     This is a subfamily of the full picture family; sound for exhibiting
     unbalanced members, silent about members outside the probe.
     """
-    masks = {picture(ctx, g) for g in domain}
+    masks = {picture(window, test, g) for g in domain}
     if not masks:
         raise ValueError("probe domain must be nonempty")
-    return SetFamily(ctx.window, masks)
+    return SetFamily(window, masks)
 
 
 @dataclass
@@ -290,9 +268,8 @@ class NonAmenabilityCertificate:
 
 def verify_nonamenability_certificate(cert: NonAmenabilityCertificate) -> bool:
     """Recompute the family from scratch and recheck both positivity claims."""
-    ctx = PictureContext(cert.group, cert.window, cert.target)
     domain = ball(cert.group, cert.radius)
-    family = realized_family(ctx, domain)
+    family = realized_family(cert.window, cert.target.compile(cert.group), domain)
     if family != cert.family:
         return False
     if sum(cert.f_values, _F0) != 0 or min(member_sums(family, cert.f_values)) <= 0:
@@ -303,22 +280,17 @@ def verify_nonamenability_certificate(cert: NonAmenabilityCertificate) -> bool:
 def candidate_pool(group: Group) -> list[SetSpec]:
     """The finite, deterministically ordered target pool for searches."""
     if isinstance(group, FreeGroup):
-        base: list[SetSpec] = []
-        for name in group.gen_names:
-            base.append(SetSpec.first_letter([name]))
-            base.append(SetSpec.first_letter([name.upper()]))
-        for name in group.gen_names:
-            base.append(SetSpec.first_letter([name, name.upper()]))
+        letters = [[ch] for name in group.gen_names for ch in (name, name.upper())]
+        letters += [[name, name.upper()] for name in group.gen_names]
+        base = [{"kind": "first_letter", "letters": ls} for ls in letters]
         if group.rank == 2:
-            for k in range(-2, 3):
-                base.append(SetSpec.h_above(k))
-        depth1 = list(base) + [SetSpec.complement(s) for s in base]
+            base += [{"kind": "h_above", "k": k} for k in range(-2, 3)]
+        depth1 = base + [{"kind": "complement", "of": s} for s in base]
         pool = list(depth1)
-        for i in range(len(depth1)):
-            for j in range(i + 1, len(depth1)):
-                pool.append(SetSpec.union([depth1[i], depth1[j]]))
-                pool.append(SetSpec.intersection([depth1[i], depth1[j]]))
-        return pool
+        for i, s in enumerate(depth1):
+            for t in depth1[i + 1 :]:
+                pool += [{"kind": kind, "of": [s, t]} for kind in ("union", "intersection")]
+        return [SetSpec.from_json(obj) for obj in pool]
     if isinstance(group, (FreeAbelianGroup, CyclicGroup)):
         rank = group.rank if isinstance(group, FreeAbelianGroup) else 1
         pool = []
@@ -326,8 +298,9 @@ def candidate_pool(group: Group) -> list[SetSpec]:
             for modulus in (2, 3, 4):
                 for rmask in range(1, (1 << modulus) - 1):
                     residues = [r for r in range(modulus) if rmask >> r & 1]
-                    pool.append(SetSpec.progression(axis, modulus, residues))
-        return pool
+                    pool.append({"kind": "progression", "axis": axis, "modulus": modulus,
+                                 "residues": residues})
+        return [SetSpec.from_json(obj) for obj in pool]
     raise GroupError(f"no documented candidate pool for group kind {group.kind!r}")
 
 
@@ -357,8 +330,7 @@ def realization_search(
         raise ValueError("zero weighting is vacuous: no subset has positive sum")
     domain = ball(group, radius, cap=REALIZATION_BALL_CAP)
     for spec in candidate_pool(group):
-        ctx = PictureContext(group, window, spec)
-        family = realized_family(ctx, domain)
+        family = realized_family(window, spec.compile(group), domain)
         margin = min(member_sums(family, values))
         if margin <= 0:
             continue

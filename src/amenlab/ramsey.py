@@ -60,7 +60,7 @@ from .linprog import (
     solve_feasibility,
     verify_certificate,
 )
-from .pictures import PictureContext, picture
+from .pictures import picture
 from .rationals import fmt_q, parse_q
 
 _F0 = Fraction(0)
@@ -401,22 +401,6 @@ def is_epsilon_ramsey(
     )
 
 
-def _verify_gap(
-    window: Sequence[Element],
-    nu: Measure,
-    pos: Mapping[Element, int],
-    e_mask: int,
-    eps: Fraction,
-) -> bool:
-    """E-gap of nu at most eps, for E given by a mask over the positions `pos`."""
-
-    def indicator(x: Element) -> int:
-        p = pos.get(x)
-        return 0 if p is None else e_mask >> p & 1
-
-    return _f_gap(window, nu, indicator) <= eps
-
-
 def verify_ramsey_verdict(verdict: RamseyVerdict) -> bool | None:
     """Recheck a verdict's stored evidence without re-running the search.
 
@@ -446,9 +430,9 @@ def verify_ramsey_verdict(verdict: RamseyVerdict) -> bool | None:
             if verdict.witnesses.keys() != set(range(1 << k)):
                 return False
             for e_mask, nu in verdict.witnesses.items():
-                if set(nu.support()) - set(C):
-                    return False
-                if not _verify_gap(window, nu, pos, e_mask, verdict.eps):
+                # E's indicator; bit k of e_mask is 0, so points off A*C are outside E
+                gap = _f_gap(window, nu, lambda x: e_mask >> pos.get(x, k) & 1)
+                if set(nu.support()) - set(C) or gap > verdict.eps:
                     return False
         if verdict.family_witnesses is not None:
             realized = {frozenset(cols) for _, cols in _masks_and_columns(prod_pos, k)}
@@ -467,8 +451,8 @@ def verify_ramsey_verdict(verdict: RamseyVerdict) -> bool | None:
         or verdict.subsets_checked != ce.e_mask + 1
     ):
         return False
-    ctx = PictureContext(window[0].group, window, ce.elements)
-    cols = [picture(ctx, c) for c in C]
+    in_e = frozenset(ce.elements).__contains__
+    cols = [picture(window, in_e, c) for c in C]
     if ce.kind == "direct_farkas":
         system = direct_gap_system(len(window), cols, verdict.eps)
         farkas = tuple(parse_q(x) for x in ce.payload["farkas"])
@@ -502,8 +486,8 @@ def subset_measure(
     if not C:
         return None
     group = window[0].group
-    ctx = PictureContext(group, window, e_elements)
-    cols = [picture(ctx, c) for c in C]
+    in_e = frozenset(e_elements).__contains__
+    cols = [picture(window, in_e, c) for c in C]
     system = direct_gap_system(len(window), cols, eps)
     outcome = solve_feasibility(system)
     if not outcome.feasible:

@@ -527,3 +527,103 @@ def test_element_arguments_have_one_form(capsys, command, gone):
     assert usage_exit_code([command, "--help"]) == 0
     out = capsys.readouterr().out
     assert not [flag for flag in gone if flag in out]
+
+
+def test_verify_reports_none_for_an_exhausted_realize_search(capsys, tmp_path):
+    honest = readme_envelope(capsys, tmp_path / "honest.json", "realize-search")
+    path = tmp_path / "search.json"
+    assert run(capsys, "realize-search", "--group", Z, "--window-radius", "1", "--radius", "4",
+               "--f", '{"-1":"1/1","0":"0/1","1":"-1/1"}', "--out", str(path))[0] == 0
+    assert json.loads(path.read_text())["result"] == {"found": False}
+    assert verify_status(capsys, path) == (0, "none")
+    # a result that found nothing carries no certificate
+    forge(path, lambda env: env["result"].update(certificate=honest["result"]["certificate"]))
+    assert verify_status(capsys, path) == (1, "FAILED")
+
+
+def boost_envelope(capsys, path):
+    assert run(capsys, "boost", "--group", Z, "--m", "1", "--eps", "9/16",
+               "--out", str(path))[0] == 0
+    assert verify_status(capsys, path) == (0, "ok")
+    return json.loads(path.read_text())
+
+
+def test_verify_rejects_forged_boost_tail_gaps(capsys, tmp_path):
+    path = tmp_path / "boost.json"
+    assert len(boost_envelope(capsys, path)["result"]["steps"]) == 2
+
+    def zero_gaps(env):
+        for step in env["result"]["steps"]:
+            step["tail_gap"] = "0/1"
+
+    forge(path, zero_gaps)
+    assert verify_status(capsys, path) == (1, "FAILED")
+
+
+def test_verify_rejects_swapped_boost_step_measures(capsys, tmp_path):
+    path = tmp_path / "boost.json"
+    steps = boost_envelope(capsys, path)["result"]["steps"]
+    assert steps[0]["measure"] != steps[1]["measure"]
+
+    def swap(env):
+        first, second = env["result"]["steps"]
+        first["measure"], second["measure"] = second["measure"], first["measure"]
+
+    forge(path, swap)
+    assert verify_status(capsys, path) == (1, "FAILED")
+
+
+def test_verify_reruns_ramsey_function(capsys, tmp_path):
+    path = tmp_path / "function.json"
+    env = readme_envelope(capsys, path, "ramsey-function")
+    assert env["result"]["value"] is not None
+    forge(path, lambda env: env["result"].update(value=env["result"]["value"] + 1))
+    assert verify_status(capsys, path) == (1, "FAILED")
+
+
+def test_verify_reruns_function_table(capsys, tmp_path):
+    path = tmp_path / "table.json"
+    assert run(capsys, "function-table", "--group", Z5, "--m-max", "1", "--k-max", "1",
+               "--window-radius", "2", "--n-max", "2", "--out", str(path))[0] == 0
+    assert verify_status(capsys, path) == (0, "ok")
+    row = json.loads(path.read_text())["result"]["rows"][0]
+    assert row["quantity"] == "folner" and row["value"] is not None
+    forge(path, lambda env: env["result"]["rows"][0].update(value=row["value"] + 1))
+    assert verify_status(capsys, path) == (1, "FAILED")
+
+
+def error_line(capsys, *argv):
+    """Exit code and stderr of a run that must fail with one `error:` line."""
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return code
+
+
+@pytest.mark.parametrize("target", [
+    '{"kind":"h_above"}',
+    '{"kind":"h_above","k":0,"junk":1}',
+    '{"kind":"first_letter","letters":"aA"}',
+])
+def test_pictures_rejects_malformed_target(capsys, target):
+    assert error_line(capsys, "pictures", "--group", F2, "--window-radius", "1",
+                      "--target", target, "--domain-radius", "1") == 1
+
+
+def test_f2_verify_rejects_both_scans(capsys):
+    assert error_line(capsys, "f2-verify", "--identities", "3", "--disjoint", "2", "3") == 1
+
+
+@pytest.mark.parametrize("family", ['{"ground":["x"]}', '{"ground":["x"],"members":[["y"]]}'])
+def test_balance_rejects_a_malformed_family(capsys, family):
+    assert error_line(capsys, "balance", "--family", family) == 1
+
+
+@pytest.mark.parametrize("f", [
+    '["1/1"]',
+    '{"-1":"1/1","1":"-1/1"}',
+    '{"-1":"1/1","0":"0/1","1":"-1/1","2":"0/1"}',
+])
+def test_realize_search_rejects_weights_off_the_window(capsys, f):
+    assert error_line(capsys, "realize-search", "--group", Z, "--window-radius", "1",
+                      "--radius", "2", "--f", f) == 1

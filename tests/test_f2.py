@@ -30,7 +30,7 @@ def w(text):
 
 def test_membership_examples():
     first = first_spec(G).compile(G)
-    high = SetSpec.h_above(0).compile(G)
+    high = SetSpec.from_json({"kind": "h_above", "k": 0}).compile(G)
     sets = {k: s.compile(G) for k, s in five_set_specs(G).items()}
     assert first(w("Ab"))  # starts with the inverse of the first generator
     assert not first(w("ba"))

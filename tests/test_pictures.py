@@ -13,7 +13,6 @@ from amenlab.groups import (
     sort_elements,
 )
 from amenlab.pictures import (
-    PictureContext,
     SetSpec,
     candidate_pool,
     height,
@@ -35,42 +34,42 @@ def w(text):
     return F2.parse_element(text)
 
 
-EVENS = SetSpec.progression(0, 2, [0])
+def spec(kind, **fields):
+    return SetSpec.from_json({"kind": kind, **fields})
+
+
+EVENS = spec("progression", axis=0, modulus=2, residues=[0])
+NONE = {"kind": "progression", "axis": 0, "modulus": 2, "residues": []}
+WINDOW01 = (zel(0), zel(1))  # canonical order: bit 0 <-> element 0
 
 
 def test_picture_parity():
-    ctx = PictureContext(Z, [zel(0), zel(1)], EVENS)
-    # window order is (0, 1); bit 0 <-> element 0
-    assert picture(ctx, zel(0)) == 0b01
-    assert picture(ctx, zel(4)) == 0b01
-    assert picture(ctx, zel(3)) == 0b10
+    evens = EVENS.compile(Z)
+    assert picture(WINDOW01, evens, zel(0)) == 0b01
+    assert picture(WINDOW01, evens, zel(4)) == 0b01
+    assert picture(WINDOW01, evens, zel(3)) == 0b10
 
 
 def test_picture_full_and_empty():
-    full = SetSpec.complement(SetSpec.progression(0, 2, []))
-    ctx = PictureContext(Z, ball(Z, 1), full)
-    assert picture(ctx, zel(5)) == 0b111
-    ctx0 = PictureContext(Z, ball(Z, 1), SetSpec.progression(0, 2, []))
-    assert picture(ctx0, zel(5)) == 0
+    full = spec("complement", of=NONE).compile(Z)
+    assert picture(ball(Z, 1), full, zel(5)) == 0b111
+    assert picture(ball(Z, 1), SetSpec.from_json(NONE).compile(Z), zel(5)) == 0
 
 
 def test_realized_family_parity():
-    ctx = PictureContext(Z, [zel(0), zel(1)], EVENS)
-    fam = realized_family(ctx, ball(Z, 3))
+    fam = realized_family(WINDOW01, EVENS.compile(Z), ball(Z, 3))
     assert set(fam.members) == {0b01, 0b10}
 
 
 def test_realized_family_empty_target():
-    ctx = PictureContext(Z, ball(Z, 1), SetSpec.progression(0, 2, []))
-    fam = realized_family(ctx, ball(Z, 2))
+    fam = realized_family(ball(Z, 1), SetSpec.from_json(NONE).compile(Z), ball(Z, 2))
     assert fam.members == (0,)
 
 
 def test_realized_family_f2_first_letter_against_bruteforce():
     window = ball(F2, 1)
-    spec = SetSpec.first_letter(["a", "A"])
-    ctx = PictureContext(F2, window, spec)
-    fam = realized_family(ctx, ball(F2, 2))
+    first = spec("first_letter", letters=["a", "A"]).compile(F2)
+    fam = realized_family(window, first, ball(F2, 2))
     # independent enumeration: first letter computed on raw word tuples
     expected = set()
     for g in ball(F2, 2):
@@ -101,9 +100,10 @@ def test_picture_locality():
         near = [zel(g.value[0] + d) for d in (-1, 0, 1)]
         inside = [x for x in near if rng.random() < 0.5]
         far = zel(g.value[0] + 17)
-        ctx1 = PictureContext(Z, window, SetSpec.explicit(inside))
-        ctx2 = PictureContext(Z, window, SetSpec.explicit(inside + [far]))
-        assert picture(ctx1, g) == picture(ctx2, g)
+        near_only = frozenset(inside).__contains__
+        explicit = {"kind": "explicit", "elements": [repr(x) for x in inside + [far]]}
+        with_far = SetSpec.from_json(explicit, Z).compile(Z)
+        assert picture(window, near_only, g) == picture(window, with_far, g)
 
 
 def _random_measure(rng, pool):
@@ -117,27 +117,27 @@ def _random_measure(rng, pool):
     return Measure(pool[0].group, {s: wt for s, wt in zip(support, weights) if wt})
 
 
-def _picture_distribution(ctx, nu):
+def _picture_distribution(window, test, nu):
     """Pushforward of a measure under the picture map: mask -> total mass."""
     out = {}
     for g, wt in nu.weights.items():
-        mask = picture(ctx, g)
+        mask = picture(window, test, g)
         out[mask] = out.get(mask, Q(0)) + wt
     return out
 
 
-def _measure_from_family_weights(ctx, domain, family, weights):
+def _measure_from_family_weights(window, test, domain, family, weights):
     """Lift convex member weights to a measure on the probe domain, each
     member's weight on the canonically least vantage with that picture."""
     first_with = {}
     for g in sort_elements(domain):
-        first_with.setdefault(picture(ctx, g), g)
+        first_with.setdefault(picture(window, test, g), g)
     out = {}
     for mask, lam in zip(family.members, weights):
         if lam:
             g = first_with[mask]
             out[g] = out.get(g, Q(0)) + lam
-    return Measure(ctx.group, out)
+    return Measure(domain[0].group, out)
 
 
 def test_measure_to_balanced_consistency():
@@ -147,13 +147,11 @@ def test_measure_to_balanced_consistency():
     for _ in range(30):
         nu = _random_measure(rng, list(ball(Z, 2)))
         E = frozenset(rng.sample(list(ball(Z, 4)), rng.randint(0, 6)))
-        spec = SetSpec.explicit(E)
         gaps = []
         for a in window:
             gaps.append(nu.of_set(lambda x, _a=a: (_a * x) in E))
         eps = max(gaps) - min(gaps)
-        ctx = PictureContext(Z, window, spec)
-        dist = _picture_distribution(ctx, nu)
+        dist = _picture_distribution(window, E.__contains__, nu)
         family = SetFamily(window, dist.keys())
         assert balance_deficiency(family)[0] <= eps
         # the pushforward weights themselves witness the balance
@@ -171,19 +169,18 @@ def test_balanced_to_measure_consistency():
     domain = list(ball(Z, 3))
     for _ in range(30):
         E = frozenset(rng.sample(list(ball(Z, 4)), rng.randint(1, 7)))
-        ctx = PictureContext(Z, window, SetSpec.explicit(E))
-        family = realized_family(ctx, domain)
+        family = realized_family(window, E.__contains__, domain)
         eps_star, witness = balance_deficiency(family)
-        nu = _measure_from_family_weights(ctx, domain, family, witness.weights)
+        nu = _measure_from_family_weights(window, E.__contains__, domain, family, witness.weights)
         gaps = [nu.of_set(lambda x, _a=a: (_a * x) in E) for a in window]
         assert max(gaps) - min(gaps) == eps_star
 
 
 def test_measure_from_family_weights_merges_on_least():
-    ctx = PictureContext(Z, [zel(0), zel(1)], EVENS)
+    evens = EVENS.compile(Z)
     domain = list(ball(Z, 3))
-    family = realized_family(ctx, domain)
-    nu = _measure_from_family_weights(ctx, domain, family, (Q(1, 2), Q(1, 2)))
+    family = realized_family(WINDOW01, evens, domain)
+    nu = _measure_from_family_weights(WINDOW01, evens, domain, family, (Q(1, 2), Q(1, 2)))
     # canonical-least vantage with each parity picture: -3 (odd), -2 (even)
     assert set(nu.support()) == {zel(-3), zel(-2)}
 
@@ -220,7 +217,7 @@ def test_candidate_pools_are_deterministic():
     assert p1 == p2
     assert len(p1) == len({str(x) for x in p1})  # no duplicates
     zpool = candidate_pool(Z)
-    assert all(s.kind == "progression" for s in zpool)
+    assert all(s.to_json()["kind"] == "progression" for s in zpool)
 
 
 def test_height():
@@ -237,46 +234,63 @@ def test_height():
 
 
 def test_setspec_json_roundtrip():
+    h0 = {"kind": "h_above", "k": 0}
     specs = [
-        SetSpec.first_letter(["a", "B"]),
-        SetSpec.h_above(-1),
-        SetSpec.progression(0, 3, [0, 2]),
-        SetSpec.complement(SetSpec.h_above(0)),
-        SetSpec.union([SetSpec.first_letter(["a"]), SetSpec.h_above(1)]),
-        SetSpec.intersection([SetSpec.first_letter(["b"]), SetSpec.h_above(0)]),
+        spec("first_letter", letters=["a", "B"]),
+        spec("h_above", k=-1),
+        spec("progression", axis=0, modulus=3, residues=[0, 2]),
+        spec("complement", of=h0),
+        spec("union", of=[{"kind": "first_letter", "letters": ["a"]}, {"kind": "h_above", "k": 1}]),
+        spec("intersection", of=[{"kind": "first_letter", "letters": ["b"]}, h0]),
     ]
-    for spec in specs:
-        assert SetSpec.from_json(spec.to_json()).to_json() == spec.to_json()
-    expl = SetSpec.explicit([w("ab"), F2.identity()])
-    back = SetSpec.from_json(expl.to_json(), F2)
-    assert back.to_json() == expl.to_json()
+    for s in specs:
+        assert SetSpec.from_json(s.to_json()).to_json() == s.to_json()
+    expl = SetSpec.from_json({"kind": "explicit", "elements": ["ab", "e", "ab"]}, F2)
+    assert expl.to_json() == {"kind": "explicit", "elements": ["e", "ab"]}
+    assert SetSpec.from_json(expl.to_json(), F2).to_json() == expl.to_json()
+    # letters, residues and elements are sorted and deduplicated
+    assert spec("first_letter", letters=["a", "A", "a"]).to_json()["letters"] == ["A", "a"]
+    residues = spec("progression", axis=0, modulus=3, residues=[5, -1, 0]).to_json()["residues"]
+    assert residues == [0, 2]
+
+
+@pytest.mark.parametrize("obj", [
+    {"kind": "h_above"},
+    {"kind": "h_above", "k": 0, "junk": 1},
+    {"kind": "first_letter", "letters": "aA"},
+    {"kind": "progression", "axis": 0, "modulus": 2, "residues": 0},
+    {"kind": "union", "of": {"kind": "h_above", "k": 0}},
+    {"kind": "h_above", "k": "0"},
+    ["h_above", 0],
+])
+def test_setspec_rejects_malformed_json(obj):
+    with pytest.raises(ValueError):
+        SetSpec.from_json(obj)
 
 
 def test_setspec_group_mismatch():
     with pytest.raises(GroupError):
-        SetSpec.h_above(0).compile(Z)
+        spec("h_above", k=0).compile(Z)
     with pytest.raises(GroupError):
-        SetSpec.progression(0, 2, [0]).compile(F2)
+        EVENS.compile(F2)
     with pytest.raises(GroupError):
-        SetSpec.first_letter(["z"]).compile(F2)
+        spec("first_letter", letters=["z"]).compile(F2)
 
 
 def test_setspec_compile_respects_group():
     # one spec compiled for two groups: each closure answers for its own group
-    x_first = SetSpec.first_letter(["x"])
+    x_first = spec("first_letter", letters=["x"])
     xy, ax = FreeGroup(["x", "y"]), FreeGroup(["a", "x"])
     assert x_first.compile(xy)(xy.parse_element("x"))
     test = x_first.compile(ax)
     assert test(ax.parse_element("x")) and not test(ax.parse_element("a"))
-    evens = SetSpec.progression(1, 2, [0])
+    evens = spec("progression", axis=1, modulus=2, residues=[0])
     assert evens.compile(FreeAbelianGroup(2))(FreeAbelianGroup(2).parse_element([1, 2]))
     with pytest.raises(GroupError):
         evens.compile(Z)
     assert not hasattr(evens, "_test")
 
 
-def test_window_sorted_and_nonempty():
-    ctx = PictureContext(Z, [zel(1), zel(-1), zel(0)], EVENS)
-    assert [x.value[0] for x in ctx.window] == [-1, 0, 1]
+def test_window_nonempty():
     with pytest.raises(ValueError):
-        PictureContext(Z, [], EVENS)
+        realized_family((), EVENS.compile(Z), ball(Z, 1))
