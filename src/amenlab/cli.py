@@ -7,12 +7,12 @@ recomputes the digest and then rechecks the result against the job by
 plain arithmetic: certificates are checked without LP pivoting (every
 step of a ``boost`` tower included), while ``folner-check``,
 ``pictures`` and ``f2-verify`` recompute their (search-free) results and
-compare, and ``folner-function`` recomputes its ``exact`` flag and note.
-A checked result must answer its own job: each parameter it restates,
-such as the eps of ``boost`` or the window of a ``realize-search``
-certificate, must equal the job's.  ``ramsey-function`` and
-``function-table`` embed no certificates, so their job is run again and
-the envelopes compared.  A result that carries no evidence is reported
+compare.  A checked result must answer its own job: each parameter it
+restates, such as the eps of ``boost`` or the window of a
+``realize-search`` certificate, must equal the job's.
+``folner-function``, ``ramsey-function`` and ``function-table`` embed no
+certificate of minimality, so their job is run again and the envelopes
+compared.  A result that carries no evidence is reported
 as ``"certificates": "none"`` with exit code 0: a positive
 ``ramsey-check`` verdict whose witnesses were never collected
 (``--no-witnesses``, or the direct method past 4096 subsets) and a
@@ -55,7 +55,6 @@ from .f2 import (
     verify_invariance_outcome,
 )
 from .folner import (
-    _exactness,
     folner_function,
     inequality_harness,
     invariance_defect,
@@ -211,17 +210,6 @@ def _verify_folner_check(group, job, result) -> bool:
 def _folner_function(args):
     res = folner_function(args.group, args.k, ball(args.group, args.window_radius))
     return {"k": args.k, "window_radius": args.window_radius}, res.to_json()
-
-
-def _verify_folner_function(group, job, result) -> bool:
-    exact, note = _exactness(group, job["k"], result["size"], ball(group, job["window_radius"]))
-    if (result["k"], result["exact"], result["note"]) != (job["k"], exact, note):
-        return False
-    if result["size"] is None:
-        return result["witness"] is None
-    witness = _parse_elements(group, result["witness"])
-    report = is_epsilon_folner(group.generators(), witness, Fraction(1, job["k"]))
-    return len(witness) == result["size"] and report.ok
 
 
 def _weighted_folner(args):
@@ -566,7 +554,7 @@ _COMMANDS = (
         "folner-function",
         "minimum 1/k-Folner size over a window",
         _folner_function,
-        _verify_folner_function,
+        _verify_by_rerun,
         (
             _arg("--k", type=int, required=True),
             _arg("--window-radius", type=int, default=6),

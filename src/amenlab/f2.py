@@ -28,6 +28,12 @@ infeasible with a Farkas certificate.  The exact crossover threshold is
 one more LP, which makes ``delta`` a variable and minimizes it: its
 optimal point gives a measure at the threshold and its duals prove that
 no smaller ``delta`` is feasible.
+
+The scans and the LP builds share one membership pass (`_members`): for
+each translate it forms the products with the word list once, evaluates
+every predicate it needs on them and keeps only the boolean lists, so no
+product or predicate value is computed twice, and one translate's
+products are held at a time.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ from .rationals import fmt_q, parse_q
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+_GAP = {-1: -_F1, 0: _F0, 1: _F1}  # LP coefficient of membership(w * x) - membership(x)
 
 FIVE_SET_ORDER = (
     "first_or_low",
@@ -85,6 +92,12 @@ def five_set_specs(group: FreeGroup) -> dict[str, SetSpec]:
         "high": high,
     }
     return {key: SetSpec.from_json(obj) for key, obj in sets.items()}
+
+
+def _members(w: Element, words, tests) -> list[list[bool]]:
+    """[test(w * x) for x in words] for each test, each product formed once."""
+    products = [w * x for x in words]
+    return [[test(p) for p in products] for test in tests]
 
 
 MAX_SCAN_LENGTH = 12
@@ -131,66 +144,43 @@ def verify_identities(max_length: int) -> IdentityReport:
     first △ low and rest △ high through the two intersection sets, the
     four containments threading the five sets, and the translation law
     ``w * high = (height > height(w))`` for all w in the translate ball
-    against all words of length <= max_length - TRANSLATE_RADIUS.
+    against all words of length <= max_length - TRANSLATE_RADIUS.  Each
+    of the six sets is evaluated once per word, and ``high`` once per
+    translated word.
     """
     if max_length > MAX_SCAN_LENGTH:
         raise CapExceeded(f"scan capped at length {MAX_SCAN_LENGTH}")
     group = f2_group()
     words = ball(group, max_length)
-    first = first_spec(group).compile(group)
-    sets = {k: s.compile(group) for k, s in five_set_specs(group).items()}
-    high = sets["high"]
+    sets = five_set_specs(group)
+    tests = [first_spec(group).compile(group)] + [sets[k].compile(group) for k in FIVE_SET_ORDER]
+    high = tests[-1]
+    # per word: first, then the five sets in FIVE_SET_ORDER
+    members = list(zip(*([test(u) for u in words] for test in tests)))
+    identities = (
+        ("first_xor_low_is_two_cores", lambda f, fl, fh, rh, rl, h: (f ^ (not h)) == (fh or rl)),
+        ("rest_xor_high_is_two_cores", lambda f, fl, fh, rh, rl, h: ((not f) ^ h) == (fh or rl)),
+        ("first_and_high_inside_high", lambda f, fl, fh, rh, rl, h: not fh or h),
+        ("high_inside_rest_or_high", lambda f, fl, fh, rh, rl, h: not h or rh),
+        ("rest_and_low_inside_low", lambda f, fl, fh, rh, rl, h: not rl or not h),
+        ("low_inside_first_or_low", lambda f, fl, fh, rh, rl, h: h or fl),
+    )
     report = IdentityReport(max_length)
-
-    def run(name, predicate, pool):
-        failures = sum(0 if predicate(u) else 1 for u in pool)
-        report.checks.append(IdentityCheck(name, len(pool), failures))
-
-    run(
-        "first_xor_low_is_two_cores",
-        lambda u: (first(u) ^ (not high(u)))
-        == (sets["first_and_high"](u) or sets["rest_and_low"](u)),
-        words,
-    )
-    run(
-        "rest_xor_high_is_two_cores",
-        lambda u: ((not first(u)) ^ high(u))
-        == (sets["first_and_high"](u) or sets["rest_and_low"](u)),
-        words,
-    )
-    run(
-        "first_and_high_inside_high",
-        lambda u: not sets["first_and_high"](u) or high(u),
-        words,
-    )
-    run(
-        "high_inside_rest_or_high",
-        lambda u: not high(u) or sets["rest_or_high"](u),
-        words,
-    )
-    run(
-        "rest_and_low_inside_low",
-        lambda u: not sets["rest_and_low"](u) or not high(u),
-        words,
-    )
-    run(
-        "low_inside_first_or_low",
-        lambda u: high(u) or sets["first_or_low"](u),
-        words,
-    )
+    for name, holds in identities:
+        failures = sum(not holds(*m) for m in members)
+        report.checks.append(IdentityCheck(name, len(words), failures))
 
     inner = ball(group, max(0, max_length - TRANSLATE_RADIUS))
+    heights = [height(u) for u in inner]
     translators = ball(group, TRANSLATE_RADIUS)
     failures = 0
-    checked = 0
     for w in translators:
         hw = height(w)
-        winv = w.inverse()
-        for u in inner:
-            checked += 1
-            if high(winv * u) != (height(u) > hw):
-                failures += 1
-    report.checks.append(IdentityCheck("translate_high_is_level_shift", checked, failures))
+        [shifted] = _members(w.inverse(), inner, [high])
+        failures += sum(s != (hu > hw) for s, hu in zip(shifted, heights))
+    report.checks.append(
+        IdentityCheck("translate_high_is_level_shift", len(translators) * len(inner), failures)
+    )
     return report
 
 
@@ -222,8 +212,12 @@ def verify_disjoint_translates(translate_count: int, max_length: int) -> Disjoin
 
     Scanned families: a^k(rest_and_low), b^k(first_and_high), b^k(first),
     a^k(rest) for k < translate_count.  A word lies in at most one member
-    of each sequence; the scan counts memberships of w^-1 * u directly.
+    of each sequence: for each distinct power p the products p * u are
+    formed once and shared by every family using p, and a failure is a
+    word in two or more members.
     """
+    if translate_count < 2:
+        raise ValueError("need at least two translates")
     if translate_count > 8:
         raise CapExceeded("translate count capped at 8")
     if max_length > MAX_SCAN_LENGTH:
@@ -233,25 +227,24 @@ def verify_disjoint_translates(translate_count: int, max_length: int) -> Disjoin
     words = ball(group, max_length)
     sets = {k: s.compile(group) for k, s in five_set_specs(group).items()}
     first = first_spec(group).compile(group)
-    a_inv_pows = [(a ** (-k)) for k in range(translate_count)]
-    b_inv_pows = [(b ** (-k)) for k in range(translate_count)]
     families = [
-        ("a_pow_rest_and_low", a_inv_pows, sets["rest_and_low"]),
-        ("b_pow_first_and_high", b_inv_pows, sets["first_and_high"]),
-        ("b_pow_first", b_inv_pows, first),
-        ("a_pow_rest", a_inv_pows, lambda u: not first(u)),
+        ("a_pow_rest_and_low", a, sets["rest_and_low"]),
+        ("b_pow_first_and_high", b, sets["first_and_high"]),
+        ("b_pow_first", b, first),
+        ("a_pow_rest", a, lambda u: not first(u)),
     ]
+    users: dict[Element, list[int]] = {}  # distinct power -> families translating by it
+    for i, (_, generator, _) in enumerate(families):
+        for k in range(translate_count):
+            users.setdefault(generator ** (-k), []).append(i)
+    hits = [[0] * len(words) for _ in families]
+    for p, family_ids in users.items():
+        tests = [families[i][2] for i in family_ids]
+        for i, member in zip(family_ids, _members(p, words, tests)):
+            hits[i] = [n + m for n, m in zip(hits[i], member)]
     report = DisjointnessReport(translate_count, max_length)
-    for name, powers, member in families:
-        failures = 0
-        for u in words:
-            hits = 0
-            for p in powers:
-                if member(p * u):
-                    hits += 1
-                    if hits > 1:
-                        failures += 1
-                        break
+    for (name, _, _), counts in zip(families, hits):
+        failures = sum(n > 1 for n in counts)
         report.checks.append(IdentityCheck(name, len(words), failures))
     return report
 
@@ -262,6 +255,35 @@ def invariance_translates(group: FreeGroup, translate_count: int) -> list[Elemen
     out = [a**k for k in range(1, translate_count)]
     out += [b**k for k in range(1, translate_count)]
     return out
+
+
+def _membership_table(group: FreeGroup, columns, translate_count: int) -> list[list[list[bool]]]:
+    """table[i][j][c]: whether w_j * columns[c] lies in set i of FIVE_SET_ORDER.
+
+    w_0 is the identity, then `invariance_translates` order.  One
+    translate's products are formed at a time.
+    """
+    sets = five_set_specs(group)
+    tests = [sets[k].compile(group) for k in FIVE_SET_ORDER]
+    translates = [group.identity()] + invariance_translates(group, translate_count)
+    by_translate = [_members(w, columns, tests) for w in translates]
+    return [[members[i] for members in by_translate] for i in range(len(tests))]
+
+
+def _gap_rows(table: list[list[list[bool]]], delta: Fraction, keep) -> list[tuple]:
+    """The rows of the invariance LP on the columns ``keep`` of the table.
+
+    The normalization row, then for each set and each translate w_j
+    (j >= 1) the <= delta and >= -delta rows of ``nu(w_j^-1 E) - nu(E)``.
+    """
+    rows = [((_F1,) * len(keep), EQ, _F1)]
+    for per_translate in table:
+        base = per_translate[0]
+        for shifted in per_translate[1:]:
+            coeffs = tuple(_GAP[shifted[c] - base[c]] for c in keep)
+            rows.append((coeffs, LE, delta))
+            rows.append((coeffs, GE, -delta))
+    return rows
 
 
 def invariance_system(
@@ -275,21 +297,10 @@ def invariance_system(
     `invariance_translates` order, the <= delta row followed by the
     >= -delta row for ``nu(w^-1 E) - nu(E)``.
     """
-    delta = Fraction(delta)
     group = f2_group()
     columns = ball(group, radius)
-    sets = five_set_specs(group)
-    tests = {k: s.compile(group) for k, s in sets.items()}
-    translates = invariance_translates(group, translate_count)
-    rows = [(tuple([_F1] * len(columns)), EQ, _F1)]
-    for key in FIVE_SET_ORDER:
-        test = tests[key]
-        for w in translates:
-            coeffs = tuple(
-                Fraction(int(test(w * x)) - int(test(x))) for x in columns
-            )
-            rows.append((coeffs, LE, delta))
-            rows.append((coeffs, GE, -delta))
+    table = _membership_table(group, columns, translate_count)
+    rows = _gap_rows(table, Fraction(delta), range(len(columns)))
     return LinearSystem(len(columns), rows, nonneg=True), columns
 
 
@@ -345,19 +356,13 @@ def _merged_system(
     `invariance_system`, which keeps Farkas multipliers and duals valid
     for the full system.
     """
-    sets = five_set_specs(group)
-    tests = [sets[k].compile(group) for k in FIVE_SET_ORDER]
-    translates = [group.identity()] + invariance_translates(group, translate_count)
-    classes: dict[tuple, Element] = {}  # profile -> first element in canonical order
-    for x in columns:
-        classes.setdefault(tuple(test(w * x) for test in tests for w in translates), x)
-    rows = [(tuple([_F1] * len(classes)), EQ, _F1)]
-    for base in range(0, len(tests) * len(translates), len(translates)):
-        for wi in range(base + 1, base + len(translates)):
-            coeffs = tuple(Fraction(int(p[wi]) - int(p[base])) for p in classes)
-            rows.append((coeffs, LE, delta))
-            rows.append((coeffs, GE, -delta))
-    return LinearSystem(len(classes), rows, nonneg=True), list(classes.values())
+    table = _membership_table(group, columns, translate_count)
+    classes: dict[tuple, int] = {}  # profile -> first column in canonical order
+    for c, profile in enumerate(zip(*(m for per_set in table for m in per_set))):
+        classes.setdefault(profile, c)
+    keep = list(classes.values())
+    rows = _gap_rows(table, delta, keep)
+    return LinearSystem(len(keep), rows, nonneg=True), [columns[c] for c in keep]
 
 
 def simultaneous_invariance(translate_count: int, delta, radius: int) -> InvarianceOutcome:

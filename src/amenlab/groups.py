@@ -96,10 +96,14 @@ class Group:
         return isinstance(other, Group) and self._desc == other._desc
 
     def __hash__(self):
-        return hash(self._desc)
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(self._desc)
+            return self._hash
 
     def _check(self, g: Element) -> Element:
-        if g.group != self:
+        if g.group is not self and g.group != self:
             raise GroupError("element does not belong to this group")
         return g
 
@@ -149,13 +153,12 @@ class FreeGroup(Group):
     def multiply(self, g: Element, h: Element) -> Element:
         self._check(g)
         self._check(h)
-        word = list(g.value)
-        for letter in h.value:
-            if word and word[-1] == -letter:
-                word.pop()
-            else:
-                word.append(letter)
-        return Element(self, tuple(word))
+        u, v = g.value, h.value
+        # both words are reduced, so only a suffix of u can cancel a prefix of v
+        n, most = 0, min(len(u), len(v))
+        while n < most and u[-1 - n] == -v[n]:
+            n += 1
+        return Element(self, u[: len(u) - n] + v[n:])
 
     def inverse(self, g: Element) -> Element:
         self._check(g)

@@ -39,6 +39,8 @@ _F1 = Fraction(1)
 
 
 def _frac(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, float):
         raise ValueError("LP data must be exact rationals, not floats")
     return Fraction(x)

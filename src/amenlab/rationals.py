@@ -29,14 +29,13 @@ def parse_q(text: str | int) -> Fraction:
         return Fraction(text)
     if isinstance(text, float):
         raise ValueError("floating point rationals are not accepted; use p/q")
-    s = str(text).strip()
-    if "/" in s:
-        num, _, den = s.partition("/")
-        try:
-            return Fraction(int(num), int(den))
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in rational {text!r}") from None
-    return Fraction(int(s))
+    num, slash, den = str(text).strip().partition("/")
+    try:
+        return Fraction(int(num), int(den) if slash else 1)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational {text!r}") from None
+    except ValueError:
+        raise ValueError(f"rational expected as p/q or an integer, got {text!r}") from None
 
 
 def canonical_dumps(obj) -> str:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from amenlab.cli import build_parser, main
+from amenlab.cli import _envelope, build_parser, main
 from amenlab.rationals import sha256_digest
 
 Z = '{"kind":"free_abelian","rank":1}'
@@ -463,6 +463,18 @@ def test_verify_rechecks_folner_function_exact_flag(capsys, tmp_path):
     assert verify_status(capsys, path) == (1, "FAILED")
 
 
+def test_verify_rejects_an_inflated_folner_size(capsys, tmp_path):
+    path = tmp_path / "folner.json"
+    env = run_envelope(capsys, "folner-function", "--group", Z, "--k", "1",
+                       "--window-radius", "4", "--out", str(path))[1]
+    assert env["result"]["size"] == 2
+    assert verify_status(capsys, path) == (0, "ok")
+    result = dict(env["result"], size=3, witness=["0", "1", "2"], exact=False,
+                  note="exceeds the shift-boundary lower bound; window may be too small")
+    path.write_text(json.dumps(_envelope(env["job"], result)))
+    assert verify_status(capsys, path) == (1, "FAILED")
+
+
 def test_verify_rejects_unknown_group_field(capsys, tmp_path):
     path = tmp_path / "weighted.json"
     assert run(capsys, "weighted-folner", "--group", Z, "--m", "1", "--n", "2",
@@ -612,6 +624,16 @@ def test_pictures_rejects_malformed_target(capsys, target):
 
 def test_f2_verify_rejects_both_scans(capsys):
     assert error_line(capsys, "f2-verify", "--identities", "3", "--disjoint", "2", "3") == 1
+
+
+@pytest.mark.parametrize("k", ["0", "1"])
+def test_f2_verify_rejects_fewer_than_two_translates(capsys, k):
+    assert error_line(capsys, "f2-verify", "--disjoint", k, "3") == 1
+
+
+def test_f2_infeasible_names_the_rational_form(capsys):
+    assert main(["f2-infeasible", "8", "0.5", "6"]) == 1
+    assert capsys.readouterr().err == "error: rational expected as p/q or an integer, got '0.5'\n"
 
 
 @pytest.mark.parametrize("family", ['{"ground":["x"]}', '{"ground":["x"],"members":[["y"]]}'])

@@ -2,10 +2,13 @@ from fractions import Fraction as Q
 
 import pytest
 
+from amenlab import f2
 from amenlab.f2 import (
     FIVE_SET_ORDER,
+    IdentityCheck,
     InvarianceOutcome,
     ThresholdReport,
+    _merged_system,
     f2_group,
     first_spec,
     five_set_specs,
@@ -19,6 +22,7 @@ from amenlab.f2 import (
     verify_threshold_report,
 )
 from amenlab.groups import CapExceeded, ball
+from amenlab.linprog import EQ, GE, LE
 from amenlab.pictures import SetSpec, height
 
 G = f2_group()
@@ -175,3 +179,130 @@ def test_argument_validation():
         simultaneous_invariance(1, Q(1, 10), 2)
     with pytest.raises(ValueError):
         simultaneous_invariance(4, Q(-1), 2)
+
+
+# Per-word oracles: the scans and LP builds as they were before the
+# membership pass, one product and one predicate call per (word, use).
+# They read the sets through `f2.five_set_specs`, so the `rotated_sets`
+# fixture swaps them for both sides and the scans report failures.
+
+
+@pytest.fixture(params=[False, True], ids=["five_sets", "rotated"])
+def rotated_sets(request, monkeypatch):
+    if request.param:
+        specs = five_set_specs(G)
+        rotated = {k: specs[FIVE_SET_ORDER[i - 1]] for i, k in enumerate(FIVE_SET_ORDER)}
+        monkeypatch.setattr(f2, "five_set_specs", lambda group: rotated)
+    return request.param
+
+
+def _oracle_identity_checks(max_length):
+    words = ball(G, max_length)
+    first = first_spec(G).compile(G)
+    sets = {k: s.compile(G) for k, s in f2.five_set_specs(G).items()}
+    high = sets["high"]
+    cores = lambda u: sets["first_and_high"](u) or sets["rest_and_low"](u)
+    predicates = [
+        ("first_xor_low_is_two_cores", lambda u: (first(u) ^ (not high(u))) == cores(u)),
+        ("rest_xor_high_is_two_cores", lambda u: ((not first(u)) ^ high(u)) == cores(u)),
+        ("first_and_high_inside_high", lambda u: not sets["first_and_high"](u) or high(u)),
+        ("high_inside_rest_or_high", lambda u: not high(u) or sets["rest_or_high"](u)),
+        ("rest_and_low_inside_low", lambda u: not sets["rest_and_low"](u) or not high(u)),
+        ("low_inside_first_or_low", lambda u: high(u) or sets["first_or_low"](u)),
+    ]
+    checks = [
+        IdentityCheck(name, len(words), sum(0 if holds(u) else 1 for u in words))
+        for name, holds in predicates
+    ]
+    inner = ball(G, max(0, max_length - 3))
+    checked = failures = 0
+    for t in ball(G, 3):
+        for u in inner:
+            checked += 1
+            failures += high(t.inverse() * u) != (height(u) > height(t))
+    checks.append(IdentityCheck("translate_high_is_level_shift", checked, failures))
+    return checks
+
+
+def _oracle_disjoint_checks(translate_count, max_length):
+    a, b = G.generators()
+    words = ball(G, max_length)
+    sets = {k: s.compile(G) for k, s in f2.five_set_specs(G).items()}
+    first = first_spec(G).compile(G)
+    a_pows = [a ** (-k) for k in range(translate_count)]
+    b_pows = [b ** (-k) for k in range(translate_count)]
+    families = [
+        ("a_pow_rest_and_low", a_pows, sets["rest_and_low"]),
+        ("b_pow_first_and_high", b_pows, sets["first_and_high"]),
+        ("b_pow_first", b_pows, first),
+        ("a_pow_rest", a_pows, lambda u: not first(u)),
+    ]
+    checks = []
+    for name, powers, member in families:
+        failures = sum(1 for u in words if sum(bool(member(p * u)) for p in powers) > 1)
+        checks.append(IdentityCheck(name, len(words), failures))
+    return checks
+
+
+def _oracle_invariance_rows(translate_count, delta, radius):
+    columns = ball(G, radius)
+    tests = {k: s.compile(G) for k, s in f2.five_set_specs(G).items()}
+    rows = [(tuple([Q(1)] * len(columns)), EQ, Q(1))]
+    for key in FIVE_SET_ORDER:
+        for t in invariance_translates(G, translate_count):
+            coeffs = tuple(Q(int(tests[key](t * x)) - int(tests[key](x))) for x in columns)
+            rows.append((coeffs, LE, delta))
+            rows.append((coeffs, GE, -delta))
+    return rows, columns
+
+
+def _oracle_merged_rows(columns, translate_count, delta):
+    tests = [f2.five_set_specs(G)[k].compile(G) for k in FIVE_SET_ORDER]
+    translates = [G.identity()] + invariance_translates(G, translate_count)
+    classes = {}
+    for x in columns:
+        classes.setdefault(tuple(test(t * x) for test in tests for t in translates), x)
+    rows = [(tuple([Q(1)] * len(classes)), EQ, Q(1))]
+    n = len(translates)
+    for base in range(0, len(tests) * n, n):
+        for ti in range(base + 1, base + n):
+            coeffs = tuple(Q(int(p[ti]) - int(p[base])) for p in classes)
+            rows.append((coeffs, LE, delta))
+            rows.append((coeffs, GE, -delta))
+    return rows, list(classes.values())
+
+
+def _rows(system):
+    return [(row.coeffs, row.rel, row.rhs) for row in system.rows]
+
+
+def test_identities_scan_matches_per_word_oracle(rotated_sets):
+    report = verify_identities(6)
+    assert report.checks == _oracle_identity_checks(6)
+    assert report.ok != rotated_sets
+
+
+def test_disjoint_scan_matches_per_word_oracle(rotated_sets):
+    report = verify_disjoint_translates(4, 6)
+    assert report.checks == _oracle_disjoint_checks(4, 6)
+    assert report.ok != rotated_sets
+
+
+def test_invariance_systems_match_per_word_oracle(rotated_sets):
+    delta = Q(1, 10)
+    system, columns = invariance_system(4, delta, 3)
+    rows, oracle_columns = _oracle_invariance_rows(4, delta, 3)
+    assert columns == oracle_columns
+    assert system.num_vars == len(columns)
+    assert _rows(system) == rows
+    merged, reps = _merged_system(G, columns, 4, delta)
+    rows, oracle_reps = _oracle_merged_rows(columns, 4, delta)
+    assert reps == oracle_reps and len(reps) < len(columns)
+    assert merged.num_vars == len(reps)
+    assert _rows(merged) == rows
+
+
+def test_disjoint_scan_needs_two_translates():
+    for k in (0, 1):
+        with pytest.raises(ValueError):
+            verify_disjoint_translates(k, 4)

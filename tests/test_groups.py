@@ -235,6 +235,35 @@ def test_measure_json_roundtrip():
     assert Measure.from_json(F2, nu.to_json()) == nu
 
 
+def _reduce_letter_by_letter(u, v):
+    word = list(u)
+    for letter in v:
+        if word and word[-1] == -letter:
+            word.pop()
+        else:
+            word.append(letter)
+    return tuple(word)
+
+
+def test_free_multiply_matches_letter_by_letter_reduction():
+    pool = ball(F2, 3)
+    for u in pool:
+        for v in pool:
+            assert (u * v).value == _reduce_letter_by_letter(u.value, v.value)
+
+
+def test_free_multiply_across_equal_group_objects():
+    other = FreeGroup(["a", "b"])
+    assert other is not F2 and other == F2
+    x = other.parse_element("bA")
+    assert F2.multiply(w("aB"), x) == F2.identity()
+    assert other.multiply(w("ab"), other.parse_element("Ba")) == w("aa")
+    assert hash(other) == hash(F2)
+    for pair in ((w("a"), zel(1)), (zel(1), w("a"))):
+        with pytest.raises(GroupError):
+            other.multiply(*pair)
+
+
 def test_cross_group_operations_rejected():
     with pytest.raises(GroupError):
         F2.multiply(w("a"), zel(1))
