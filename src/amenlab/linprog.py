@@ -1,9 +1,10 @@
 """Exact rational linear feasibility and minimization with certificates.
 
-A dense two-phase simplex over `fractions.Fraction` with Bland's
-anti-cycling rule, so pivoting terminates and identical systems produce
-identical answers bit for bit.  Every result is accompanied by data that
-can be re-checked by plain arithmetic, independent of the solver:
+A dense two-phase simplex with Bland's anti-cycling rule, so pivoting
+terminates and identical systems produce identical answers bit for bit.
+It pivots on integer rows, each over one positive denominator; systems
+and results are `fractions.Fraction`.  Every result is accompanied by data
+that can be re-checked by plain arithmetic, independent of the solver:
 
 * Feasible     -> a rational point satisfying every constraint exactly.
 * Infeasible   -> Farkas multipliers, one per constraint row, that
@@ -26,7 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import reduce
+from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .rationals import fmt_q, parse_q
@@ -135,101 +137,94 @@ class _Simplex:
     a slack or artificial basic column after sign-normalizing the right
     hand side.  Artificial columns are kept (ineligible) through phase 2
     so dual values can be read off the final reduced costs.
+
+    Row i is the ints ``T[i]`` over the positive ``den[i]``, the cost row
+    ``zrow`` over ``zden``, each in lowest terms: the exact values of a
+    Fraction tableau, so the pivot sequence and all results are the same.
     """
 
     def __init__(self, system: LinearSystem):
         self.system = system
-        n = system.num_vars
         self.var_cols: list[tuple[int, int]] = []  # (original var, sign)
-        for j in range(n):
+        for j in range(system.num_vars):
             self.var_cols.append((j, 1))
             if not system.nonneg[j]:
                 self.var_cols.append((j, -1))
-        nv = len(self.var_cols)
-        m = len(system.rows)
+        rows = system.rows
+        m = len(rows)
+        self.sigma = [1 if row.rhs >= 0 else -1 for row in rows]
+        # the slack's sign once the rhs is nonnegative; a +1 slack starts basic
+        slack = [sigma * {LE: 1, GE: -1, EQ: 0}[row.rel] for sigma, row in zip(self.sigma, rows)]
+        ncols = len(self.var_cols)
         slack_col = [None] * m
-        reader_col = [0] * m
-        reader_is_artificial = [False] * m
-        self.sigma = [1] * m
-        ncols = nv
-        for i, row in enumerate(system.rows):
-            if row.rel != EQ:
-                slack_col[i] = ncols
+        for i in range(m):
+            if slack[i]:
+                slack_col[i], ncols = ncols, ncols + 1
+        self.reader_is_artificial = [s != 1 for s in slack]
+        self.basis = []
+        for i in range(m):
+            if self.reader_is_artificial[i]:
+                self.basis.append(ncols)
                 ncols += 1
-        art_col = [None] * m
-        basis = [0] * m
-        tableau: list[list[Fraction]] = []
-        for i, row in enumerate(system.rows):
-            sigma = 1 if row.rhs >= 0 else -1
-            self.sigma[i] = sigma
-            body = [_F0] * ncols
+            else:
+                self.basis.append(slack_col[i])
+        self.reader_col = list(self.basis)
+        self.art_set = frozenset(b for b, art in zip(self.basis, self.reader_is_artificial) if art)
+        self.ncols = ncols
+        self.T: list[list[int]] = []
+        self.den: list[int] = []
+        for i, row in enumerate(rows):
+            sigma = self.sigma[i]
+            d = lcm(row.rhs.denominator, *(c.denominator for c in row.coeffs))
+            body = [0] * (ncols + 1)
             for col, (j, sign) in enumerate(self.var_cols):
                 c = row.coeffs[j]
                 if c:
-                    body[col] = sigma * sign * c
-            s = 1 if row.rel == LE else (-1 if row.rel == GE else 0)
-            if s:
-                body[slack_col[i]] = Fraction(sigma * s)
-            tableau.append(body + [sigma * row.rhs])
-            if s and sigma * s == 1:
-                basis[i] = slack_col[i]
-                reader_col[i] = slack_col[i]
-            else:
-                art_col[i] = -1  # placeholder, assigned below
-        for i in range(m):
-            if art_col[i] is not None:
-                art_col[i] = ncols
-                reader_col[i] = ncols
-                reader_is_artificial[i] = True
-                basis[i] = ncols
-                ncols += 1
-        for i, body in enumerate(tableau):
-            rhs = body.pop()
-            body.extend([_F0] * (ncols - len(body)))
-            if art_col[i] is not None:
-                body[art_col[i]] = _F1
-            body.append(rhs)
-        self.T = tableau
-        self.basis = basis
-        self.reader_col = reader_col
-        self.reader_is_artificial = reader_is_artificial
-        self.ncols = ncols
-        self.art_set = frozenset(c for c in art_col if c is not None)
+                    body[col] = sigma * sign * c.numerator * (d // c.denominator)
+            if slack[i]:
+                body[slack_col[i]] = slack[i] * d
+            body[self.basis[i]] = d
+            body[-1] = sigma * row.rhs.numerator * (d // row.rhs.denominator)
+            self.T.append(body)
+            self.den.append(d)
         self.pivots = 0
         # Bland's rule terminates within the number of distinct bases.
         self.pivot_cap = comb(ncols, m) if m else 1
-        self.zrow: list[Fraction] = []
+        self.zrow: list[int] = []
+        self.zden = 1
 
     def _build_zrow(self, costs: dict[int, Fraction]):
-        z = [costs.get(j, _F0) for j in range(self.ncols)] + [_F0]
-        for i, brow in enumerate(self.T):
-            cb = costs.get(self.basis[i], _F0)
-            if cb:
-                for k in range(self.ncols):
-                    if brow[k]:
-                        z[k] -= cb * brow[k]
-                z[-1] -= cb * brow[-1]
-        self.zrow = z
+        """Reduced costs: `costs` with each basic row's cost priced out."""
+        zden = lcm(*(q.denominator for q in costs.values()))
+        z = [0] * (self.ncols + 1)
+        for j, q in costs.items():
+            z[j] = q.numerator * (zden // q.denominator)
+        for i, b in enumerate(self.basis):
+            # basic columns are unit columns, so pricing out one row keeps
+            # the cost of every other basic column as given
+            if z[b]:
+                z, zden = _eliminate(z, zden, z[b], self.T[i], self.den[i])
+        self.zrow, self.zden = z, zden
 
     def _pivot(self, r: int, c: int):
-        T = self.T
+        T, den = self.T, self.den
         rowr = T[r]
-        piv = rowr[c]
-        if piv != 1:
-            inv = _F1 / piv
-            T[r] = rowr = [x * inv for x in rowr]
-        hot = [k for k, v in enumerate(rowr) if v]
-        for row in T:
-            if row is rowr:
-                continue
+        p = rowr[c]
+        if p < 0:
+            p = -p
+            rowr = [-x for x in rowr]
+        g = reduce(gcd, rowr) if p != 1 else 1  # g divides p
+        if g != 1:
+            p //= g
+            rowr = [x // g for x in rowr]
+        T[r], den[r] = rowr, p  # row r now reads rowr / p, with 1 in column c
+        for i, row in enumerate(T):
             f = row[c]
-            if f:
-                for k in hot:
-                    row[k] -= f * rowr[k]
+            if f and i != r:
+                T[i], den[i] = _eliminate(row, den[i], f, rowr, p)
         f = self.zrow[c]
         if f:
-            for k in hot:
-                self.zrow[k] -= f * rowr[k]
+            self.zrow, self.zden = _eliminate(self.zrow, self.zden, f, rowr, p)
         self.basis[r] = c
         self.pivots += 1
         if self.pivots > self.pivot_cap:
@@ -237,9 +232,10 @@ class _Simplex:
 
     def _iterate(self, *, forbid_enter=frozenset()) -> bool:
         """Pivot to optimality (True), or stop at an unbounded column (False)."""
-        z = self.zrow
         T = self.T
+        basis = self.basis
         while True:
+            z = self.zrow
             enter = -1
             for j in range(self.ncols):
                 if z[j] < 0 and j not in forbid_enter:
@@ -247,21 +243,22 @@ class _Simplex:
                     break
             if enter < 0:
                 return True
-            best_ratio = None
+            # a row's ratio is rhs / entry: the row denominator cancels
+            best_rhs = best_t = 0
             best_row = -1
             best_basic = -1
             for i, row in enumerate(T):
                 t = row[enter]
                 if t > 0:
-                    ratio = row[-1] / t
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and self.basis[i] < best_basic)
-                    ):
-                        best_ratio = ratio
-                        best_row = i
-                        best_basic = self.basis[i]
+                    if best_row >= 0:
+                        lhs = row[-1] * best_t
+                        rhs = best_rhs * t
+                        if lhs > rhs or (lhs == rhs and basis[i] > best_basic):
+                            continue
+                    best_rhs = row[-1]
+                    best_t = t
+                    best_row = i
+                    best_basic = basis[i]
             if best_row < 0:
                 return False
             self._pivot(best_row, enter)
@@ -271,7 +268,11 @@ class _Simplex:
         self._build_zrow(costs)
         bounded = self._iterate()
         assert bounded, "phase 1 is always bounded below by 0"
-        return -self.zrow[-1] == 0
+        return self.zrow[-1] == 0
+
+    def value(self) -> Fraction:
+        """The objective value at the current basis."""
+        return -Fraction(self.zrow[-1], self.zden)
 
     def duals(self, phase1: bool) -> tuple[Fraction, ...]:
         """Row duals read off the reduced costs, in the rows' own orientation."""
@@ -279,7 +280,7 @@ class _Simplex:
         for i in range(len(self.T)):
             col = self.reader_col[i]
             cost = _F1 if (phase1 and self.reader_is_artificial[i]) else _F0
-            out.append(self.sigma[i] * (cost - self.zrow[col]))
+            out.append(self.sigma[i] * (cost - Fraction(self.zrow[col], self.zden)))
         return tuple(out)
 
     def farkas_multipliers(self) -> tuple[Fraction, ...]:
@@ -311,12 +312,24 @@ class _Simplex:
     def primal_point(self) -> tuple[Fraction, ...]:
         vals = [_F0] * self.ncols
         for i, col in enumerate(self.basis):
-            vals[col] = self.T[i][-1]
+            vals[col] = Fraction(self.T[i][-1], self.den[i])
         x = [_F0] * self.system.num_vars
         for col, (j, sign) in enumerate(self.var_cols):
             if vals[col]:
                 x[j] += sign * vals[col]
         return tuple(x)
+
+
+def _eliminate(row: list[int], den: int, f: int, prow: list[int], p: int) -> tuple[list[int], int]:
+    """row/den minus (f/den)*(prow/p), as (p*row - f*prow) / (den*p) in lowest terms."""
+    if p == 1:
+        new = [a - f * b for a, b in zip(row, prow)]
+    else:
+        new = [p * a - f * b for a, b in zip(row, prow)]
+        den *= p
+    # reduce, not gcd(*new): a row-sized argument tuple per call raised peak RSS
+    g = reduce(gcd, new, den) if den != 1 else 1
+    return ([a // g for a in new], den // g) if g != 1 else (new, den)
 
 
 def solve_feasibility(system: LinearSystem) -> FeasibilityOutcome:
@@ -344,7 +357,7 @@ def minimize(system: LinearSystem) -> Optimum:
         raise ValueError("linear system is infeasible")
     if not sx.run_phase2(system.objective):
         raise ValueError("objective is unbounded below over the feasible region")
-    out = Optimum(-sx.zrow[-1], sx.primal_point(), sx.duals(phase1=False))
+    out = Optimum(sx.value(), sx.primal_point(), sx.duals(phase1=False))
     if not verify_certificate(system, out):
         raise RuntimeError("internal error: optimality certificate failed")
     return out

@@ -3,7 +3,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from helpers_lp import oracle_feasible, random_system
+from helpers_lp import FractionSimplex, oracle_feasible, random_system
+from amenlab.balance import SetFamily, deficiency_system
+from amenlab.groups import FreeAbelianGroup, ball, sort_elements
 from amenlab.linprog import (
     EQ,
     GE,
@@ -11,10 +13,12 @@ from amenlab.linprog import (
     FeasibilityOutcome,
     LinearSystem,
     Optimum,
+    _Simplex,
     minimize,
     solve_feasibility,
     verify_certificate,
 )
+from amenlab.ramsey import _layout, _masks_and_columns
 from amenlab.rationals import canonical_dumps
 
 
@@ -164,3 +168,120 @@ def test_shape_validation():
         LinearSystem(1, [([1], "<", 0)])
     with pytest.raises(TypeError):
         verify_certificate(LinearSystem(1, [([1], LE, 0)]), object())
+
+
+# ---------------------------------------------- integer tableau vs Fractions
+
+
+def _run(sx) -> dict:
+    """Both phases on one tableau; everything a caller can read off it."""
+    system = sx.system
+    out = {"feasible": sx.run_phase1()}
+    if not out["feasible"]:
+        out["farkas"] = sx.farkas_multipliers()
+    else:
+        out["point"] = sx.primal_point()
+        out["bounded"] = sx.run_phase2(system.objective)
+        if out["bounded"]:
+            out.update(optimum=sx.primal_point(), duals=sx.duals(phase1=False), value=sx.value())
+    out["pivots"] = sx.pivots
+    out["basis"] = tuple(sx.basis)
+    return out
+
+
+def _assert_tableaus_agree(system: LinearSystem) -> dict:
+    ours = _run(_Simplex(system))
+    assert ours == _run(FractionSimplex(system))
+    return ours
+
+
+def _rational_system(rng: random.Random) -> LinearSystem:
+    """Random system with an objective, all data p/q with q <= 6, a third zeros."""
+
+    def q():
+        return Q(0) if rng.random() < 1 / 3 else Q(rng.randint(-6, 6), rng.randint(1, 6))
+
+    n = rng.randint(1, 6)
+    rows = [
+        ([q() for _ in range(n)], rng.choice([LE, EQ, GE]), q())
+        for _ in range(rng.randint(1, 10))
+    ]
+    objective = [q() for _ in range(n)]
+    return LinearSystem(n, rows, objective, [rng.random() < 0.5 for _ in range(n)])
+
+
+def test_integer_tableau_pivots_like_fractions_on_rational_systems():
+    rng = random.Random(20261018)
+    kinds = {}
+    for _ in range(400):
+        out = _assert_tableaus_agree(_rational_system(rng))
+        kind = (out["feasible"], out.get("bounded"))
+        kinds[kind] = kinds.get(kind, 0) + 1
+    # infeasible, unbounded and optimal outcomes are all compared
+    assert set(kinds) == {(False, None), (True, False), (True, True)}, kinds
+
+
+def test_integer_tableau_pivots_like_fractions_on_deficiency_lps():
+    Z = FreeAbelianGroup(1)
+    window = tuple(sort_elements(ball(Z, 2)))
+    _, products, _, prod_pos = _layout(window, ball(Z, 4))
+    families = {frozenset(cols) for _, cols in _masks_and_columns(prod_pos, len(products))}
+    assert len(families) == 474
+    for key in sorted(families, key=sorted):
+        out = _assert_tableaus_agree(deficiency_system(SetFamily(window, key)))
+        assert out["bounded"]
+
+
+def _logged_pivots(sx) -> list[tuple]:
+    """Log (row, column, entry, rows tied with the pivot row on the ratio) per pivot."""
+    log = []
+    pivot = sx._pivot
+
+    def logged(r, c):
+        def ratio(i):  # rhs over entry: the row denominator cancels
+            return Q(sx.T[i][-1], sx.T[i][c])
+
+        entry = sx.T[r][c]
+        tied = [i for i, row in enumerate(sx.T) if row[c] > 0 and ratio(i) == ratio(r)] if entry > 0 else []
+        log.append((r, c, entry, tied))
+        pivot(r, c)
+
+    sx._pivot = logged
+    return log
+
+
+def test_driving_out_an_artificial_on_a_negative_entry():
+    # -2x - y = 0 keeps its artificial basic at level 0 through phase 1
+    system = LinearSystem(2, [([-2, -1], EQ, 0), ([1, 1], LE, 3)], objective=[1, -1], nonneg=True)
+    sx = _Simplex(system)
+    log = _logged_pivots(sx)
+    assert sx.run_phase1() and log == []
+    assert sx.basis[0] in sx.art_set
+    sx.run_phase2(system.objective)
+    # the first pivot is the drive-out, on -2: the branch that negates the row
+    assert log[0][:3] == (0, 0, -2)
+    assert _assert_tableaus_agree(system)["value"] == 0
+
+
+def test_redundant_equality_keeps_an_artificial_basic():
+    system = LinearSystem(2, [([1, 1], EQ, 1), ([2, 2], EQ, 2)], objective=[1, -1], nonneg=True)
+    sx = _Simplex(system)
+    assert sx.run_phase1() and sx.run_phase2(system.objective)
+    (i,) = [i for i, b in enumerate(sx.basis) if b in sx.art_set]
+    # the row is zero outside the artificial columns, so nothing drove it out
+    assert all(v == 0 for c, v in enumerate(sx.T[i][:-1]) if c not in sx.art_set)
+    assert _assert_tableaus_agree(system)["value"] == -1
+
+
+def test_ratio_tie_goes_to_the_smaller_basis_index():
+    # x = 1 (artificial basic, the last column) ties with x + y <= 1 (slack basic)
+    system = LinearSystem(2, [([1, 0], EQ, 1), ([1, 1], LE, 1)], objective=[1, -1], nonneg=True)
+    sx = _Simplex(system)
+    log = _logged_pivots(sx)
+    basis = list(sx.basis)
+    assert sx.run_phase1()
+    r, c, _, tied = log[0]
+    assert tied == [0, 1] and basis[1] < basis[0]
+    assert r == 1  # Bland's basis-index rule, not the first tied row
+    assert _assert_tableaus_agree(system)["value"] == 1
+
