@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .groups import CapExceeded
 from .linprog import EQ, GE, LE, LinearSystem, Optimum, minimize, solve_feasibility
-from .rationals import fmt_q, parse_q
+from .rationals import fmt_q, items, parse_q
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -86,8 +86,11 @@ class SetFamily:
         if not isinstance(obj, Mapping) or set(obj) != {"ground", "members"}:
             raise ValueError("a set family is a JSON object with the fields ground and members")
         parse = parse or (lambda s: s)
-        ground = [parse(g) for g in obj["ground"]]
-        members = [[parse(g) for g in mem] for mem in obj["members"]]
+        ground = [parse(g) for g in items(obj["ground"], str, "ground")]
+        members = [
+            [parse(g) for g in items(mem, str, "a member")]
+            for mem in items(obj["members"], list, "members")
+        ]
         return cls(ground, members)
 
     def __repr__(self):

@@ -94,7 +94,7 @@ from .ramsey import (
     ramsey_function,
     verify_ramsey_verdict,
 )
-from .rationals import canonical_dumps, fmt_q, parse_q, sha256_digest
+from .rationals import canonical_dumps, fmt_q, items, parse_q, sha256_digest
 
 
 class CliError(ValueError):
@@ -110,7 +110,8 @@ def _load_json_arg(text: str):
 
 
 def _parse_elements(group: Group, texts) -> tuple:
-    return tuple(group.parse_element(t) for t in texts)
+    """Elements from a JSON array of their string forms."""
+    return tuple(group.parse_element(t) for t in items(texts, str, "an element list"))
 
 
 def _envelope(job: dict, result: dict) -> dict:
@@ -339,7 +340,9 @@ def _boost_ramp(group: Group, final_radius: int):
 
     if isinstance(group, FreeAbelianGroup):
         return lambda g: clip(Fraction(g.value[0] + final_radius, span))
-    if isinstance(group, FreeGroup) and group.rank == 2:
+    if isinstance(group, FreeGroup):
+        if group.rank != 2:
+            raise CliError("boost ramps a free group by height, defined on rank 2 only")
         return lambda g: clip(Fraction(height(g) + final_radius, span))
     # cyclic and table groups: graded by element index
     return lambda g: clip(Fraction(int(g.value), max(1, group.order - 1)))

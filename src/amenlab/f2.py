@@ -101,6 +101,7 @@ def _members(w: Element, words, tests) -> list[list[bool]]:
 
 
 MAX_SCAN_LENGTH = 12
+MAX_TRANSLATES = 8  # largest translate count K of the disjointness scan and the invariance LP
 TRANSLATE_RADIUS = 3  # translators of the level-shift check: ball(TRANSLATE_RADIUS)
 INVARIANCE_BALL_CAP = 2000  # largest ball the invariance LP takes as columns
 
@@ -117,8 +118,16 @@ class IdentityCheck:
 
 
 @dataclass
-class IdentityReport:
+class ScanReport:
+    """Named checks scanned on the words of length <= max_length.
+
+    ``scope`` opens the report's note; ``translate_count`` is written only
+    when set, by the disjointness scan.
+    """
+
     max_length: int
+    scope: str
+    translate_count: int | None = None
     checks: list[IdentityCheck] = field(default_factory=list)
 
     @property
@@ -126,18 +135,28 @@ class IdentityReport:
         return all(c.ok for c in self.checks)
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "max_length": self.max_length,
-            "note": f"verified pointwise on all words of length <= {self.max_length}",
+            "note": f"{self.scope} of length <= {self.max_length}",
             "checks": [
                 {"name": c.name, "checked": c.checked, "failures": c.failures}
                 for c in self.checks
             ],
             "ok": self.ok,
         }
+        if self.translate_count is not None:
+            out["translate_count"] = self.translate_count
+        return out
 
 
-def verify_identities(max_length: int) -> IdentityReport:
+def _check_translate_count(translate_count: int) -> None:
+    if translate_count < 2:
+        raise ValueError("need at least two translates")
+    if translate_count > MAX_TRANSLATES:
+        raise CapExceeded(f"translate count capped at {MAX_TRANSLATES}")
+
+
+def verify_identities(max_length: int) -> ScanReport:
     """Pointwise identity checks on every word of length <= max_length.
 
     Covered: the two symmetric-difference identities expressing
@@ -165,7 +184,7 @@ def verify_identities(max_length: int) -> IdentityReport:
         ("rest_and_low_inside_low", lambda f, fl, fh, rh, rl, h: not rl or not h),
         ("low_inside_first_or_low", lambda f, fl, fh, rh, rl, h: h or fl),
     )
-    report = IdentityReport(max_length)
+    report = ScanReport(max_length, "verified pointwise on all words")
     for name, holds in identities:
         failures = sum(not holds(*m) for m in members)
         report.checks.append(IdentityCheck(name, len(words), failures))
@@ -184,30 +203,7 @@ def verify_identities(max_length: int) -> IdentityReport:
     return report
 
 
-@dataclass
-class DisjointnessReport:
-    translate_count: int
-    max_length: int
-    checks: list[IdentityCheck] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def to_json(self) -> dict:
-        return {
-            "translate_count": self.translate_count,
-            "max_length": self.max_length,
-            "note": f"pairwise disjointness scanned on words of length <= {self.max_length}",
-            "checks": [
-                {"name": c.name, "checked": c.checked, "failures": c.failures}
-                for c in self.checks
-            ],
-            "ok": self.ok,
-        }
-
-
-def verify_disjoint_translates(translate_count: int, max_length: int) -> DisjointnessReport:
+def verify_disjoint_translates(translate_count: int, max_length: int) -> ScanReport:
     """Each of the four translate sequences is pairwise disjoint on the scan.
 
     Scanned families: a^k(rest_and_low), b^k(first_and_high), b^k(first),
@@ -216,10 +212,7 @@ def verify_disjoint_translates(translate_count: int, max_length: int) -> Disjoin
     formed once and shared by every family using p, and a failure is a
     word in two or more members.
     """
-    if translate_count < 2:
-        raise ValueError("need at least two translates")
-    if translate_count > 8:
-        raise CapExceeded("translate count capped at 8")
+    _check_translate_count(translate_count)
     if max_length > MAX_SCAN_LENGTH:
         raise CapExceeded(f"scan capped at length {MAX_SCAN_LENGTH}")
     group = f2_group()
@@ -242,7 +235,7 @@ def verify_disjoint_translates(translate_count: int, max_length: int) -> Disjoin
         tests = [families[i][2] for i in family_ids]
         for i, member in zip(family_ids, _members(p, words, tests)):
             hits[i] = [n + m for n, m in zip(hits[i], member)]
-    report = DisjointnessReport(translate_count, max_length)
+    report = ScanReport(max_length, "pairwise disjointness scanned on words", translate_count)
     for (name, _, _), counts in zip(families, hits):
         failures = sum(n > 1 for n in counts)
         report.checks.append(IdentityCheck(name, len(words), failures))
@@ -372,8 +365,7 @@ def simultaneous_invariance(translate_count: int, delta, radius: int) -> Invaria
     points expand by placing each merged weight on the representative.
     """
     delta = Fraction(delta)
-    if translate_count < 2:
-        raise ValueError("need at least two translates")
+    _check_translate_count(translate_count)
     if delta < 0:
         raise ValueError("delta must be >= 0")
     group = f2_group()
@@ -462,8 +454,7 @@ class ThresholdReport:
 
 def invariance_threshold(translate_count: int, radius: int) -> ThresholdReport:
     """The exact crossover delta of the five-set invariance LP, by one LP."""
-    if translate_count < 2:
-        raise ValueError("need at least two translates")
+    _check_translate_count(translate_count)
     group = f2_group()
     columns = ball(group, radius, cap=INVARIANCE_BALL_CAP)
     system, reps = _merged_system(group, columns, translate_count, _F0)

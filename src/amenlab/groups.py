@@ -15,6 +15,9 @@ Conventions fixed here and relied on by the rest of the package:
 * The canonical total order is shortlex on reduced words (a generator
   precedes its own inverse, which precedes the next generator),
   lexicographic on exponent vectors, and index order on finite groups.
+  A free word stores letter codes whose tuple order is this letter
+  order, so every sort key is the stored value, or ``(length, word)``
+  for free words.  Elements hash by value alone.
 * Free-group words serialize as compact strings with uppercase meaning
   inverse ("aBa" is a·b⁻¹·a) and "e" for the identity, which is why
   free-group generator names must be single lowercase letters.
@@ -25,6 +28,8 @@ from __future__ import annotations
 import string
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
+
+from .rationals import fmt_q, items, parse_q, typed
 
 
 class CapExceeded(Exception):
@@ -38,12 +43,11 @@ class GroupError(ValueError):
 class Element:
     """Canonical-form group element; treat as immutable."""
 
-    __slots__ = ("group", "value", "_hash")
+    __slots__ = ("group", "value")
 
     def __init__(self, group: "Group", value):
         self.group = group
         self.value = value
-        self._hash = hash((group, value))
 
     def __eq__(self, other):
         return (
@@ -53,7 +57,7 @@ class Element:
         )
 
     def __hash__(self):
-        return self._hash
+        return hash(self.value)
 
     def __mul__(self, other: "Element") -> "Element":
         return self.group.multiply(self, other)
@@ -96,19 +100,18 @@ class Group:
         return isinstance(other, Group) and self._desc == other._desc
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = hash(self._desc)
-            return self._hash
+        return hash(self._desc)
 
     def _check(self, g: Element) -> Element:
         if g.group is not self and g.group != self:
             raise GroupError("element does not belong to this group")
         return g
 
+    def sort_key(self, value):
+        return value
+
     # concrete kinds supply: identity, multiply, inverse, generators,
-    # sort_key, format_element, parse_element, to_json
+    # format_element, parse_element, to_json
 
     def __repr__(self):
         import json
@@ -119,8 +122,9 @@ class Group:
 class FreeGroup(Group):
     """Free group on named generators; elements are freely reduced words.
 
-    Words are tuples of nonzero signed integers: letter ``i+1`` is the
-    i-th generator, ``-(i+1)`` its inverse.  Reduction (no adjacent
+    Words are tuples of letter codes: the i-th generator is ``2i`` and
+    its inverse ``2i+1``, so ``code ^ 1`` inverts a letter and the tuple
+    order of equal-length words is shortlex.  Reduction (no adjacent
     cancelling pair) is maintained by construction.
     """
 
@@ -148,7 +152,7 @@ class FreeGroup(Group):
         return Element(self, ())
 
     def generators(self) -> tuple[Element, ...]:
-        return tuple(Element(self, (i + 1,)) for i in range(self.rank))
+        return tuple(Element(self, (2 * i,)) for i in range(self.rank))
 
     def multiply(self, g: Element, h: Element) -> Element:
         self._check(g)
@@ -156,29 +160,28 @@ class FreeGroup(Group):
         u, v = g.value, h.value
         # both words are reduced, so only a suffix of u can cancel a prefix of v
         n, most = 0, min(len(u), len(v))
-        while n < most and u[-1 - n] == -v[n]:
+        while n < most and u[-1 - n] == v[n] ^ 1:
             n += 1
         return Element(self, u[: len(u) - n] + v[n:])
 
     def inverse(self, g: Element) -> Element:
         self._check(g)
-        return Element(self, tuple(-letter for letter in reversed(g.value)))
+        return Element(self, tuple(code ^ 1 for code in reversed(g.value)))
 
     def sort_key(self, value):
-        # shortlex; generator < its inverse < next generator
-        return (
-            len(value),
-            tuple(2 * (abs(l) - 1) + (1 if l < 0 else 0) for l in value),
-        )
+        return (len(value), value)
+
+    def letter(self, ch: str) -> int:
+        """The code of a letter: a generator name, or its upper case for the inverse."""
+        low = ch.lower()
+        if low not in self.gen_names:
+            raise GroupError(f"unknown generator letter {ch!r}")
+        return 2 * self.gen_names.index(low) + (ch != low)
 
     def format_element(self, g: Element) -> str:
-        if not g.value:
-            return "e"
-        out = []
-        for letter in g.value:
-            name = self.gen_names[abs(letter) - 1]
-            out.append(name if letter > 0 else name.upper())
-        return "".join(out)
+        names = self.gen_names
+        word = "".join(names[c >> 1].upper() if c & 1 else names[c >> 1] for c in g.value)
+        return word or "e"
 
     def parse_element(self, text: str) -> Element:
         s = text.strip()
@@ -186,16 +189,11 @@ class FreeGroup(Group):
             return self.identity()
         word: list[int] = []
         for ch in s:
-            low = ch.lower()
-            if low not in self.gen_names:
-                raise GroupError(f"unknown letter {ch!r} in word {text!r}")
-            letter = self.gen_names.index(low) + 1
-            if ch in string.ascii_uppercase:
-                letter = -letter
-            if word and word[-1] == -letter:
+            code = self.letter(ch)
+            if word and word[-1] == code ^ 1:
                 word.pop()
             else:
-                word.append(letter)
+                word.append(code)
         return Element(self, tuple(word))
 
     def to_json(self) -> dict:
@@ -232,9 +230,6 @@ class FreeAbelianGroup(Group):
     def inverse(self, g: Element) -> Element:
         self._check(g)
         return Element(self, tuple(-a for a in g.value))
-
-    def sort_key(self, value):
-        return value
 
     def format_element(self, g: Element) -> str:
         if self.rank == 1:
@@ -280,9 +275,6 @@ class CyclicGroup(Group):
     def inverse(self, g: Element) -> Element:
         self._check(g)
         return Element(self, (-g.value) % self.order)
-
-    def sort_key(self, value):
-        return value
 
     def format_element(self, g: Element) -> str:
         return str(g.value)
@@ -398,9 +390,6 @@ class TableGroup(Group):
         self._check(g)
         return Element(self, self._inverse_index[g.value])
 
-    def sort_key(self, value):
-        return value
-
     def format_element(self, g: Element) -> str:
         return str(g.value)
 
@@ -441,13 +430,18 @@ def group_from_json(obj: Mapping) -> Group:
         raise GroupError(f"unknown group fields: {sorted(fields - required - optional)}")
     if required - fields:
         raise GroupError(f"missing group fields: {sorted(required - fields)}")
-    if kind == "free":
-        return FreeGroup(obj["generators"])
-    if kind == "free_abelian":
-        return FreeAbelianGroup(int(obj["rank"]))
-    if kind == "cyclic":
-        return CyclicGroup(int(obj["order"]))
-    return TableGroup(obj["table"], obj.get("generators"))
+    try:
+        if kind == "free":
+            return FreeGroup(items(obj["generators"], str, "generators"))
+        if kind == "free_abelian":
+            return FreeAbelianGroup(typed(obj["rank"], int, "rank"))
+        if kind == "cyclic":
+            return CyclicGroup(typed(obj["order"], int, "order"))
+        table = [items(row, int, "a table row") for row in items(obj["table"], list, "table")]
+        gens = obj.get("generators")
+        return TableGroup(table, None if gens is None else items(gens, int, "generators"))
+    except ValueError as exc:  # a mistyped field is bad descriptor data
+        raise GroupError(str(exc)) from None
 
 
 def ball(group: Group, radius: int, *, cap: int | None = None) -> tuple[Element, ...]:
@@ -551,8 +545,6 @@ class Measure:
         return sum((w for el, w in self.weights.items() if test(el)), Fraction(0))
 
     def to_json(self) -> dict:
-        from .rationals import fmt_q
-
         return {
             self.group.format_element(el): fmt_q(w)
             for el, w in self.weights.items()
@@ -560,8 +552,6 @@ class Measure:
 
     @classmethod
     def from_json(cls, group: Group, obj: Mapping) -> "Measure":
-        from .rationals import parse_q
-
         return cls(
             group,
             {group.parse_element(k): parse_q(v) for k, v in obj.items()},

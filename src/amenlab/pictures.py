@@ -43,13 +43,13 @@ from .groups import (
     group_from_json,
     sort_elements,
 )
-from .rationals import fmt_q, parse_q
+from .rationals import fmt_q, items, parse_q, typed
 
 _F0 = Fraction(0)
 
 REALIZATION_BALL_CAP = 100_000  # largest probe domain realization_search takes
 
-_HEIGHT_WEIGHTS = {1: 1, -1: -1, 2: -1, -2: 1}
+_HEIGHT_WEIGHTS = (1, -1, -1, 1)  # by letter code: a, A, b, B
 
 
 def height(el: Element) -> int:
@@ -59,44 +59,33 @@ def height(el: Element) -> int:
     return sum(_HEIGHT_WEIGHTS[l] for l in el.value)
 
 
-def _typed(value, json_type: type, name: str):
-    """value, when it has the JSON type json_type (a bool is no int)."""
-    if not isinstance(value, json_type) or isinstance(value, bool):
-        raise ValueError(f"set construction field {name!r} must be a JSON {json_type.__name__}")
-    return value
-
-
-def _items(obj: Mapping, name: str, json_type: type) -> list:
-    """The JSON array obj[name], each of its items of json_type."""
-    return [_typed(x, json_type, name) for x in _typed(obj[name], list, name)]
-
-
 def _explicit(obj: Mapping, group: Group | None) -> dict:
     if group is None:
         raise ValueError("explicit sets need a group for parsing")
-    elements = {group.parse_element(t) for t in _typed(obj["elements"], list, "elements")}
+    elements = {group.parse_element(t) for t in items(obj["elements"], str, "elements")}
     return {"elements": [repr(e) for e in sort_elements(elements)]}
 
 
 def _progression(obj: Mapping, group: Group | None) -> dict:
-    modulus = _typed(obj["modulus"], int, "modulus")
+    modulus = typed(obj["modulus"], int, "modulus")
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
-    residues = sorted({r % modulus for r in _items(obj, "residues", int)})
-    return {"axis": _typed(obj["axis"], int, "axis"), "modulus": modulus, "residues": residues}
+    residues = sorted({r % modulus for r in items(obj["residues"], int, "residues")})
+    return {"axis": typed(obj["axis"], int, "axis"), "modulus": modulus, "residues": residues}
 
 
 def _parts(obj: Mapping, group: Group | None) -> dict:
-    return {"of": [_canonical(part, group) for part in _typed(obj["of"], list, "of")]}
+    return {"of": [_canonical(part, group) for part in typed(obj["of"], list, "of")]}
 
 
 # kind -> (its fields, their canonical values from a JSON object that has exactly them)
 _KINDS = {
     "explicit": (("elements",), _explicit),
     "first_letter": (
-        ("letters",), lambda obj, group: {"letters": sorted(set(_items(obj, "letters", str)))}
+        ("letters",),
+        lambda obj, group: {"letters": sorted(set(items(obj["letters"], str, "letters")))},
     ),
-    "h_above": (("k",), lambda obj, group: {"k": _typed(obj["k"], int, "k")}),
+    "h_above": (("k",), lambda obj, group: {"k": typed(obj["k"], int, "k")}),
     "progression": (("axis", "modulus", "residues"), _progression),
     "complement": (("of",), lambda obj, group: {"of": _canonical(obj["of"], group)}),
     "union": (("of",), _parts),
@@ -123,14 +112,7 @@ def _compile(spec: Mapping, group: Group) -> Callable[[Element], bool]:
     elif kind == "first_letter":
         if not isinstance(group, FreeGroup):
             raise GroupError("first_letter sets live in free groups")
-        letters = set()
-        for ch in spec["letters"]:
-            low = ch.lower()
-            if low not in group.gen_names:
-                raise GroupError(f"unknown generator letter {ch!r}")
-            idx = group.gen_names.index(low) + 1
-            letters.add(idx if ch.islower() else -idx)
-        lset = frozenset(letters)
+        lset = frozenset(group.letter(ch) for ch in spec["letters"])
 
         def test(el, _l=lset):
             return bool(el.value) and el.value[0] in _l

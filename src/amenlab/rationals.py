@@ -1,8 +1,10 @@
-"""Exact rational serialization helpers.
+"""Exact rational serialization and JSON type checks.
 
 All rationals cross serialization boundaries as "p/q" strings so that
 certificates round-trip losslessly and digests are stable across runs.
-No floating point is accepted anywhere.
+No floating point is accepted anywhere.  JSON input read as an integer,
+a string or an array is checked to have that JSON type first, so a
+mistyped field is a ValueError naming it, never a silent coercion.
 """
 
 from __future__ import annotations
@@ -36,6 +38,21 @@ def parse_q(text: str | int) -> Fraction:
         raise ValueError(f"zero denominator in rational {text!r}") from None
     except ValueError:
         raise ValueError(f"rational expected as p/q or an integer, got {text!r}") from None
+
+
+_JSON_TYPES = {int: "integer", str: "string", list: "array"}
+
+
+def typed(value, json_type: type, name: str):
+    """value, when it has the JSON type json_type (a bool is no integer)."""
+    if not isinstance(value, json_type) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a JSON {_JSON_TYPES[json_type]}")
+    return value
+
+
+def items(value, json_type: type, name: str) -> list:
+    """value, when it is a JSON array whose items all have the JSON type json_type."""
+    return [typed(x, json_type, f"each item of {name}") for x in typed(value, list, name)]
 
 
 def canonical_dumps(obj) -> str:

@@ -105,6 +105,8 @@ def test_cap_exhaustion_exit_two(capsys):
         "--eps", "1/2", "--cap", "10",
     )
     assert code == 2
+    assert main(["f2-infeasible", "9", "1/2", "2"]) == 2
+    assert capsys.readouterr().err == "cap exhausted: translate count capped at 8\n"
 
 
 def test_error_exits_one(capsys):
@@ -116,6 +118,10 @@ def test_error_exits_one(capsys):
             "--m", "1", "--n", "1", "--eps", "1/2")[0]
         == 1
     )
+    # boost ramps free groups by height, which only rank 2 has
+    for generators in ('["a"]', '["a","b","c"]'):
+        group = f'{{"kind":"free","generators":{generators}}}'
+        assert error_line(capsys, "boost", "--group", group, "--m", "1", "--eps", "3/4") == 1
 
 
 def test_no_witnesses_flag(capsys):
@@ -531,6 +537,19 @@ def test_verify_rejects_weighted_folner_result_for_another_size(capsys, tmp_path
     assert verify_status(capsys, path) == (1, "FAILED")
 
 
+# elements are JSON strings: other JSON types exit 1, with no coercion or traceback
+NON_STRING_ELEMENTS = {
+    "folner-check": [
+        ["--group", F2, "--a-set", "[1]", "--b-set", '["e"]', "--eps", "1/2"],
+        ["--group", Z5, "--a-set", "[true, 2.7]", "--b-set", '["1"]', "--eps", "1/2"],
+    ],
+    "pictures": [
+        ["--group", F2, "--window-radius", "1", "--domain-radius", "1",
+         "--target", '{"kind":"explicit","elements":[1]}'],
+    ],
+}
+
+
 @pytest.mark.parametrize("command, gone", [
     ("folner-check", ("--a-radius", "--b-radius")),
     ("pictures", ("--window-set",)),
@@ -539,6 +558,8 @@ def test_element_arguments_have_one_form(capsys, command, gone):
     assert usage_exit_code([command, "--help"]) == 0
     out = capsys.readouterr().out
     assert not [flag for flag in gone if flag in out]
+    for argv in NON_STRING_ELEMENTS[command]:
+        assert error_line(capsys, command, *argv) == 1
 
 
 def test_verify_reports_none_for_an_exhausted_realize_search(capsys, tmp_path):
@@ -636,7 +657,14 @@ def test_f2_infeasible_names_the_rational_form(capsys):
     assert capsys.readouterr().err == "error: rational expected as p/q or an integer, got '0.5'\n"
 
 
-@pytest.mark.parametrize("family", ['{"ground":["x"]}', '{"ground":["x"],"members":[["y"]]}'])
+@pytest.mark.parametrize("family", [
+    '{"ground":["x"]}',
+    '{"ground":["x"],"members":[["y"]]}',
+    '{"ground":[["x"]],"members":[]}',
+    '{"ground":["x"],"members":[5]}',
+    '{"ground":5,"members":[]}',
+    '{"ground":["x"],"members":"x"}',
+])
 def test_balance_rejects_a_malformed_family(capsys, family):
     assert error_line(capsys, "balance", "--family", family) == 1
 

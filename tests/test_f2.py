@@ -81,8 +81,7 @@ def test_compiled_specs_match_direct_logic():
     # cross-validate composed predicates against raw word structure
     sets = {k: s.compile(G) for k, s in five_set_specs(G).items()}
     for u in ball(G, 6):
-        word = u.value
-        f = bool(word) and abs(word[0]) == 1
+        f = repr(u)[0] in "aA"
         h = height(u) > 0
         assert sets["first_or_low"](u) == (f or not h)
         assert sets["first_and_high"](u) == (f and h)
@@ -179,6 +178,11 @@ def test_argument_validation():
         simultaneous_invariance(1, Q(1, 10), 2)
     with pytest.raises(ValueError):
         simultaneous_invariance(4, Q(-1), 2)
+    # the invariance LP grows by 20 rows per translate, so K is capped like the scan's
+    with pytest.raises(CapExceeded):
+        simultaneous_invariance(9, Q(1, 2), 2)
+    with pytest.raises(CapExceeded):
+        invariance_threshold(9, 2)
 
 
 # Per-word oracles: the scans and LP builds as they were before the

@@ -94,6 +94,9 @@ def test_ball_f2_sizes():
     assert [repr(e) for e in ball(F2, 1)] == ["e", "a", "A", "b", "B"]
     for n in range(6):
         assert len(ball(F2, n)) == 2 * 3**n - 1
+    # a word hashes by its letter codes alone, and no two words of ball(8) share a hash
+    words = ball(F2, 8)
+    assert len({hash(x) for x in words}) == len(words) == 13121
 
 
 def test_ball_growth_bound_all_kinds():
@@ -236,20 +239,21 @@ def test_measure_json_roundtrip():
 
 
 def _reduce_letter_by_letter(u, v):
-    word = list(u)
-    for letter in v:
-        if word and word[-1] == -letter:
+    # on formatted words: "e" is the empty word and swapcase inverts a letter
+    word = list(u.strip("e"))
+    for letter in v.strip("e"):
+        if word and word[-1] == letter.swapcase():
             word.pop()
         else:
             word.append(letter)
-    return tuple(word)
+    return "".join(word) or "e"
 
 
 def test_free_multiply_matches_letter_by_letter_reduction():
     pool = ball(F2, 3)
     for u in pool:
         for v in pool:
-            assert (u * v).value == _reduce_letter_by_letter(u.value, v.value)
+            assert repr(u * v) == _reduce_letter_by_letter(repr(u), repr(v))
 
 
 def test_free_multiply_across_equal_group_objects():
@@ -313,7 +317,13 @@ def test_group_json_roundtrip():
         assert group_from_json(g.to_json()) == g
     # the descriptor format is strict: unknown kinds or fields and missing fields are errors
     for bad in ({"kind": "free_abelian", "rank": 1, "x": 2}, {"kind": "free"}, {"kind": "torus"},
-                ["free"]):
+                ["free"],
+                # each field has one JSON type: no traceback and no silent coercion
+                {"kind": "free", "generators": [1]}, {"kind": "cyclic", "order": [5]},
+                {"kind": "finite_table", "table": 5},
+                {"kind": "finite_table", "table": [[0]], "generators": 5},
+                {"kind": "free", "generators": "ab"}, {"kind": "free_abelian", "rank": 2.5},
+                {"kind": "free_abelian", "rank": True}):
         with pytest.raises(GroupError):
             group_from_json(bad)
 
@@ -324,3 +334,8 @@ def test_sort_elements_shortlex():
     assert names == ["e", "a", "A", "b", "B", "aa", "ab", "aB", "AA"]
     # length is the primary key
     assert all(len(e.value) <= len(f.value) for e, f in zip(elems, elems[1:]))
+    # all of ball(3) is shortlex on the formatted words, with a < A < b < B
+    words = [repr(e) for e in ball(F2, 3)]
+    rank = {ch: i for i, ch in enumerate("aAbB")}
+    expected = sorted(words, key=lambda s: (len(s.strip("e")), [rank[ch] for ch in s.strip("e")]))
+    assert [repr(e) for e in sort_elements(ball(F2, 3)[::-1])] == words == expected

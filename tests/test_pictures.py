@@ -70,13 +70,12 @@ def test_realized_family_f2_first_letter_against_bruteforce():
     window = ball(F2, 1)
     first = spec("first_letter", letters=["a", "A"]).compile(F2)
     fam = realized_family(window, first, ball(F2, 2))
-    # independent enumeration: first letter computed on raw word tuples
+    # independent enumeration: first letter read from the formatted word
     expected = set()
     for g in ball(F2, 2):
         mask = 0
         for i, a in enumerate(window):
-            word = (a * g).value
-            if word and abs(word[0]) == 1:
+            if repr(a * g)[0] in "aA":
                 mask |= 1 << i
         expected.add(mask)
     assert set(fam.members) == expected
@@ -262,10 +261,11 @@ def test_setspec_json_roundtrip():
     {"kind": "union", "of": {"kind": "h_above", "k": 0}},
     {"kind": "h_above", "k": "0"},
     ["h_above", 0],
+    {"kind": "explicit", "elements": [1]},
 ])
 def test_setspec_rejects_malformed_json(obj):
     with pytest.raises(ValueError):
-        SetSpec.from_json(obj)
+        SetSpec.from_json(obj, F2)
 
 
 def test_setspec_group_mismatch():
