@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .groups import CapExceeded
 from .linprog import EQ, GE, LE, LinearSystem, Optimum, minimize, solve_feasibility
-from .rationals import fmt_q, items, parse_q
+from .rationals import exact, fmt_q, items, parse_q
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -231,7 +231,7 @@ def family_of_positive_sets(values: Sequence, ground: Sequence) -> SetFamily:
     `POSITIVE_SETS_CAP` points because every subset is enumerated.
     """
     ground = tuple(ground)
-    vals = [Fraction(v) for v in values]
+    vals = [exact(v) for v in values]
     if len(vals) != len(ground):
         raise ValueError("values must align with the ground set")
     if sum(vals, _F0) != 0:
@@ -245,6 +245,7 @@ def family_of_positive_sets(values: Sequence, ground: Sequence) -> SetFamily:
 
 def verify_balance_witness(family: SetFamily, witness: BalanceWitness, eps=None) -> bool:
     """Exact recheck: convexity, vector recomputation, gap, optional bound."""
+    eps = None if eps is None else exact(eps)
     if len(witness.weights) != len(family.members):
         return False
     if any(w < 0 for w in witness.weights):
@@ -256,7 +257,7 @@ def verify_balance_witness(family: SetFamily, witness: BalanceWitness, eps=None)
         return False
     if max(vector) - min(vector) != witness.gap:
         return False
-    if eps is not None and witness.gap > Fraction(eps):
+    if eps is not None and witness.gap > eps:
         return False
     return True
 

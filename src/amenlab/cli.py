@@ -73,6 +73,7 @@ from .groups import (
     sort_elements,
 )
 from .pictures import (
+    PROBE_BALL_CAP,
     NonAmenabilityCertificate,
     SetSpec,
     height,
@@ -85,7 +86,6 @@ from .ramsey import (
     BOOST_STEP_GAP,
     DEFAULT_ENUMERATION_CAP,
     RamseyVerdict,
-    _f_gap,
     boost,
     boost_steps_needed,
     interior,
@@ -279,7 +279,8 @@ def _verify_unbalance(group, job, result) -> bool:
 
 def _pictures(args):
     target = SetSpec.from_json(_load_json_arg(args.target), args.group)
-    window, domain = ball(args.group, args.window_radius), ball(args.group, args.domain_radius)
+    window = ball(args.group, args.window_radius)
+    domain = ball(args.group, args.domain_radius, cap=PROBE_BALL_CAP)
     family = realized_family(window, target.compile(args.group), domain)
     job = {
         "window": [repr(a) for a in window],
@@ -296,7 +297,7 @@ def _pictures(args):
 def _verify_pictures(group, job, result) -> bool:
     window = tuple(sort_elements(_parse_elements(group, job["window"])))
     test = SetSpec.from_json(job["target"], group).compile(group)
-    family = realized_family(window, test, ball(group, job["domain_radius"]))
+    family = realized_family(window, test, ball(group, job["domain_radius"], cap=PROBE_BALL_CAP))
     return family.to_json() == result["family"]
 
 
@@ -392,10 +393,10 @@ def _verify_boost(group, job, result) -> bool:
         if set(nu.support()) - set(interior(towers[i], towers[i + 1])):
             return False
         rho = nu.convolve(rho)
-        gap = _f_gap(towers[i], rho, f)
+        gap = rho.gap(towers[i], f)
         if gap != parse_q(steps[i]["tail_gap"]) or gap > BOOST_STEP_GAP ** (n - i):
             return False
-    gap = _f_gap(towers[0], rho, f)
+    gap = rho.gap(towers[0], f)
     final = Measure.from_json(group, result["measure"])
     return rho == final and gap == parse_q(result["final_gap"]) and gap <= eps
 

@@ -55,7 +55,7 @@ from .linprog import (
     verify_certificate,
 )
 from .pictures import SetSpec, height
-from .rationals import fmt_q, parse_q
+from .rationals import exact, fmt_q, parse_q
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -154,6 +154,14 @@ def _check_translate_count(translate_count: int) -> None:
         raise ValueError("need at least two translates")
     if translate_count > MAX_TRANSLATES:
         raise CapExceeded(f"translate count capped at {MAX_TRANSLATES}")
+
+
+def _invariance_ball(translate_count: int, radius: int) -> tuple[FreeGroup, tuple[Element, ...]]:
+    """F2 and the invariance LP's column ball: every solve and verify path
+    raises `CapExceeded` here for K or the ball past its cap, before any LP."""
+    _check_translate_count(translate_count)
+    group = f2_group()
+    return group, ball(group, radius, cap=INVARIANCE_BALL_CAP)
 
 
 def verify_identities(max_length: int) -> ScanReport:
@@ -290,10 +298,10 @@ def invariance_system(
     `invariance_translates` order, the <= delta row followed by the
     >= -delta row for ``nu(w^-1 E) - nu(E)``.
     """
-    group = f2_group()
-    columns = ball(group, radius)
+    delta = exact(delta)
+    group, columns = _invariance_ball(translate_count, radius)
     table = _membership_table(group, columns, translate_count)
-    rows = _gap_rows(table, Fraction(delta), range(len(columns)))
+    rows = _gap_rows(table, delta, range(len(columns)))
     return LinearSystem(len(columns), rows, nonneg=True), columns
 
 
@@ -364,12 +372,10 @@ def simultaneous_invariance(translate_count: int, delta, radius: int) -> Invaria
     The LP is solved on merged columns (see `_merged_system`); feasible
     points expand by placing each merged weight on the representative.
     """
-    delta = Fraction(delta)
-    _check_translate_count(translate_count)
+    delta = exact(delta)
+    group, columns = _invariance_ball(translate_count, radius)
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    group = f2_group()
-    columns = ball(group, radius, cap=INVARIANCE_BALL_CAP)
     system, reps = _merged_system(group, columns, translate_count, delta)
     outcome = solve_feasibility(system)
     if outcome.feasible:
@@ -393,21 +399,17 @@ def verify_invariance_outcome(outcome: InvarianceOutcome) -> bool:
     predicates; infeasible ones rebuild the full LP and validate the
     Farkas multipliers row by row.
     """
-    group = f2_group()
     if outcome.feasible:
         nu = outcome.measure
-        if nu is None:
-            return False
-        pool = set(ball(group, outcome.radius))
-        if set(nu.support()) - pool:
+        group, columns = _invariance_ball(outcome.translate_count, outcome.radius)
+        if nu is None or set(nu.support()) - set(columns):
             return False
         sets = five_set_specs(group)
         for key in FIVE_SET_ORDER:
             test = sets[key].compile(group)
-            base = nu.of_set(test)
+            base = nu.average(test)
             for w in invariance_translates(group, outcome.translate_count):
-                shifted = nu.of_set(lambda x, _w=w, _t=test: _t(_w * x))
-                if abs(shifted - base) > outcome.delta:
+                if abs(nu.average(test, w) - base) > outcome.delta:
                     return False
         return True
     if outcome.farkas is None:
@@ -454,9 +456,7 @@ class ThresholdReport:
 
 def invariance_threshold(translate_count: int, radius: int) -> ThresholdReport:
     """The exact crossover delta of the five-set invariance LP, by one LP."""
-    _check_translate_count(translate_count)
-    group = f2_group()
-    columns = ball(group, radius, cap=INVARIANCE_BALL_CAP)
+    group, columns = _invariance_ball(translate_count, radius)
     system, reps = _merged_system(group, columns, translate_count, _F0)
     opt = minimize(_threshold_system(system))
     weights = {rep: w for rep, w in zip(reps, opt.point[:-1]) if w}

@@ -42,7 +42,7 @@ from .groups import (
     translate_set,
 )
 from .linprog import EQ, GE, LE, LinearSystem, minimize
-from .rationals import fmt_q
+from .rationals import exact, fmt_q
 from .ramsey import boost_steps_needed, interior, ramsey_function
 
 _F0 = Fraction(0)
@@ -75,7 +75,7 @@ class FolnerReport:
 
 def is_epsilon_folner(window: Iterable[Element], bset: Iterable[Element], eps) -> FolnerReport:
     """Exact boundary counts and the verdict total <= eps * |B|."""
-    eps = Fraction(eps)
+    eps = exact(eps)
     window = tuple(sort_elements(window))
     bpool = frozenset(bset)
     if not bpool:
@@ -260,7 +260,7 @@ class WeightedFolnerFunction:
 
 def weighted_folner_function(group: Group, m: int, eps, n_max: int) -> WeightedFolnerFunction:
     """Least n <= n_max whose optimal defect is <= eps, with per-n records."""
-    eps = Fraction(eps)
+    eps = exact(eps)
     per_n: list[tuple[int, str]] = []
     for n in range(0, n_max + 1):
         try:
@@ -285,7 +285,7 @@ def folner_from_weighted(nu: Measure, window: Iterable[Element], eps) -> frozens
     boundary counts while the total mass is the weighted sum of level-set
     sizes, so not every level set can be above threshold.
     """
-    eps = Fraction(eps)
+    eps = exact(eps)
     window = tuple(sort_elements(window))
     defect = invariance_defect(nu, window)
     if defect > eps:

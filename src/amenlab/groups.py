@@ -29,7 +29,7 @@ import string
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .rationals import fmt_q, items, parse_q, typed
+from .rationals import exact, fmt_q, items, parse_q, typed
 
 
 class CapExceeded(Exception):
@@ -480,17 +480,11 @@ def translate_set(g: Element, elems: Iterable[Element]) -> frozenset[Element]:
     return frozenset(g * x for x in elems)
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, float):
-        raise GroupError("measure weights must be exact rationals, not floats")
-    return Fraction(x)
-
-
 class Measure:
     """Finitely supported probability measure with exact rational weights.
 
-    Only nonzero weights are stored; weights are validated to be
-    nonnegative and to sum to exactly 1.
+    Only nonzero weights are stored; weights must pass `exact` (else
+    GroupError), be nonnegative and sum to exactly 1.
     """
 
     __slots__ = ("group", "weights")
@@ -501,7 +495,10 @@ class Measure:
         for el, w in weights.items():
             if el.group != group:
                 raise GroupError("measure support must live in the stated group")
-            f = _as_fraction(w)
+            try:
+                f = exact(w)
+            except ValueError as exc:
+                raise GroupError(f"measure weights: {exc}") from None
             if f < 0:
                 raise GroupError("measure weights must be nonnegative")
             if f:
@@ -540,9 +537,22 @@ class Measure:
                 out[z] = out.get(z, Fraction(0)) + wx * wy
         return Measure(self.group, out)
 
-    def of_set(self, test: Callable[[Element], bool]) -> Fraction:
-        """ν(E) for E given by its membership test."""
-        return sum((w for el, w in self.weights.items() if test(el)), Fraction(0))
+    def average(self, f: Callable[[Element], object], g: Element | None = None) -> Fraction:
+        """(gν)(f) = Σ ν(x)·f(g·x), or ν(f) when g is None; a bool value of f
+        counts as 0 or 1 (ν(E) is ``average(test)``), any other passes `exact`."""
+        total = Fraction(0)
+        for x, w in self.weights.items():
+            v = f(x if g is None else g * x)
+            if v is True:
+                total += w
+            elif v:
+                total += w * (v if type(v) is Fraction else exact(v))
+        return total
+
+    def gap(self, window: Iterable[Element], f: Callable[[Element], object]) -> Fraction:
+        """max - min of (aν)(f) over a in the window."""
+        values = [self.average(f, a) for a in window]
+        return max(values) - min(values)
 
     def to_json(self) -> dict:
         return {

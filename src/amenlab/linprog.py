@@ -2,9 +2,11 @@
 
 A dense two-phase simplex with Bland's anti-cycling rule, so pivoting
 terminates and identical systems produce identical answers bit for bit.
-It pivots on integer rows, each over one positive denominator; systems
-and results are `fractions.Fraction`.  Every result is accompanied by data
-that can be re-checked by plain arithmetic, independent of the solver:
+It pivots on integer rows, each over one positive denominator.  System
+data passes the `rationals.exact` gate (a Fraction or an int; a float,
+bool or string is a ValueError) and results are `fractions.Fraction`.
+Every result is accompanied by data that can be re-checked by plain
+arithmetic, independent of the solver:
 
 * Feasible     -> a rational point satisfying every constraint exactly.
 * Infeasible   -> Farkas multipliers, one per constraint row, that
@@ -31,21 +33,13 @@ from functools import reduce
 from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .rationals import fmt_q, parse_q
+from .rationals import exact, fmt_q, parse_q
 
 LE, EQ, GE = "<=", "=", ">="
 _RELS = (LE, EQ, GE)
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, float):
-        raise ValueError("LP data must be exact rationals, not floats")
-    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -59,7 +53,8 @@ class LinearSystem:
     """Immutable constraint system over named-by-index rational variables.
 
     ``objective``, when given, holds one coefficient per variable of the
-    linear form to minimize.
+    linear form to minimize.  Coefficients and right-hand sides pass the
+    `exact` gate: a Fraction or an int, never a float, bool or string.
     """
 
     def __init__(
@@ -72,17 +67,17 @@ class LinearSystem:
         if num_vars < 1:
             raise ValueError("a system needs at least one variable")
         self.num_vars = int(num_vars)
-        packed = []
+        packed = []  # most data is Fraction already: skip the gate's call per coefficient
         for coeffs, rel, rhs in rows:
-            coeffs = tuple(_frac(c) for c in coeffs)
+            coeffs = tuple(c if type(c) is Fraction else exact(c) for c in coeffs)
             if len(coeffs) != self.num_vars:
                 raise ValueError("row length does not match variable count")
             if rel not in _RELS:
                 raise ValueError(f"unknown relation {rel!r}")
-            packed.append(Row(coeffs, rel, _frac(rhs)))
+            packed.append(Row(coeffs, rel, rhs if type(rhs) is Fraction else exact(rhs)))
         self.rows: tuple[Row, ...] = tuple(packed)
         if objective is not None:
-            objective = tuple(_frac(c) for c in objective)
+            objective = tuple(c if type(c) is Fraction else exact(c) for c in objective)
             if len(objective) != self.num_vars:
                 raise ValueError("objective length does not match variable count")
         self.objective: tuple[Fraction, ...] | None = objective

@@ -43,11 +43,11 @@ from .groups import (
     group_from_json,
     sort_elements,
 )
-from .rationals import fmt_q, items, parse_q, typed
+from .rationals import exact, fmt_q, items, parse_q, typed
 
 _F0 = Fraction(0)
 
-REALIZATION_BALL_CAP = 100_000  # largest probe domain realization_search takes
+PROBE_BALL_CAP = 100_000  # largest probe ball a picture family is taken over
 
 _HEIGHT_WEIGHTS = (1, -1, -1, 1)  # by letter code: a, A, b, B
 
@@ -250,7 +250,7 @@ class NonAmenabilityCertificate:
 
 def verify_nonamenability_certificate(cert: NonAmenabilityCertificate) -> bool:
     """Recompute the family from scratch and recheck both positivity claims."""
-    domain = ball(cert.group, cert.radius)
+    domain = ball(cert.group, cert.radius, cap=PROBE_BALL_CAP)
     family = realized_family(cert.window, cert.target.compile(cert.group), domain)
     if family != cert.family:
         return False
@@ -301,16 +301,16 @@ def realization_search(
     """
     window = tuple(sort_elements(window))
     if isinstance(f, Mapping):
-        values = tuple(Fraction(f[a]) for a in window)
+        values = tuple(exact(f[a]) for a in window)
     else:
-        values = tuple(Fraction(x) for x in f)
+        values = tuple(exact(x) for x in f)
         if len(values) != len(window):
             raise ValueError("weight vector must align with the window")
     if sum(values, _F0) != 0:
         raise ValueError("window weighting must sum to zero")
     if not any(values):
         raise ValueError("zero weighting is vacuous: no subset has positive sum")
-    domain = ball(group, radius, cap=REALIZATION_BALL_CAP)
+    domain = ball(group, radius, cap=PROBE_BALL_CAP)
     for spec in candidate_pool(group):
         family = realized_family(window, spec.compile(group), domain)
         margin = min(member_sums(family, values))

@@ -61,7 +61,7 @@ from .linprog import (
     verify_certificate,
 )
 from .pictures import picture
-from .rationals import fmt_q, parse_q
+from .rationals import exact, fmt_q, parse_q
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -278,7 +278,7 @@ def is_epsilon_ramsey(
     least failing subset with an exact infeasibility certificate.
     ``method`` selects the decision route; both produce identical verdicts.
     """
-    eps = Fraction(eps)
+    eps = exact(eps)
     if eps < 0:
         raise ValueError("eps must be >= 0")
     if method not in ("direct", "pictures"):
@@ -431,7 +431,7 @@ def verify_ramsey_verdict(verdict: RamseyVerdict) -> bool | None:
                 return False
             for e_mask, nu in verdict.witnesses.items():
                 # E's indicator; bit k of e_mask is 0, so points off A*C are outside E
-                gap = _f_gap(window, nu, lambda x: e_mask >> pos.get(x, k) & 1)
+                gap = nu.gap(window, lambda x: e_mask >> pos.get(x, k) & 1)
                 if set(nu.support()) - set(C) or gap > verdict.eps:
                     return False
         if verdict.family_witnesses is not None:
@@ -480,7 +480,7 @@ def subset_measure(
     E inside A*C matters, and the 1/2 default is all the boosting
     construction ever needs from a window.
     """
-    eps = Fraction(eps)
+    eps = exact(eps)
     window = tuple(sort_elements(window))
     C = interior(window, bset)
     if not C:
@@ -494,22 +494,6 @@ def subset_measure(
         return None
     weights = {c: w for c, w in zip(C, outcome.point) if w}
     return Measure(group, weights)
-
-
-def _average(nu: Measure, f: Callable, g: Element) -> Fraction:
-    """(g nu)(f) = sum over c of nu(c) f(g c), computed exactly."""
-    total = _F0
-    for c, w in nu.weights.items():
-        v = f(g * c)
-        if v:
-            total += w * Fraction(v)
-    return total
-
-
-def _f_gap(window: Sequence[Element], nu: Measure, f: Callable) -> Fraction:
-    """max over window pairs of |a nu(f) - a' nu(f)|, computed exactly."""
-    vals = [_average(nu, f, a) for a in window]
-    return max(vals) - min(vals)
 
 
 def binary_to_unit(
@@ -529,7 +513,7 @@ def binary_to_unit(
     get = f if callable(f) else f.__getitem__
     fvals = {}
     for b in bset_t:
-        v = Fraction(get(b))
+        v = exact(get(b))
         if not 0 <= v <= 1:
             raise ValueError("f must map B into [0,1]")
         fvals[b] = v
@@ -537,7 +521,7 @@ def binary_to_unit(
     nu = subset_measure(window, bset_t, e_elements)
     if nu is None:
         raise ValueError("B is not 1/2-Ramsey w.r.t. the window for the level set of f")
-    gap = _f_gap(tuple(sort_elements(window)), nu, lambda g: fvals[g])
+    gap = nu.gap(window, fvals.__getitem__)
     if gap > BOOST_STEP_GAP:
         raise RuntimeError("internal error: single-step gap bound violated")
     return nu
@@ -577,7 +561,7 @@ class BoostResult:
 
 def boost_steps_needed(eps: Fraction) -> int:
     """Least n with (3/4)^n <= eps."""
-    eps = Fraction(eps)
+    eps = exact(eps)
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
     n = 0
@@ -629,7 +613,7 @@ def boost(
     past `BOOST_RADIUS_CAP` raises `CapExceeded`.  All gap bounds, per
     step and final, are verified exactly.
     """
-    eps = Fraction(eps)
+    eps = exact(eps)
     window = tuple(sort_elements(window))
     if not window:
         raise ValueError("window must be nonempty")
@@ -640,7 +624,7 @@ def boost(
         rho = Measure.point_mass(window[0].group.identity())
         steps: list[BoostStep] = []
         for i in range(n - 1, -1, -1):
-            tail = {g: _average(rho, f, g) for g in towers[i + 1]}
+            tail = {g: rho.average(f, g) for g in towers[i + 1]}
             lo = min(tail.values())
             scale = BOOST_STEP_GAP ** (n - i - 1)
             f_i = {g: (v - lo) / scale for g, v in tail.items()}
@@ -652,13 +636,13 @@ def boost(
                 bumps[i] += 1
                 break
             rho = nu.convolve(rho)
-            tail_gap = _f_gap(towers[i], rho, f)
+            tail_gap = rho.gap(towers[i], f)
             if tail_gap > scale * BOOST_STEP_GAP:
                 raise RuntimeError("internal error: contraction bound violated")
             steps.append(BoostStep(towers[i], towers[i + 1], nu, tail_gap))
         else:  # every level solved
             steps.reverse()
-            final_gap = _f_gap(window, rho, f)
+            final_gap = rho.gap(window, f)
             if final_gap > eps:
                 raise RuntimeError("internal error: boosted gap exceeds eps")
             return BoostResult(rho, steps, final_gap, eps)
@@ -698,7 +682,7 @@ def ramsey_function(
     Each radius is decided by the pictures route.  Radii where the enumeration cap is exceeded are recorded as
     "cap_exceeded" and do not count as negative verdicts.
     """
-    eps = Fraction(eps)
+    eps = exact(eps)
     window = ball(group, m)
     per_n: list[tuple[int, str]] = []
     for n in range(0, n_max + 1):

@@ -1,9 +1,10 @@
-"""Exact rational serialization and JSON type checks.
+"""The exact-rational gate, serialization and JSON type checks.
 
-All rationals cross serialization boundaries as "p/q" strings so that
-certificates round-trip losslessly and digests are stable across runs.
-No floating point is accepted anywhere.  JSON input read as an integer,
-a string or an array is checked to have that JSON type first, so a
+`exact` decides what every library entry point accepts as a rational: a
+Fraction or an int, never a float, bool or string.  Rationals cross
+serialization boundaries as "p/q" strings, so certificates round-trip
+losslessly and digests are stable.  JSON input read as an integer, a
+string or an array is checked to have that JSON type first, so a
 mistyped field is a ValueError naming it, never a silent coercion.
 """
 
@@ -14,24 +15,29 @@ import json
 from fractions import Fraction
 
 
+def exact(x) -> Fraction:
+    """x as a Fraction when it is a Fraction or an int; a ValueError naming any other type."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    raise ValueError(f"exact rational expected (Fraction or int), got {type(x).__name__}")
+
+
 def fmt_q(x: Fraction | int) -> str:
     """Render a rational as a canonical "p/q" string (gcd-reduced, q > 0)."""
-    f = Fraction(x)
+    f = exact(x)
     return f"{f.numerator}/{f.denominator}"
 
 
-def parse_q(text: str | int) -> Fraction:
+def parse_q(text: str | Fraction | int) -> Fraction:
     """Parse "p/q" (or a bare integer string) into an exact Fraction.
 
-    Floats are rejected: certificates must stay exact.
+    A non-string goes through `exact`, so floats and bools are rejected.
     """
-    if isinstance(text, bool):
-        raise ValueError("rational expected, got bool")
-    if isinstance(text, int):
-        return Fraction(text)
-    if isinstance(text, float):
-        raise ValueError("floating point rationals are not accepted; use p/q")
-    num, slash, den = str(text).strip().partition("/")
+    if not isinstance(text, str):
+        return exact(text)
+    num, slash, den = text.strip().partition("/")
     try:
         return Fraction(int(num), int(den) if slash else 1)
     except ZeroDivisionError:

@@ -677,3 +677,46 @@ def test_balance_rejects_a_malformed_family(capsys, family):
 def test_realize_search_rejects_weights_off_the_window(capsys, f):
     assert error_line(capsys, "realize-search", "--group", Z, "--window-radius", "1",
                       "--radius", "2", "--f", f) == 1
+
+
+def cap_line(capsys, *argv):
+    """Exit code and stdout of a run that must stop with one `cap exhausted:` line."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cap exhausted: ") and captured.err.count("\n") == 1, captured.err
+    return code, captured.out
+
+
+@pytest.mark.parametrize("job_field, result_field, value", [("K", "K", 9), ("r", "radius", 7)])
+def test_verify_caps_a_forged_invariance_lp(capsys, tmp_path, job_field, result_field, value):
+    # verify rebuilds the full LP from the envelope's K and r: the run's caps hold there too
+    path = tmp_path / "inf.json"
+    assert run(capsys, "f2-infeasible", "8", "1/100", "2", "--out", str(path))[0] == 0
+
+    def enlarge(env):
+        env["job"][job_field] = env["result"][result_field] = value
+
+    forge(path, enlarge)
+    assert cap_line(capsys, "verify", str(path)) == (2, "")
+
+
+def test_pictures_caps_the_probe_domain(capsys, tmp_path):
+    # ball(F2, 10) has 118,097 words, past the 100,000-word probe cap
+    path = tmp_path / "pics.json"
+    assert cap_line(
+        capsys, "pictures", "--group", F2, "--window-radius", "1",
+        "--target", '{"kind":"first_letter","letters":["a","A"]}',
+        "--domain-radius", "10", "--out", str(path),
+    ) == (2, "")
+    assert not path.exists()
+
+
+def test_verify_caps_a_forged_realize_search_probe(capsys, tmp_path):
+    path = tmp_path / "search.json"
+    readme_envelope(capsys, path, "realize-search")
+
+    def widen(env):
+        env["job"]["radius"] = env["result"]["certificate"]["radius"] = 10
+
+    forge(path, widen)
+    assert cap_line(capsys, "verify", str(path)) == (2, "")

@@ -212,16 +212,25 @@ def test_translation_identity(group):
         g = rng.choice(pool)
         nu = _random_measure(rng, pool)
         E = frozenset(rng.sample(pool, rng.randint(0, 5)))
-        lhs = Measure.point_mass(g).convolve(nu).of_set(E.__contains__)
-        rhs = nu.of_set(translate_set(g.inverse(), E).__contains__)
+        lhs = Measure.point_mass(g).convolve(nu).average(E.__contains__)
+        rhs = nu.average(translate_set(g.inverse(), E).__contains__)
         assert lhs == rhs
 
 
-def test_measure_of_set_examples():
+def test_measure_average_examples():
     nu = Measure(Z, {zel(-1): Q(1, 3), zel(0): Q(1, 3), zel(1): Q(1, 3)})
-    assert nu.of_set(lambda e: False) == 0
-    assert nu.of_set(lambda e: True) == 1
-    assert nu.of_set(lambda e: e.value[0] % 2 == 0) == Q(1, 3)
+    assert nu.average(lambda e: False) == 0
+    assert nu.average(lambda e: True) == 1
+    assert nu.average(lambda e: e.value[0] % 2 == 0) == Q(1, 3)
+    # a translate: (g nu)(f) = sum of nu(x) f(g x), here the mean of x + 1
+    g = zel(1)
+    assert nu.average(lambda e: e.value[0], g) == 1
+    f = lambda e: Q(e.value[0] ** 2, 4)
+    assert nu.average(f, g) == Measure.point_mass(g).convolve(nu).average(f) == Q(5, 12)
+    # (a nu)(x >= 1) over a in ball(1) is 0, 1/3, 2/3
+    assert nu.gap(ball(Z, 1), lambda e: e.value[0] >= 1) == Q(2, 3)
+    with pytest.raises(ValueError):
+        nu.average(lambda e: 0.5)
 
 
 def test_measure_validation():

@@ -148,7 +148,7 @@ def test_measure_to_balanced_consistency():
         E = frozenset(rng.sample(list(ball(Z, 4)), rng.randint(0, 6)))
         gaps = []
         for a in window:
-            gaps.append(nu.of_set(lambda x, _a=a: (_a * x) in E))
+            gaps.append(nu.average(lambda x, _a=a: (_a * x) in E))
         eps = max(gaps) - min(gaps)
         dist = _picture_distribution(window, E.__contains__, nu)
         family = SetFamily(window, dist.keys())
@@ -171,7 +171,7 @@ def test_balanced_to_measure_consistency():
         family = realized_family(window, E.__contains__, domain)
         eps_star, witness = balance_deficiency(family)
         nu = _measure_from_family_weights(window, E.__contains__, domain, family, witness.weights)
-        gaps = [nu.of_set(lambda x, _a=a: (_a * x) in E) for a in window]
+        gaps = [nu.average(lambda x, _a=a: (_a * x) in E) for a in window]
         assert max(gaps) - min(gaps) == eps_star
 
 
