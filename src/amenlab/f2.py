@@ -55,7 +55,7 @@ from .linprog import (
     verify_certificate,
 )
 from .pictures import SetSpec, height
-from .rationals import exact, fmt_q, parse_q
+from .rationals import exact, fmt_q, parse_q, typed
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -337,9 +337,9 @@ class InvarianceOutcome:
         if "farkas" in obj:
             farkas = tuple(parse_q(x) for x in obj["farkas"])
         return cls(
-            int(obj["K"]),
+            typed(obj["K"], int, "K"),
             parse_q(obj["delta"]),
-            int(obj["radius"]),
+            typed(obj["radius"], int, "radius"),
             obj["status"] == "feasible",
             measure,
             farkas,

@@ -13,14 +13,14 @@ Two independent decision routes are implemented and must agree:
 * pictures: for each ``E`` test eps-balancedness of the picture family
             ``{ {a in A : a*c in E} : c in C }`` via the balance module.
 
-Only subsets of ``A*C`` are enumerated: a picture depends on ``E``
-through ``E ∩ A*C`` alone, so every other subset of ``B`` is equivalent
-to one of these.  Subsets are numbered by bitmask over the canonical
-order of ``A*C`` and visited in increasing mask order, so a failing
-verdict reports the least failing mask.  The picture columns are not
-rebuilt per subset: from mask e - 1 to e exactly the positions below
-e's lowest set bit and that bit flip, so one list of columns is updated
-in place by a precomputed XOR per touched column (`_masks_and_columns`).
+Only subsets of ``A*C`` matter: a picture depends on ``E`` through
+``E ∩ A*C`` alone, so every other subset of ``B`` is equivalent to one
+of these.  Subsets are numbered by bitmask over the canonical order of
+``A*C``, and a failing verdict reports the least failing mask.  The
+direct route visits every mask in increasing order (`_masks_and_columns`).
+The pictures route sees each realized family once, at its least mask and
+in increasing mask order, from a memoized depth-first search over E's
+bits (`_families`), so it never walks the masks that repeat a family.
 The enumeration cap bounds |A*C|.
 
 The module also houses the constructive gap reductions: turning a
@@ -61,7 +61,7 @@ from .linprog import (
     verify_certificate,
 )
 from .pictures import picture
-from .rationals import exact, fmt_q, parse_q
+from .rationals import exact, fmt_q, parse_q, typed
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -110,6 +110,89 @@ def _masks_and_columns(prod_pos: Sequence[Sequence[int]], k: int):
         for j, x in carry[(e_mask & -e_mask).bit_length() - 1]:
             cols[j] ^= x
         yield e_mask, cols
+
+
+def _families(prod_pos: Sequence[Sequence[int]], k: int, width: int):
+    """Yield (e_mask, family) once per picture family that the subsets of
+    A*C realize, with the least mask realizing it, in increasing mask order.
+
+    family is the frozenset of the columns `_masks_and_columns` gives at
+    e_mask.  E's bits are decided from position k - 1 down to 0, bit 0
+    before bit 1, so the leaves come in mask order.  A column closes at
+    its least position, where its last bit is decided; `top` is the
+    highest position at which a column closes.
+
+    Positions k - 1 .. top are walked flat, every prefix in turn, with the
+    columns XOR-updated in place as in `_masks_and_columns`: no column has
+    closed before `top`, so no two of these prefixes share a state.  Below
+    `top` a depth-first search runs.  Its node holds the position, the
+    closed family as a bitmask (bit v set when a closed column is v) and
+    the open columns' partial pictures, `width` bits apiece in one int.
+    The families below a node depend on that state alone, and the first
+    visit of a state had the smaller prefix, so a node whose state was
+    visited before is skipped.
+    """
+    full = (1 << width) - 1
+    top = max(min(positions) for positions in prod_pos)
+    order = sorted(range(len(prod_pos)), key=lambda j: min(prod_pos[j]) < top)  # closing at top first
+    nclose = sum(min(positions) == top for positions in prod_pos)
+    carry = []  # carry[t]: (column, XOR) for every column that positions top .. top + t feed
+    for t in range(k - top):
+        flips = (
+            (r, sum(1 << i for i, p in enumerate(prod_pos[j]) if top <= p <= top + t))
+            for r, j in enumerate(order)
+        )
+        carry.append(tuple((r, x) for r, x in flips if x))
+    feeds = [0] * top  # feeds[p]: the packed partial-picture bits that position p sets
+    closes: list[list[int]] = [[] for _ in range(top)]  # shifts of the columns closing at p
+    for r, j in enumerate(order[nclose:]):
+        for i, p in enumerate(prod_pos[j]):
+            if p < top:
+                feeds[p] |= 1 << (r * width + i)
+        closes[min(prod_pos[j])].append(r * width)
+    keeps = [~sum(full << s for s in shifts) for shifts in closes]
+    visited = set()
+    found = set()  # frozensets when top is 0, else bitmasks
+    cols = [0] * len(order)
+    for high in range(1 << (k - top)):
+        if high:
+            for r, x in carry[(high & -high).bit_length() - 1]:
+                cols[r] ^= x
+        if not top:  # every column closed: a leaf
+            family = frozenset(cols)
+            if family not in found:
+                found.add(family)
+                yield high, family
+            continue
+        family = sum(1 << v for v in set(cols[:nclose]))
+        partial = 0
+        for r, c in enumerate(cols[nclose:]):
+            partial |= c << (r * width)
+        stack = [(top - 1, high << top, family, partial)]  # (position to decide, mask, family, partials)
+        while stack:
+            p, mask, family, part = stack.pop()
+            node = (p, family, part)
+            if node in visited:
+                continue
+            visited.add(node)
+            fam0 = fam1 = family
+            part1 = part ^ feeds[p]
+            for s in closes[p]:
+                fam0 |= 1 << (part >> s & full)
+                fam1 |= 1 << (part1 >> s & full)
+            if p:
+                stack.append((p - 1, mask | 1 << p, fam1, part1 & keeps[p]))
+                stack.append((p - 1, mask, fam0, part & keeps[p]))
+                continue
+            for e_mask, fam in ((mask, fam0), (mask | 1, fam1)):
+                if fam not in found:
+                    found.add(fam)
+                    members = []
+                    while fam:
+                        low = fam & -fam
+                        members.append(low.bit_length() - 1)
+                        fam ^= low
+                    yield e_mask, frozenset(members)
 
 
 def _layout(window: Sequence[Element], bset: Iterable[Element]):
@@ -224,10 +307,10 @@ class RamseyVerdict:
         if "counterexample" in obj:
             ce = obj["counterexample"]
             counterexample = RamseyCounterexample(
-                ce["E_mask"], elements(ce["E"]), ce["kind"], ce["payload"]
+                typed(ce["E_mask"], int, "E_mask"), elements(ce["E"]), ce["kind"], ce["payload"]
             )
         return cls(
-            obj["is_ramsey"],
+            typed(obj["is_ramsey"], bool, "is_ramsey"),
             parse_q(obj["eps"]),
             obj["method"],
             elements(obj["window"]),
@@ -238,7 +321,7 @@ class RamseyVerdict:
             witnesses=witnesses,
             family_witnesses=family_witnesses,
             counterexample=counterexample,
-            subsets_checked=obj["subsets_checked"],
+            subsets_checked=typed(obj["subsets_checked"], int, "subsets_checked"),
         )
 
 
@@ -273,10 +356,13 @@ def is_epsilon_ramsey(
 ) -> RamseyVerdict:
     """Decide eps-Ramseyness of B with respect to the window A.
 
-    Enumerates every subset of A*C (bitmask order) and reports either
-    witnesses for all of them (as far as `keeps_witnesses` allows) or the
-    least failing subset with an exact infeasibility certificate.
-    ``method`` selects the decision route; both produce identical verdicts.
+    Covers every subset of A*C and reports either witnesses for all of
+    them (as far as `keeps_witnesses` allows) or the least failing subset
+    in bitmask order with an exact infeasibility certificate.  ``method``
+    selects the decision route; both produce identical verdicts.  The
+    direct route solves one LP per distinct column multiset, visiting
+    every mask; the pictures route solves one deficiency LP per realized
+    family, in the order of the families' least masks (`_families`).
     """
     eps = exact(eps)
     if eps < 0:
@@ -303,21 +389,16 @@ def is_epsilon_ramsey(
     if k > cap:
         raise CapExceeded(f"|A*C| = {k} exceeds enumeration cap {cap}")
     width = len(window)
-    keep = method == "direct" and keeps_witnesses(method, k)
-    witnesses: dict[int, Measure] | None = {} if keep else None
-    families_seen: dict[frozenset[int], BalanceWitness] = {}
-    direct_memo: dict[tuple[int, ...], tuple] = {}
+    witnesses: dict[int, Measure] | None = None
+    family_witnesses: list[tuple[SetFamily, BalanceWitness]] | None = None
     counterexample = None
-    checked = 0
+    checked = 1 << k  # every subset, unless a counterexample stops the search
 
-    for e_mask, cols in _masks_and_columns(prod_pos, k):
-        checked += 1
-        if method == "pictures":
-            key = frozenset(cols)
-            if key in families_seen:  # a family seen before passed: failures stop the search
-                continue
-            family = SetFamily(window, key)
-            optimum, families_seen[key] = deficiency_optimum(family)
+    if method == "pictures":
+        family_witnesses = []
+        for e_mask, members in _families(prod_pos, k, width):
+            family = SetFamily(window, members)
+            optimum, witness = deficiency_optimum(family)
             if optimum.value > eps:
                 counterexample = RamseyCounterexample(
                     e_mask,
@@ -328,8 +409,15 @@ def is_epsilon_ramsey(
                         "optimum": optimum.to_json(),
                     },
                 )
+                checked = e_mask + 1
                 break
-        else:
+            family_witnesses.append((family, witness))
+        family_witnesses.sort(key=lambda fw: fw[0].members)
+    else:
+        if keeps_witnesses(method, k):
+            witnesses = {}
+        direct_memo: dict[tuple[int, ...], tuple] = {}
+        for e_mask, cols in _masks_and_columns(prod_pos, k):
             key = tuple(sorted(cols))
             hit = direct_memo.get(key)
             if hit is None:
@@ -364,6 +452,7 @@ def is_epsilon_ramsey(
                     "direct_farkas",
                     {"farkas": [fmt_q(x) for x in payload]},
                 )
+                checked = e_mask + 1
                 break
 
     if counterexample is not None:
@@ -379,14 +468,6 @@ def is_epsilon_ramsey(
             counterexample=counterexample,
             subsets_checked=checked,
         )
-    family_witnesses = None
-    if method == "pictures":
-        family_witnesses = [
-            (SetFamily(window, key), wit)
-            for key, wit in sorted(
-                families_seen.items(), key=lambda kv: sorted(kv[0])
-            )
-        ]
     return RamseyVerdict(
         True,
         eps,

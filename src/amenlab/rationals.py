@@ -46,12 +46,12 @@ def parse_q(text: str | Fraction | int) -> Fraction:
         raise ValueError(f"rational expected as p/q or an integer, got {text!r}") from None
 
 
-_JSON_TYPES = {int: "integer", str: "string", list: "array"}
+_JSON_TYPES = {bool: "boolean", int: "integer", str: "string", list: "array"}
 
 
 def typed(value, json_type: type, name: str):
-    """value, when it has the JSON type json_type (a bool is no integer)."""
-    if not isinstance(value, json_type) or isinstance(value, bool):
+    """value, when it has the JSON type json_type (a bool is no integer, an integer no bool)."""
+    if not isinstance(value, json_type) or (json_type is not bool and isinstance(value, bool)):
         raise ValueError(f"{name} must be a JSON {_JSON_TYPES[json_type]}")
     return value
 

@@ -451,6 +451,38 @@ def test_verify_rejects_a_counterexample_family_of_another_subset(capsys, tmp_pa
     assert verify_status(capsys, path) == (1, "FAILED")
 
 
+@pytest.mark.parametrize("field, value", [("subsets_checked", 128.0), ("is_ramsey", 1)])
+def test_verify_rejects_mistyped_ramsey_verdict_fields(capsys, tmp_path, field, value):
+    # 128.0 == 1 << 7 and 1 == True: only the JSON types tell the forgery apart
+    path = tmp_path / "ramsey.json"
+    env = ramsey_envelope(capsys, path, "--m", "1", "--n", "3", "--eps", "1/2",
+                          "--method", "pictures")
+    assert env["result"]["subsets_checked"] == 128 and env["result"]["is_ramsey"] is True
+    assert verify_status(capsys, path) == (0, "ok")
+    forge(path, lambda env: env["result"].update({field: value}))
+    assert verify_status(capsys, path) == (1, "FAILED")
+
+
+def test_verify_rejects_a_boolean_counterexample_mask(capsys, tmp_path):
+    path = tmp_path / "ramsey.json"
+    env = ramsey_envelope(capsys, path, "--m", "1", "--n", "1", "--eps", "1/2",
+                          "--method", "pictures")
+    assert env["result"]["counterexample"]["E_mask"] == 1
+    assert verify_status(capsys, path) == (0, "ok")
+    forge(path, lambda env: env["result"]["counterexample"].update(E_mask=True))
+    assert verify_status(capsys, path) == (1, "FAILED")
+
+
+@pytest.mark.parametrize("field, value", [("K", "8"), ("radius", 2.5)])
+def test_verify_rejects_mistyped_invariance_fields(capsys, tmp_path, field, value):
+    # int("8") == 8 and int(2.5) == 2 would echo the job's K = 8 and r = 2
+    path = tmp_path / "inf.json"
+    assert run(capsys, "f2-infeasible", "8", "1/100", "2", "--out", str(path))[0] == 0
+    assert verify_status(capsys, path) == (0, "ok")
+    forge(path, lambda env: env["result"].update({field: value}))
+    assert verify_status(capsys, path) == (1, "FAILED")
+
+
 @pytest.mark.parametrize("argv", [["--identities", "4"], ["--disjoint", "3", "4"]])
 def test_verify_recomputes_f2_scans(capsys, tmp_path, argv):
     path = tmp_path / "f2.json"

@@ -1,6 +1,22 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import amenlab
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in amenlab.__all__ if not hasattr(amenlab, name)]
     assert missing == []
+
+
+def test_python_dash_m_runs_the_cli_from_a_checkout():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "amenlab", "--help"], cwd=ROOT, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: amenlab")

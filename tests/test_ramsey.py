@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from amenlab.balance import SetFamily, deficiency_optimum
 from amenlab.groups import (
     CapExceeded,
     CyclicGroup,
@@ -15,6 +16,7 @@ from amenlab.groups import (
 )
 from amenlab.rationals import canonical_dumps
 from amenlab.ramsey import (
+    _families,
     _layout,
     _masks_and_columns,
     binary_to_unit,
@@ -168,6 +170,99 @@ def test_masks_and_columns_match_per_mask_pictures(group, m, n):
         assert cols == expected, e_mask
         masks.append(e_mask)
     assert masks == list(range(1 << k))
+
+
+def _least_masks(prod_pos, k):
+    """Family -> least mask realizing it, by visiting every mask."""
+    least = {}
+    for e_mask, cols in _masks_and_columns(prod_pos, k):
+        least.setdefault(frozenset(cols), e_mask)
+    return least
+
+
+def _assert_families_match_every_mask(prod_pos, k, width):
+    found = [(e_mask, frozenset(family)) for e_mask, family in _families(prod_pos, k, width)]
+    masks = [e_mask for e_mask, _ in found]
+    assert all(a < b for a, b in zip(masks, masks[1:]))
+    least = _least_masks(prod_pos, k)
+    assert len(found) == len(least)
+    assert {family: e_mask for e_mask, family in found} == least
+
+
+@pytest.mark.parametrize(
+    "group, m, n",
+    [(Z, 1, n) for n in range(5, 10)]
+    + [
+        (Z, 2, 4),
+        (FreeAbelianGroup(2), 1, 2),
+        (F2, 1, 2),
+        (TableGroup(S3_TABLE), 1, 2),
+        (CyclicGroup(5), 1, 2),
+        (CyclicGroup(6), 1, 3),
+    ],
+    ids=[f"Z-1-{n}" for n in range(5, 10)] + ["Z-2-4", "Z2", "F2", "S3", "Z5", "Z6"],
+)
+def test_families_match_every_mask(group, m, n):
+    window = tuple(sort_elements(ball(group, m)))
+    _, products, _, prod_pos = _layout(window, ball(group, n))
+    _assert_families_match_every_mask(prod_pos, len(products), len(window))
+
+
+@pytest.mark.parametrize("group, n", [(Z, 5), (FreeAbelianGroup(2), 2)], ids=["Z", "Z2"])
+def test_families_match_every_mask_on_permuted_positions(group, n):
+    # relabel the positions of A*C and shuffle the columns and their bits, so
+    # columns close at other positions than in any canonical layout
+    window = ball(group, 1)
+    _, products, _, prod_pos = _layout(window, ball(group, n))
+    k = len(products)
+    rng = random.Random(f"families:{n}")
+    relabel = rng.sample(range(k), k)
+    shuffled = [rng.sample([relabel[p] for p in positions], len(positions)) for positions in prod_pos]
+    rng.shuffle(shuffled)
+    assert max(map(min, shuffled)) != max(map(min, prod_pos))
+    _assert_families_match_every_mask(shuffled, k, len(window))
+
+
+def _pictures_by_every_mask(window, bset, eps):
+    """The pictures route by a walk over every mask: one deficiency LP per
+    new family, stopping at the first family whose deficiency exceeds eps.
+    Returns (least failing mask, family, optimum), or the sorted family
+    witnesses when every family passes."""
+    window = tuple(sort_elements(window))
+    _, products, _, prod_pos = _layout(window, bset)
+    seen = {}
+    for e_mask, cols in _masks_and_columns(prod_pos, len(products)):
+        key = frozenset(cols)
+        if key in seen:
+            continue
+        family = SetFamily(window, key)
+        optimum, seen[key] = deficiency_optimum(family)
+        if optimum.value > eps:
+            return e_mask, family, optimum
+    return [(SetFamily(window, key), w) for key, w in sorted(seen.items(), key=lambda kv: sorted(kv[0]))]
+
+
+@pytest.mark.parametrize(
+    "group, m, n, eps",
+    [(F2, 1, 2, eps) for eps in (Q(0), Q(1, 3), Q(5, 12), Q(1, 2))] + [(Z, 2, 4, Q(1, 3))],
+    ids=["F2-0", "F2-1/3", "F2-5/12", "F2-1/2", "Z-2-4-1/3"],
+)
+def test_pictures_counterexample_matches_a_walk_over_every_mask(group, m, n, eps):
+    window, bset = ball(group, m), ball(group, n)
+    e_mask, family, optimum = _pictures_by_every_mask(window, bset, eps)
+    verdict = is_epsilon_ramsey(window, bset, eps, method="pictures")
+    assert not verdict.is_ramsey
+    ce = verdict.counterexample
+    assert (ce.e_mask, verdict.subsets_checked) == (e_mask, e_mask + 1)
+    assert ce.payload == {"family": family.to_json(), "optimum": optimum.to_json()}
+
+
+def test_pictures_witnesses_match_a_walk_over_every_mask():
+    window, bset = zball(1), zball(4)
+    expected = _pictures_by_every_mask(window, bset, Q(1, 2))
+    verdict = is_epsilon_ramsey(window, bset, Q(1, 2), method="pictures")
+    assert verdict.is_ramsey and verdict.subsets_checked == 1 << len(verdict.products)
+    assert verdict.family_witnesses == expected
 
 
 def test_f2_ramsey_function_exhausts():

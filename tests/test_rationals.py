@@ -24,7 +24,7 @@ from amenlab.ramsey import (
     ramsey_function,
     subset_measure,
 )
-from amenlab.rationals import exact, fmt_q, parse_q
+from amenlab.rationals import exact, fmt_q, parse_q, typed
 
 Z = FreeAbelianGroup(1)
 WINDOW = ball(Z, 1)  # (-1, 0, 1)
@@ -91,3 +91,12 @@ def test_parse_q_sends_non_strings_through_the_gate():
     assert fmt_q(2) == "2/1" and fmt_q(Q(-2, 4)) == "-1/2"
     with pytest.raises(ValueError):
         fmt_q(0.5)
+
+
+def test_typed_tells_booleans_from_integers():
+    assert typed(True, bool, "flag") is True
+    assert typed(7, int, "count") == 7
+    for value, json_type, kind in [(1, bool, "boolean"), (True, int, "integer"),
+                                   (128.0, int, "integer"), ("8", int, "integer")]:
+        with pytest.raises(ValueError, match=f"^field must be a JSON {kind}$"):
+            typed(value, json_type, "field")
