@@ -10,20 +10,21 @@ step of a ``boost`` tower included), while ``folner-check``,
 compare.  A checked result must answer its own job: each parameter it
 restates, such as the eps of ``boost`` or the window of a
 ``realize-search`` certificate, must equal the job's.
-``folner-function``, ``ramsey-function`` and ``function-table`` embed no
-certificate of minimality, so their job is run again and the envelopes
-compared.  A result that carries no evidence is reported
-as ``"certificates": "none"`` with exit code 0: a positive
-``ramsey-check`` verdict whose witnesses were never collected
-(``--no-witnesses``, or the direct method past 4096 subsets) and a
-``realize-search`` that found nothing.  The enumeration cap is ``--cap``
+``folner-function``, ``ramsey-function``, ``function-table`` and
+``weighted-folner`` embed no certificate of minimality or optimality, so
+their job is run again and the envelopes compared.  A result that
+carries no evidence is reported as ``"certificates": "none"`` with exit
+code 0: a positive ``ramsey-check`` verdict whose witnesses were never
+collected (``--no-witnesses``, or the direct method past 4096 subsets)
+and a ``realize-search`` that found nothing.  The enumeration cap is ``--cap``
 alone, default ``ramsey.DEFAULT_ENUMERATION_CAP``.
 
 Exit codes: 0 for completed computations (negative mathematical verdicts
 such as "not Ramsey" or "infeasible" are still successes), 1 for errors
 and failed verification, 2 for cap exhaustion.
 
-All rationals cross this boundary as "p/q" strings; floats are rejected.
+All rationals cross this boundary as "p/q" strings: `parse_q` reads
+strings only, so a JSON number where a rational belongs is rejected.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from .f2 import (
 from .folner import (
     folner_function,
     inequality_harness,
-    invariance_defect,
     is_epsilon_folner,
     weighted_folner,
 )
@@ -215,19 +215,6 @@ def _folner_function(args):
 
 def _weighted_folner(args):
     return {"m": args.m, "n": args.n}, weighted_folner(args.group, args.m, args.n).to_json()
-
-
-def _verify_weighted_folner(group, job, result) -> bool:
-    if (result["m"], result["n"]) != (job["m"], job["n"]):
-        return False
-    window = ball(group, job["m"])
-    C = interior(window, ball(group, job["n"]))
-    if result["status"] == "no_admissible":
-        return not C and result["value"] is None and result["measure"] is None
-    if result["status"] != "ok":
-        return False
-    nu = Measure.from_json(group, result["measure"])
-    return set(nu.support()) <= set(C) and invariance_defect(nu, window) == parse_q(result["value"])
 
 
 def _balance(args):
@@ -568,7 +555,7 @@ _COMMANDS = (
         "weighted-folner",
         "optimal measure invariance defect",
         _weighted_folner,
-        _verify_weighted_folner,
+        _verify_by_rerun,
         (
             _arg("--m", type=int, required=True),
             _arg("--n", type=int, required=True),

@@ -117,82 +117,54 @@ def _families(prod_pos: Sequence[Sequence[int]], k: int, width: int):
     A*C realize, with the least mask realizing it, in increasing mask order.
 
     family is the frozenset of the columns `_masks_and_columns` gives at
-    e_mask.  E's bits are decided from position k - 1 down to 0, bit 0
-    before bit 1, so the leaves come in mask order.  A column closes at
-    its least position, where its last bit is decided; `top` is the
-    highest position at which a column closes.
-
-    Positions k - 1 .. top are walked flat, every prefix in turn, with the
-    columns XOR-updated in place as in `_masks_and_columns`: no column has
-    closed before `top`, so no two of these prefixes share a state.  Below
-    `top` a depth-first search runs.  Its node holds the position, the
-    closed family as a bitmask (bit v set when a closed column is v) and
-    the open columns' partial pictures, `width` bits apiece in one int.
-    The families below a node depend on that state alone, and the first
-    visit of a state had the smaller prefix, so a node whose state was
-    visited before is skipped.
+    e_mask.  A depth-first search decides E's bits from position k - 1
+    down to 0, bit 0 before bit 1, so the leaves come in mask order.  Its
+    node holds the position, the closed family as a bitmask (bit v set when
+    a closed column is v) and every open column's partial picture, column j
+    at shift j * width.  A column closes at its least position, where its
+    last bit is decided.  The families below a node depend on that state
+    alone, and the first visit of a state had the smaller prefix, so a node
+    whose state was visited before is skipped.  Above `top`, the highest
+    position at which a column closes, no column has closed and no state
+    repeats, so only the nodes below `top` are recorded.
     """
     full = (1 << width) - 1
     top = max(min(positions) for positions in prod_pos)
-    order = sorted(range(len(prod_pos)), key=lambda j: min(prod_pos[j]) < top)  # closing at top first
-    nclose = sum(min(positions) == top for positions in prod_pos)
-    carry = []  # carry[t]: (column, XOR) for every column that positions top .. top + t feed
-    for t in range(k - top):
-        flips = (
-            (r, sum(1 << i for i, p in enumerate(prod_pos[j]) if top <= p <= top + t))
-            for r, j in enumerate(order)
-        )
-        carry.append(tuple((r, x) for r, x in flips if x))
-    feeds = [0] * top  # feeds[p]: the packed partial-picture bits that position p sets
-    closes: list[list[int]] = [[] for _ in range(top)]  # shifts of the columns closing at p
-    for r, j in enumerate(order[nclose:]):
-        for i, p in enumerate(prod_pos[j]):
-            if p < top:
-                feeds[p] |= 1 << (r * width + i)
-        closes[min(prod_pos[j])].append(r * width)
+    feeds = [0] * k  # feeds[p]: the packed partial-picture bits that position p sets
+    closes: list[list[int]] = [[] for _ in range(k)]  # shifts of the columns closing at p
+    for j, positions in enumerate(prod_pos):
+        for i, p in enumerate(positions):
+            feeds[p] |= 1 << (j * width + i)
+        closes[min(positions)].append(j * width)
     keeps = [~sum(full << s for s in shifts) for shifts in closes]
     visited = set()
-    found = set()  # frozensets when top is 0, else bitmasks
-    cols = [0] * len(order)
-    for high in range(1 << (k - top)):
-        if high:
-            for r, x in carry[(high & -high).bit_length() - 1]:
-                cols[r] ^= x
-        if not top:  # every column closed: a leaf
-            family = frozenset(cols)
-            if family not in found:
-                found.add(family)
-                yield high, family
-            continue
-        family = sum(1 << v for v in set(cols[:nclose]))
-        partial = 0
-        for r, c in enumerate(cols[nclose:]):
-            partial |= c << (r * width)
-        stack = [(top - 1, high << top, family, partial)]  # (position to decide, mask, family, partials)
-        while stack:
-            p, mask, family, part = stack.pop()
+    found = set()  # families yielded so far, as bitmasks
+    stack = [(k - 1, 0, 0, 0)]  # (position to decide, mask, family, partials)
+    while stack:
+        p, mask, family, part = stack.pop()
+        if p < top:
             node = (p, family, part)
             if node in visited:
                 continue
             visited.add(node)
-            fam0 = fam1 = family
-            part1 = part ^ feeds[p]
-            for s in closes[p]:
-                fam0 |= 1 << (part >> s & full)
-                fam1 |= 1 << (part1 >> s & full)
-            if p:
-                stack.append((p - 1, mask | 1 << p, fam1, part1 & keeps[p]))
-                stack.append((p - 1, mask, fam0, part & keeps[p]))
-                continue
-            for e_mask, fam in ((mask, fam0), (mask | 1, fam1)):
-                if fam not in found:
-                    found.add(fam)
-                    members = []
-                    while fam:
-                        low = fam & -fam
-                        members.append(low.bit_length() - 1)
-                        fam ^= low
-                    yield e_mask, frozenset(members)
+        fam0 = fam1 = family
+        part1 = part ^ feeds[p]
+        for s in closes[p]:
+            fam0 |= 1 << (part >> s & full)
+            fam1 |= 1 << (part1 >> s & full)
+        if p:
+            stack.append((p - 1, mask | 1 << p, fam1, part1 & keeps[p]))
+            stack.append((p - 1, mask, fam0, part & keeps[p]))
+            continue
+        for e_mask, fam in ((mask, fam0), (mask | 1, fam1)):
+            if fam not in found:
+                found.add(fam)
+                members = []
+                while fam:
+                    low = fam & -fam
+                    members.append(low.bit_length() - 1)
+                    fam ^= low
+                yield e_mask, frozenset(members)
 
 
 def _layout(window: Sequence[Element], bset: Iterable[Element]):
@@ -455,29 +427,18 @@ def is_epsilon_ramsey(
                 checked = e_mask + 1
                 break
 
-    if counterexample is not None:
-        return RamseyVerdict(
-            False,
-            eps,
-            method,
-            window,
-            bset_t,
-            C,
-            products,
-            witnesses=None,
-            counterexample=counterexample,
-            subsets_checked=checked,
-        )
+    ok = counterexample is None
     return RamseyVerdict(
-        True,
+        ok,
         eps,
         method,
         window,
         bset_t,
         C,
         products,
-        witnesses=witnesses,
-        family_witnesses=family_witnesses,
+        witnesses=witnesses if ok else None,
+        family_witnesses=family_witnesses if ok else None,
+        counterexample=counterexample,
         subsets_checked=checked,
     )
 

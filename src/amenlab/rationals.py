@@ -30,14 +30,13 @@ def fmt_q(x: Fraction | int) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def parse_q(text: str | Fraction | int) -> Fraction:
-    """Parse "p/q" (or a bare integer string) into an exact Fraction.
+def parse_q(text: str) -> Fraction:
+    """Parse a "p/q" (or bare integer) string into an exact Fraction.
 
-    A non-string goes through `exact`, so floats and bools are rejected.
+    It reads CLI and envelope text, where every rational is a string, so
+    any other JSON type (a number, a boolean) is a ValueError.
     """
-    if not isinstance(text, str):
-        return exact(text)
-    num, slash, den = text.strip().partition("/")
+    num, slash, den = typed(text, str, "a rational").strip().partition("/")
     try:
         return Fraction(int(num), int(den) if slash else 1)
     except ZeroDivisionError:

@@ -569,6 +569,27 @@ def test_verify_rejects_weighted_folner_result_for_another_size(capsys, tmp_path
     assert verify_status(capsys, path) == (1, "FAILED")
 
 
+def test_verify_reruns_weighted_folner(capsys, tmp_path):
+    # a point mass has defect 4 over ball(1): a valid measure whose value is not the optimum 4/5
+    path = tmp_path / "weighted.json"
+    env = readme_envelope(capsys, path, "weighted-folner")
+    assert env["result"]["value"] == "4/5"
+    assert verify_status(capsys, path) == (0, "ok")
+    forge(path, lambda env: env["result"].update(measure={"0": "1/1"}, value="4/1"))
+    assert verify_status(capsys, path) == (1, "FAILED")
+
+
+def test_verify_rejects_a_numeric_ramsey_eps(capsys, tmp_path):
+    # 1 == 1/1: only the JSON type tells the forgery apart
+    path = tmp_path / "ramsey.json"
+    env = ramsey_envelope(capsys, path, "--m", "1", "--n", "1", "--eps", "1",
+                          "--method", "pictures")
+    assert env["result"]["eps"] == "1/1"
+    assert verify_status(capsys, path) == (0, "ok")
+    forge(path, lambda env: env["result"].update(eps=1))
+    assert verify_status(capsys, path) == (1, "FAILED")
+
+
 # elements are JSON strings: other JSON types exit 1, with no coercion or traceback
 NON_STRING_ELEMENTS = {
     "folner-check": [
@@ -705,6 +726,7 @@ def test_balance_rejects_a_malformed_family(capsys, family):
     '["1/1"]',
     '{"-1":"1/1","1":"-1/1"}',
     '{"-1":"1/1","0":"0/1","1":"-1/1","2":"0/1"}',
+    '{"-1":"1/1","0":0,"1":"-1/1"}',
 ])
 def test_realize_search_rejects_weights_off_the_window(capsys, f):
     assert error_line(capsys, "realize-search", "--group", Z, "--window-radius", "1",

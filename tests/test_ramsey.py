@@ -193,6 +193,8 @@ def _assert_families_match_every_mask(prod_pos, k, width):
     "group, m, n",
     [(Z, 1, n) for n in range(5, 10)]
     + [
+        (Z, 0, 0),
+        (Z, 0, 3),
         (Z, 2, 4),
         (FreeAbelianGroup(2), 1, 2),
         (F2, 1, 2),
@@ -200,7 +202,8 @@ def _assert_families_match_every_mask(prod_pos, k, width):
         (CyclicGroup(5), 1, 2),
         (CyclicGroup(6), 1, 3),
     ],
-    ids=[f"Z-1-{n}" for n in range(5, 10)] + ["Z-2-4", "Z2", "F2", "S3", "Z5", "Z6"],
+    ids=[f"Z-1-{n}" for n in range(5, 10)]
+    + ["Z-0-0", "Z-0-3", "Z-2-4", "Z2", "F2", "S3", "Z5", "Z6"],
 )
 def test_families_match_every_mask(group, m, n):
     window = tuple(sort_elements(ball(group, m)))
