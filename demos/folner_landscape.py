@@ -53,7 +53,7 @@ print(
 )
 
 # uniform weights on a Folner set have defect boundary/|B|
-B = [Z.parse_element([i]) for i in range(4)]
+B = [Z.parse_element(str(i)) for i in range(4)]
 from amenlab import Measure
 
 nu = Measure(Z, {b: Q(1, len(B)) for b in B})

@@ -56,6 +56,7 @@ from .f2 import (
     verify_invariance_outcome,
 )
 from .folner import (
+    HARNESS_RAMSEY_CAP,
     folner_function,
     inequality_harness,
     is_epsilon_folner,
@@ -70,6 +71,8 @@ from .groups import (
     Measure,
     ball,
     group_from_json,
+    parse_elements,
+    parse_weights,
     sort_elements,
 )
 from .pictures import (
@@ -94,7 +97,7 @@ from .ramsey import (
     ramsey_function,
     verify_ramsey_verdict,
 )
-from .rationals import canonical_dumps, fmt_q, items, parse_q, sha256_digest
+from .rationals import canonical_dumps, fmt_q, parse_q, sha256_digest
 
 
 class CliError(ValueError):
@@ -107,11 +110,6 @@ def _load_json_arg(text: str):
         return json.loads(text)
     with open(text) as fh:
         return json.load(fh)
-
-
-def _parse_elements(group: Group, texts) -> tuple:
-    """Elements from a JSON array of their string forms."""
-    return tuple(group.parse_element(t) for t in items(texts, str, "an element list"))
 
 
 def _envelope(job: dict, result: dict) -> dict:
@@ -192,8 +190,8 @@ def _ramsey_function(args):
 
 
 def _folner_check(args):
-    window = _parse_elements(args.group, _load_json_arg(args.a_set))
-    bset = _parse_elements(args.group, _load_json_arg(args.b_set))
+    window = parse_elements(args.group, _load_json_arg(args.a_set))
+    bset = parse_elements(args.group, _load_json_arg(args.b_set))
     report = is_epsilon_folner(window, bset, args.eps)
     job = {
         "window": [repr(a) for a in sort_elements(window)],
@@ -203,8 +201,8 @@ def _folner_check(args):
 
 
 def _verify_folner_check(group, job, result) -> bool:
-    window = _parse_elements(group, job["window"])
-    bset = _parse_elements(group, job["bset"])
+    window = parse_elements(group, job["window"])
+    bset = parse_elements(group, job["bset"])
     return is_epsilon_folner(window, bset, parse_q(job["eps"])).to_json() == result
 
 
@@ -282,7 +280,7 @@ def _pictures(args):
 
 
 def _verify_pictures(group, job, result) -> bool:
-    window = tuple(sort_elements(_parse_elements(group, job["window"])))
+    window = tuple(sort_elements(parse_elements(group, job["window"])))
     test = SetSpec.from_json(job["target"], group).compile(group)
     family = realized_family(window, test, ball(group, job["domain_radius"], cap=PROBE_BALL_CAP))
     return family.to_json() == result["family"]
@@ -293,8 +291,8 @@ def _realize_search(args):
     fobj = _load_json_arg(args.f)
     if not isinstance(fobj, dict):
         raise CliError("--f must be a JSON object mapping window elements to rationals")
-    f = {args.group.parse_element(k): parse_q(v) for k, v in fobj.items()}
-    if len(f) != len(fobj) or set(f) != set(window):
+    f = parse_weights(args.group, fobj)
+    if set(f) != set(window):
         raise CliError("the keys of --f must be the window's elements, each once")
     cert = realization_search(args.group, window, f, args.radius)
     job = {
@@ -429,7 +427,7 @@ def _function_table(args):
         k_values,
         window_radius=args.window_radius,
         n_max=args.n_max,
-        ramsey_cap=min(args.cap, 14),
+        ramsey_cap=min(args.cap, HARNESS_RAMSEY_CAP),
     )
     rows = []
     for k in k_values:
@@ -442,9 +440,7 @@ def _function_table(args):
     for m in m_values:
         for k in k_values:
             ww = harness.weighted[m, k]
-            rows.append(
-                ["weighted_folner", m, k, ww.value, "ok" if ww.value is not None else "exhausted"]
-            )
+            rows.append(["weighted_folner", m, k, ww, "ok" if ww is not None else "exhausted"])
             # the harness caps its Ramsey searches lower, so these rows solve their own
             rr = ramsey_function(args.group, m, Fraction(1, k), args.n_max, cap=args.cap)
             rows.append(["ramsey", m, k, rr.value, rr.status])

@@ -21,6 +21,9 @@ Conventions fixed here and relied on by the rest of the package:
 * Free-group words serialize as compact strings with uppercase meaning
   inverse ("aBa" is a·b⁻¹·a) and "e" for the identity, which is why
   free-group generator names must be single lowercase letters.
+* In JSON an element is its string form, never a number or an array:
+  `parse_elements` reads an array of them and `parse_weights` an
+  element → "p/q" object.
 """
 
 from __future__ import annotations
@@ -236,12 +239,9 @@ class FreeAbelianGroup(Group):
             return str(g.value[0])
         return "(" + ",".join(str(a) for a in g.value) + ")"
 
-    def parse_element(self, text) -> Element:
-        if isinstance(text, (list, tuple)):
-            vec = tuple(int(a) for a in text)
-        else:
-            s = str(text).strip().strip("()")
-            vec = tuple(int(part) for part in s.split(",")) if s else ()
+    def parse_element(self, text: str) -> Element:
+        s = text.strip().strip("()")
+        vec = tuple(int(part) for part in s.split(",")) if s else ()
         if len(vec) != self.rank:
             raise GroupError(f"expected {self.rank} coordinates, got {vec!r}")
         return Element(self, vec)
@@ -357,23 +357,8 @@ class TableGroup(Group):
                 raise GroupError("generator indices out of range")
         self._gen_indices = gens
         self._desc = ("finite_table", rows, gens)
-        if not self._generates(gens):
+        if len(ball(self, n)) != n:
             raise GroupError("the given generators do not generate the group")
-
-    def _generates(self, gens) -> bool:
-        seen = {self._identity_index}
-        frontier = [self._identity_index]
-        closure = set(gens) | {self._inverse_index[i] for i in gens}
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for s in closure:
-                    y = self.table[s][x]
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return len(seen) == self.order
 
     def identity(self) -> Element:
         return Element(self, self._identity_index)
@@ -442,6 +427,23 @@ def group_from_json(obj: Mapping) -> Group:
         return TableGroup(table, None if gens is None else items(gens, int, "generators"))
     except ValueError as exc:  # a mistyped field is bad descriptor data
         raise GroupError(str(exc)) from None
+
+
+def parse_elements(group: Group, texts) -> tuple[Element, ...]:
+    """Elements from a JSON array of their string forms."""
+    return tuple(group.parse_element(t) for t in items(texts, str, "an element list"))
+
+
+def parse_weights(group: Group, obj: Mapping) -> dict[Element, Fraction]:
+    """A JSON object mapping element strings to "p/q" rationals, keyed by element;
+    two keys naming one element (such as "-3" and "-03" in Z) are a GroupError."""
+    out: dict[Element, Fraction] = {}
+    for text, q in obj.items():
+        el = group.parse_element(text)
+        if el in out:
+            raise GroupError(f"two keys name the element {el!r}")
+        out[el] = parse_q(q)
+    return out
 
 
 def ball(group: Group, radius: int, *, cap: int | None = None) -> tuple[Element, ...]:
@@ -562,10 +564,8 @@ class Measure:
 
     @classmethod
     def from_json(cls, group: Group, obj: Mapping) -> "Measure":
-        return cls(
-            group,
-            {group.parse_element(k): parse_q(v) for k, v in obj.items()},
-        )
+        """The measure of a `to_json` object, read by `parse_weights`."""
+        return cls(group, parse_weights(group, obj))
 
     def __repr__(self):
         parts = ", ".join(f"{el!r}: {w}" for el, w in self.weights.items())

@@ -375,22 +375,27 @@ def _point_feasible(system: LinearSystem, point: Sequence[Fraction]) -> bool:
     return True
 
 
+def _combine(system: LinearSystem, multipliers: Sequence[Fraction]) -> tuple[list, Fraction]:
+    """Σ yᵢ·rowᵢ and Σ yᵢ·bᵢ over the rows, skipping zero multipliers yᵢ."""
+    g = [_F0] * system.num_vars
+    h = _F0
+    for y, row in zip(multipliers, system.rows):
+        if y:
+            for j, c in enumerate(row.coeffs):
+                if c:
+                    g[j] += y * c
+            h += y * row.rhs
+    return g, h
+
+
 def _farkas_valid(system: LinearSystem, lam: Sequence[Fraction]) -> bool:
     if len(lam) != len(system.rows):
         return False
-    g = [_F0] * system.num_vars
-    h = _F0
     for coef, row in zip(lam, system.rows):
         if row.rel != EQ and coef < 0:
             return False
-        if not coef:
-            continue
-        sign = -1 if row.rel == GE else 1
-        f = sign * coef
-        for j, c in enumerate(row.coeffs):
-            if c:
-                g[j] += f * c
-        h += f * row.rhs
+    # multiplier i scales row i oriented as "<=", so a ">=" row flips
+    g, h = _combine(system, [-y if row.rel == GE else y for y, row in zip(lam, system.rows)])
     if h >= 0:
         return False
     for j, flag in enumerate(system.nonneg):
@@ -417,17 +422,14 @@ def _optimum_valid(system: LinearSystem, opt: Optimum) -> bool:
     for y, row in zip(opt.duals, system.rows):
         if (row.rel == LE and y > 0) or (row.rel == GE and y < 0):
             return False
+    g, dual_value = _combine(system, opt.duals)
     for j in range(system.num_vars):
-        reduced = c[j] - sum(
-            (y * row.coeffs[j] for y, row in zip(opt.duals, system.rows) if y and row.coeffs[j]),
-            _F0,
-        )
+        reduced = c[j] - g[j]
         if system.nonneg[j]:
             if reduced < 0:
                 return False
         elif reduced != 0:
             return False
-    dual_value = sum((y * row.rhs for y, row in zip(opt.duals, system.rows) if y), _F0)
     return dual_value == opt.value
 
 

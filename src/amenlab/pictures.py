@@ -41,6 +41,7 @@ from .groups import (
     GroupError,
     ball,
     group_from_json,
+    parse_elements,
     sort_elements,
 )
 from .rationals import exact, fmt_q, items, parse_q, typed
@@ -239,7 +240,7 @@ class NonAmenabilityCertificate:
         group = group_from_json(obj["group"])
         return cls(
             group,
-            tuple(group.parse_element(a) for a in obj["window"]),
+            parse_elements(group, obj["window"]),
             tuple(parse_q(x) for x in obj["f"]),
             obj["radius"],
             SetSpec.from_json(obj["target"], group),

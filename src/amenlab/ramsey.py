@@ -48,6 +48,7 @@ from .groups import (
     Group,
     Measure,
     ball,
+    parse_elements,
     sort_elements,
 )
 from .linprog import (
@@ -260,11 +261,11 @@ class RamseyVerdict:
 
     @classmethod
     def from_json(cls, obj: Mapping, group: Group) -> "RamseyVerdict":
-        def elements(texts) -> tuple[Element, ...]:
-            return tuple(group.parse_element(t) for t in texts)
-
         witnesses = family_witnesses = counterexample = None
         if "witnesses" in obj:
+            # a mask is a plain decimal, so "05" cannot alias "5"
+            if any(str(int(mask)) != mask for mask in obj["witnesses"]):
+                raise ValueError("each witness mask must be a plain decimal")
             witnesses = {
                 int(mask): Measure.from_json(group, nu) for mask, nu in obj["witnesses"].items()
             }
@@ -278,17 +279,16 @@ class RamseyVerdict:
             ]
         if "counterexample" in obj:
             ce = obj["counterexample"]
-            counterexample = RamseyCounterexample(
-                typed(ce["E_mask"], int, "E_mask"), elements(ce["E"]), ce["kind"], ce["payload"]
-            )
+            e_mask, e_set = typed(ce["E_mask"], int, "E_mask"), parse_elements(group, ce["E"])
+            counterexample = RamseyCounterexample(e_mask, e_set, ce["kind"], ce["payload"])
         return cls(
             typed(obj["is_ramsey"], bool, "is_ramsey"),
             parse_q(obj["eps"]),
             obj["method"],
-            elements(obj["window"]),
-            elements(obj["bset"]),
-            elements(obj["interior"]),
-            elements(obj["products"]),
+            parse_elements(group, obj["window"]),
+            parse_elements(group, obj["bset"]),
+            parse_elements(group, obj["interior"]),
+            parse_elements(group, obj["products"]),
             reason=obj.get("reason"),
             witnesses=witnesses,
             family_witnesses=family_witnesses,

@@ -120,7 +120,7 @@ def test_criterion_02_ramsey_method_agreement():
 
 def test_criterion_03_z_folner_function():
     start = time.time()
-    window = [Z.parse_element([k]) for k in range(-6, 7)]
+    window = [Z.parse_element(str(k)) for k in range(-6, 7)]
     gens = Z.generators()
     oracle = {}
     for k in (1, 2):

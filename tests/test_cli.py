@@ -590,6 +590,39 @@ def test_verify_rejects_a_numeric_ramsey_eps(capsys, tmp_path):
     assert verify_status(capsys, path) == (1, "FAILED")
 
 
+def test_verify_rejects_a_measure_with_two_keys_for_one_element(capsys, tmp_path):
+    # "-03" and "-3" name one element: the weights as written sum to 6
+    path = tmp_path / "boost.json"
+    assert boost_envelope(capsys, path)["result"]["measure"] == {"-3": "1/1"}
+    forge(path, lambda env: env["result"].update(measure={"-03": "5/1", "-3": "1/1"}))
+    assert verify_status(capsys, path) == (1, "FAILED")
+
+
+def test_verify_rejects_ramsey_elements_that_are_not_strings(capsys, tmp_path):
+    path = tmp_path / "ramsey.json"
+    env = ramsey_envelope(capsys, path, "--m", "1", "--n", "2", "--eps", "1/2")
+    assert env["result"]["interior"] == env["result"]["window"] == ["-1", "0", "1"]
+    assert verify_status(capsys, path) == (0, "ok")
+    forge(path, lambda env: env["result"].update(interior=[-1, 0, 1], window=[[-1], [0], [1]]))
+    assert verify_status(capsys, path) == (1, "FAILED")
+
+
+def test_verify_rejects_an_aliased_witness_mask(capsys, tmp_path):
+    # "05" would read as mask 5: a point mass outside the interior, hidden by the real "5"
+    path = tmp_path / "ramsey.json"
+    env = ramsey_envelope(capsys, path, "--m", "1", "--n", "2", "--eps", "1/2",
+                          "--method", "direct")
+    assert "5" in env["result"]["witnesses"] and "5" not in env["result"]["interior"]
+    assert verify_status(capsys, path) == (0, "ok")
+
+    def alias(env):
+        witnesses = env["result"]["witnesses"]
+        env["result"]["witnesses"] = {"05": {"5": "1/1"}, **witnesses}
+
+    forge(path, alias)
+    assert verify_status(capsys, path) == (1, "FAILED")
+
+
 # elements are JSON strings: other JSON types exit 1, with no coercion or traceback
 NON_STRING_ELEMENTS = {
     "folner-check": [
@@ -727,6 +760,7 @@ def test_balance_rejects_a_malformed_family(capsys, family):
     '{"-1":"1/1","1":"-1/1"}',
     '{"-1":"1/1","0":"0/1","1":"-1/1","2":"0/1"}',
     '{"-1":"1/1","0":0,"1":"-1/1"}',
+    '{"-1":"1/1","0":"0/1","00":"0/1","1":"-1/1"}',
 ])
 def test_realize_search_rejects_weights_off_the_window(capsys, f):
     assert error_line(capsys, "realize-search", "--group", Z, "--window-radius", "1",

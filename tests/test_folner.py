@@ -27,7 +27,7 @@ F2 = FreeGroup(["a", "b"])
 
 
 def zel(k):
-    return Z.parse_element([k])
+    return Z.parse_element(str(k))
 
 
 def interval(lo, hi):
@@ -117,9 +117,9 @@ def test_weighted_folner_finite_group_zero():
 
 def test_weighted_folner_function():
     res = weighted_folner_function(Z, 1, Q(1), 6)
-    assert res.value == 3  # least n with 4/(2n-1) <= 1
+    assert res == 3  # least n with 4/(2n-1) <= 1
     res2 = weighted_folner_function(Z, 1, Q(1, 2), 6)
-    assert res2.value == 5
+    assert res2 == 5
 
 
 def test_folner_from_weighted():

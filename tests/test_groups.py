@@ -28,7 +28,7 @@ def w(text):
 
 
 def zel(k):
-    return Z.parse_element([k])
+    return Z.parse_element(str(k))
 
 
 # S3 as a multiplication table (permutations of 3 points, index order:

@@ -27,7 +27,7 @@ F2 = FreeGroup(["a", "b"])
 
 
 def zel(k):
-    return Z.parse_element([k])
+    return Z.parse_element(str(k))
 
 
 def w(text):
@@ -285,7 +285,7 @@ def test_setspec_compile_respects_group():
     test = x_first.compile(ax)
     assert test(ax.parse_element("x")) and not test(ax.parse_element("a"))
     evens = spec("progression", axis=1, modulus=2, residues=[0])
-    assert evens.compile(FreeAbelianGroup(2))(FreeAbelianGroup(2).parse_element([1, 2]))
+    assert evens.compile(FreeAbelianGroup(2))(FreeAbelianGroup(2).parse_element("(1,2)"))
     with pytest.raises(GroupError):
         evens.compile(Z)
     assert not hasattr(evens, "_test")

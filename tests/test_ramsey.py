@@ -36,7 +36,7 @@ F2 = FreeGroup(["a", "b"])
 
 
 def zel(k):
-    return Z.parse_element([k])
+    return Z.parse_element(str(k))
 
 
 def zball(n):
