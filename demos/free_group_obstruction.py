@@ -46,7 +46,8 @@ for member in cert.family.member_labels():
     total = sum(weights[x] for x in member)
     print("  ", sorted(repr(x) for x in member), "weight sum", total)
 
-print("\nintegers: same search ->", realization_search(Z, ball(Z, 1), [Q(1), Q(0), Q(-1)], 4))
+zweights = dict(zip(ball(Z, 1), [Q(1), Q(0), Q(-1)]))
+print("\nintegers: same search ->", realization_search(Z, ball(Z, 1), zweights, 4))
 
 # the structural facts behind the five-set obstruction, scanned pointwise
 print("\nidentity scan (length <= 6):", verify_identities(6).ok)

@@ -139,10 +139,13 @@ class UnbalanceWitness:
         return cls(tuple(parse_q(x) for x in obj["values"]), parse_q(obj["margin"]))
 
 
-def _combined_vector(family: SetFamily, weights: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    width = len(family.ground)
+def combined_vector(
+    masks: Iterable[int], weights: Iterable[Fraction], width: int
+) -> tuple[Fraction, ...]:
+    """Σ w·1_mask over positions 0 .. width - 1: position i sums the weights
+    of the masks that have bit i set."""
     v = [_F0] * width
-    for mask, lam in zip(family.members, weights):
+    for mask, lam in zip(masks, weights):
         if lam:
             for i in range(width):
                 if mask >> i & 1:
@@ -189,7 +192,8 @@ def deficiency_optimum(family: SetFamily) -> tuple[Optimum, BalanceWitness]:
     k = len(family.members)
     opt = minimize(deficiency_system(family))
     weights = tuple(opt.point[:k])
-    witness = BalanceWitness(weights, _combined_vector(family, weights), opt.value)
+    vector = combined_vector(family.members, weights, len(family.ground))
+    witness = BalanceWitness(weights, vector, opt.value)
     if not verify_balance_witness(family, witness):
         raise RuntimeError("internal error: balance witness failed verification")
     return opt, witness
@@ -252,7 +256,7 @@ def verify_balance_witness(family: SetFamily, witness: BalanceWitness, eps=None)
         return False
     if sum(witness.weights, _F0) != 1:
         return False
-    vector = _combined_vector(family, witness.weights)
+    vector = combined_vector(family.members, witness.weights, len(family.ground))
     if vector != tuple(witness.vector):
         return False
     if max(vector) - min(vector) != witness.gap:

@@ -10,14 +10,15 @@ step of a ``boost`` tower included), while ``folner-check``,
 compare.  A checked result must answer its own job: each parameter it
 restates, such as the eps of ``boost`` or the window of a
 ``realize-search`` certificate, must equal the job's.
-``folner-function``, ``ramsey-function``, ``function-table`` and
-``weighted-folner`` embed no certificate of minimality or optimality, so
-their job is run again and the envelopes compared.  A result that
-carries no evidence is reported as ``"certificates": "none"`` with exit
-code 0: a positive ``ramsey-check`` verdict whose witnesses were never
-collected (``--no-witnesses``, or the direct method past 4096 subsets)
-and a ``realize-search`` that found nothing.  The enumeration cap is ``--cap``
-alone, default ``ramsey.DEFAULT_ENUMERATION_CAP``.
+``balance``, ``folner-function``, ``ramsey-function``, ``function-table``
+and ``weighted-folner`` embed no certificate of minimality or optimality,
+so their result is computed again and compared.  A result that carries
+no evidence is reported as ``"certificates": "none"`` with exit code 0:
+a positive direct ``ramsey-check`` verdict past 4096 subsets, which
+keeps no witnesses, and a ``realize-search`` that found nothing.  Element
+strings are read in the canonical form the tool writes, and no other.
+The enumeration cap is ``--cap`` alone, default
+``ramsey.DEFAULT_ENUMERATION_CAP``.
 
 Exit codes: 0 for completed computations (negative mathematical verdicts
 such as "not Ramsey" or "infeasible" are still successes), 1 for errors
@@ -163,24 +164,21 @@ def _ramsey_check(args):
         method=args.method,
         cap=args.cap,
     )
-    result = verdict.to_json()
-    if args.no_witnesses:
-        result.pop("witnesses", None)
-        result.pop("family_witnesses", None)
-    job = {"m": args.m, "n": args.n, "method": args.method, "witnesses": not args.no_witnesses}
-    return job, result
+    job = {"m": args.m, "n": args.n, "method": args.method, "witnesses": True}
+    return job, verdict.to_json()
 
 
 def _verify_ramsey_check(group, job, result) -> bool | None:
     verdict = RamseyVerdict.from_json(result, group)
+    if job["witnesses"] is not True:  # every run keeps the witnesses it collects
+        return False
     if (verdict.eps, verdict.method, verdict.window, verdict.bset) != (
         parse_q(job["eps"]), job["method"], ball(group, job["m"]), ball(group, job["n"])
     ):
         return False
     checked = verify_ramsey_verdict(verdict)
-    if checked is None:  # a positive verdict without witnesses: were they ever collected?
-        collected = keeps_witnesses(job["method"], len(verdict.products))
-        return False if job["witnesses"] and collected else None
+    if checked is None and keeps_witnesses(job["method"], len(verdict.products)):
+        return False  # a positive verdict whose witnesses were collected and dropped
     return checked
 
 
@@ -215,27 +213,24 @@ def _weighted_folner(args):
     return {"m": args.m, "n": args.n}, weighted_folner(args.group, args.m, args.n).to_json()
 
 
-def _balance(args):
-    family = SetFamily.from_json(_load_json_arg(args.family))
+def _balance_result(family: SetFamily) -> dict:
     eps_star, witness = balance_deficiency(family)
-    result = {
+    return {
         "deficiency": fmt_q(eps_star),
         "balanced": eps_star == 0,
         "witness": witness.to_json(),
         "family": family.to_json(),
     }
-    return {"family": family.to_json()}, result
+
+
+def _balance(args):
+    family = SetFamily.from_json(_load_json_arg(args.family))
+    return {"family": family.to_json()}, _balance_result(family)
 
 
 def _verify_balance(group, job, result) -> bool:
-    if result["family"] != job["family"]:
-        return False
-    family = SetFamily.from_json(result["family"])
-    witness = BalanceWitness.from_json(result["witness"])
-    if not verify_balance_witness(family, witness):
-        return False
-    balanced = result["balanced"]
-    return balanced == (witness.gap == 0) and parse_q(result["deficiency"]) == witness.gap
+    """The witness shows a gap, not that it is least: solve again and compare."""
+    return _balance_result(SetFamily.from_json(job["family"])) == result
 
 
 def _unbalance_witness(args):
@@ -509,7 +504,6 @@ _COMMANDS = (
             _arg("--m", type=int, required=True),
             _arg("--n", type=int, required=True),
             _arg("--method", choices=["direct", "pictures"], default="direct"),
-            _arg("--no-witnesses", action="store_true"),
         ),
         eps=True,
         cap=True,

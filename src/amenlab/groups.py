@@ -21,8 +21,10 @@ Conventions fixed here and relied on by the rest of the package:
 * Free-group words serialize as compact strings with uppercase meaning
   inverse ("aBa" is a·b⁻¹·a) and "e" for the identity, which is why
   free-group generator names must be single lowercase letters.
-* In JSON an element is its string form, never a number or an array:
-  `parse_elements` reads an array of them and `parse_weights` an
+* In JSON an element is its string form, never a number or an array,
+  and only the canonical spelling that `format_element` writes:
+  `Group.read_element` reads one ("01", "aA" and " 1" are errors),
+  `parse_elements` an array of them and `parse_weights` an
   element → "p/q" object.
 """
 
@@ -112,6 +114,14 @@ class Group:
 
     def sort_key(self, value):
         return value
+
+    def read_element(self, text: str) -> Element:
+        """The element whose canonical string is text; any other spelling is a GroupError."""
+        el = self.parse_element(text)
+        canonical = self.format_element(el)
+        if canonical != text:
+            raise GroupError(f"element {text!r} is not in its canonical form {canonical!r}")
+        return el
 
     # concrete kinds supply: identity, multiply, inverse, generators,
     # format_element, parse_element, to_json
@@ -430,20 +440,14 @@ def group_from_json(obj: Mapping) -> Group:
 
 
 def parse_elements(group: Group, texts) -> tuple[Element, ...]:
-    """Elements from a JSON array of their string forms."""
-    return tuple(group.parse_element(t) for t in items(texts, str, "an element list"))
+    """Elements from a JSON array of their canonical string forms."""
+    return tuple(group.read_element(t) for t in items(texts, str, "an element list"))
 
 
 def parse_weights(group: Group, obj: Mapping) -> dict[Element, Fraction]:
-    """A JSON object mapping element strings to "p/q" rationals, keyed by element;
-    two keys naming one element (such as "-3" and "-03" in Z) are a GroupError."""
-    out: dict[Element, Fraction] = {}
-    for text, q in obj.items():
-        el = group.parse_element(text)
-        if el in out:
-            raise GroupError(f"two keys name the element {el!r}")
-        out[el] = parse_q(q)
-    return out
+    """A JSON object mapping canonical element strings to "p/q" rationals, keyed
+    by element; one spelling per element means no two keys name one element."""
+    return {group.read_element(text): parse_q(q) for text, q in obj.items()}
 
 
 def ball(group: Group, radius: int, *, cap: int | None = None) -> tuple[Element, ...]:

@@ -63,7 +63,7 @@ def height(el: Element) -> int:
 def _explicit(obj: Mapping, group: Group | None) -> dict:
     if group is None:
         raise ValueError("explicit sets need a group for parsing")
-    elements = {group.parse_element(t) for t in items(obj["elements"], str, "elements")}
+    elements = set(parse_elements(group, obj["elements"]))
     return {"elements": [repr(e) for e in sort_elements(elements)]}
 
 
@@ -109,7 +109,7 @@ def _compile(spec: Mapping, group: Group) -> Callable[[Element], bool]:
     """The membership closure of a canonical construction, bound to one group."""
     kind = spec["kind"]
     if kind == "explicit":
-        test = frozenset(group.parse_element(t) for t in spec["elements"]).__contains__
+        test = frozenset(parse_elements(group, spec["elements"])).__contains__
     elif kind == "first_letter":
         if not isinstance(group, FreeGroup):
             raise GroupError("first_letter sets live in free groups")
@@ -244,7 +244,7 @@ class NonAmenabilityCertificate:
             tuple(parse_q(x) for x in obj["f"]),
             obj["radius"],
             SetSpec.from_json(obj["target"], group),
-            SetFamily.from_json(obj["family"], parse=group.parse_element),
+            SetFamily.from_json(obj["family"], parse=group.read_element),
             UnbalanceWitness.from_json(obj["witness"]),
         )
 
@@ -290,23 +290,18 @@ def candidate_pool(group: Group) -> list[SetSpec]:
 def realization_search(
     group: Group,
     window: Iterable[Element],
-    f,
+    f: Mapping[Element, Fraction],
     radius: int,
 ) -> NonAmenabilityCertificate | None:
     """Search the candidate pool for a target realizing only positive pictures.
 
-    ``f`` maps window elements to rationals summing to zero (mapping or
-    sequence aligned with the canonical window order).  Returns the first
-    certificate in pool order, or None when the pool is exhausted; None
-    is not evidence that no certificate exists elsewhere.
+    ``f`` maps each window element to a rational; the values sum to zero
+    and are not all zero.  Returns the first certificate in pool order, or
+    None when the pool is exhausted; None is not evidence that no
+    certificate exists elsewhere.
     """
     window = tuple(sort_elements(window))
-    if isinstance(f, Mapping):
-        values = tuple(exact(f[a]) for a in window)
-    else:
-        values = tuple(exact(x) for x in f)
-        if len(values) != len(window):
-            raise ValueError("weight vector must align with the window")
+    values = tuple(exact(f[a]) for a in window)
     if sum(values, _F0) != 0:
         raise ValueError("window weighting must sum to zero")
     if not any(values):

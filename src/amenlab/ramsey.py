@@ -38,6 +38,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .balance import (
     BalanceWitness,
     SetFamily,
+    combined_vector,
     deficiency_optimum,
     deficiency_system,
     verify_balance_witness,
@@ -272,7 +273,7 @@ class RamseyVerdict:
         if "family_witnesses" in obj:
             family_witnesses = [
                 (
-                    SetFamily.from_json(item["family"], group.parse_element),
+                    SetFamily.from_json(item["family"], group.read_element),
                     BalanceWitness.from_json(item["witness"]),
                 )
                 for item in obj["family_witnesses"]
@@ -308,14 +309,6 @@ def keeps_witnesses(method: str, k: int) -> bool:
     route keeps one measure per subset up to `WITNESS_MASK_LIMIT` subsets.
     """
     return method == "pictures" or 1 << k <= WITNESS_MASK_LIMIT
-
-
-def _column_gap(width: int, cols: Sequence[int], support) -> Fraction:
-    """E-gap of the measure with weight w at interior point j, for (j, w) in
-    support: max - min over window positions i of the weight of the points
-    whose column has bit i set.  No group products are taken."""
-    vals = [sum((w for j, w in support if cols[j] >> i & 1), _F0) for i in range(width)]
-    return max(vals) - min(vals)
 
 
 def is_epsilon_ramsey(
@@ -406,18 +399,18 @@ def is_epsilon_ramsey(
                 direct_memo[key] = hit
             feasible, payload = hit
             if feasible:
-                # each column's weight goes to the first interior point with that column
+                # each column's weight goes to the first interior point with that
+                # column; the E-gap is read from the columns, with no group products
                 assigned = dict(payload)
-                support = [(j, assigned.pop(col)) for j, col in enumerate(cols) if col in assigned]
-                if sum(w for _, w in support) != 1 or _column_gap(width, cols, support) > eps:
+                support = {j: assigned.pop(col) for j, col in enumerate(cols) if col in assigned}
+                vector = combined_vector((cols[j] for j in support), support.values(), width)
+                if sum(support.values()) != 1 or max(vector) - min(vector) > eps:
                     raise RuntimeError("internal error: remapped witness failed")
                 if witnesses is not None:
-                    witnesses[e_mask] = Measure(group, {C[j]: w for j, w in support})
+                    witnesses[e_mask] = Measure(group, {C[j]: w for j, w in support.items()})
             else:
-                system = direct_gap_system(width, cols, eps)
-                cert = FeasibilityOutcome(False, farkas=payload)
-                if not verify_certificate(system, cert):
-                    raise RuntimeError("internal error: remapped Farkas failed")
+                # the multipliers were checked on the sorted columns by solve_feasibility;
+                # a Farkas certificate does not depend on the column order
                 counterexample = RamseyCounterexample(
                     e_mask,
                     _mask_elements(products, e_mask),
@@ -541,21 +534,20 @@ def subset_measure(
 def binary_to_unit(
     window: Sequence[Element],
     bset: Sequence[Element],
-    f: Mapping[Element, Fraction] | Callable[[Element], Fraction],
+    f: Mapping[Element, Fraction],
 ) -> Measure:
     """From the 1/2-Ramsey witness of the level set {f >= 1/2} to an
     f-gap of at most 3/4.
 
-    ``f`` must take values in [0,1] on B.  The returned measure is the
-    witness for the induced binary set; splitting f as
-    (1/2)*chi_E + (f - (1/2)*chi_E) bounds its gap by 1/4 + 1/2, and the
-    bound is verified exactly before returning.
+    ``f`` is a mapping from every point of B to a value in [0,1].  The
+    returned measure is the witness for the induced binary set; splitting
+    f as (1/2)*chi_E + (f - (1/2)*chi_E) bounds its gap by 1/4 + 1/2, and
+    the bound is verified exactly before returning.
     """
     bset_t = tuple(sort_elements(bset))
-    get = f if callable(f) else f.__getitem__
     fvals = {}
     for b in bset_t:
-        v = exact(get(b))
+        v = exact(f[b])
         if not 0 <= v <= 1:
             raise ValueError("f must map B into [0,1]")
         fvals[b] = v

@@ -241,7 +241,7 @@ def test_criterion_09_nonamenability_certificate():
     for member in cert.family.member_labels():
         assert sum((f[x] for x in member), Q(0)) > 0
     zwindow = ball(Z, 1)
-    assert realization_search(Z, zwindow, [Q(1), Q(0), Q(-1)], 4) is None
+    assert realization_search(Z, zwindow, dict(zip(zwindow, [Q(1), Q(0), Q(-1)])), 4) is None
     _stamp(start, "9 PASS: F2 search yields a verified certificate; the Z search is empty")
 
 

@@ -124,15 +124,6 @@ def test_error_exits_one(capsys):
         assert error_line(capsys, "boost", "--group", group, "--m", "1", "--eps", "3/4") == 1
 
 
-def test_no_witnesses_flag(capsys):
-    code, env = run_envelope(
-        capsys, "ramsey-check", "--group", Z, "--m", "1", "--n", "2",
-        "--eps", "1/2", "--no-witnesses",
-    )
-    assert code == 0
-    assert "witnesses" not in env["result"]
-
-
 def test_group_from_file(capsys, tmp_path):
     gpath = tmp_path / "group.json"
     gpath.write_text(Z)
@@ -424,15 +415,21 @@ def test_verify_rejects_a_dropped_subset_witness(capsys, tmp_path):
     assert verify_status(capsys, path) == (1, "FAILED")
 
 
-@pytest.mark.parametrize("method", ["direct", "pictures"])
+# only the direct route drops witnesses: past WITNESS_MASK_LIMIT (4096) subsets
+@pytest.mark.parametrize("method", ["direct"])
 def test_verify_reports_none_without_witnesses(capsys, tmp_path, method):
     path = tmp_path / "ramsey.json"
-    env = ramsey_envelope(capsys, path, "--m", "1", "--n", "3", "--eps", "1/2",
-                          "--method", method, "--no-witnesses")
-    assert env["result"]["is_ramsey"] is True
+    env = ramsey_envelope(capsys, path, "--m", "1", "--n", "6", "--eps", "1/2",
+                          "--method", method)
+    assert env["result"]["is_ramsey"] is True and env["job"]["witnesses"] is True
+    assert env["result"]["subsets_checked"] == 8192 and "witnesses" not in env["result"]
     assert verify_status(capsys, path) == (0, "none")
-    # the same envelope claiming its witnesses were asked for fails
-    forge(path, lambda env: env["job"].update(witnesses=True))
+    # every run collects witnesses: a job that says otherwise fails
+    forge(path, lambda env: env["job"].update(witnesses=False))
+    assert verify_status(capsys, path) == (1, "FAILED")
+    # below the limit, a positive verdict without its witnesses fails
+    ramsey_envelope(capsys, path, "--m", "1", "--n", "3", "--eps", "1/2", "--method", method)
+    forge(path, lambda env: env["result"].pop("witnesses"))
     assert verify_status(capsys, path) == (1, "FAILED")
 
 
@@ -808,3 +805,91 @@ def test_verify_caps_a_forged_realize_search_probe(capsys, tmp_path):
 
     forge(path, widen)
     assert cap_line(capsys, "verify", str(path)) == (2, "")
+
+
+def test_verify_rejects_a_non_optimal_balance_deficiency(capsys, tmp_path):
+    # weights (1, 0) are a valid witness of gap 1, but the least gap is 0
+    path = tmp_path / "balance.json"
+    pair = '{"ground":["x","y"],"members":[["x"],["y"]]}'
+    assert run(capsys, "balance", "--family", pair, "--out", str(path))[0] == 0
+    assert verify_status(capsys, path) == (0, "ok")
+
+    def worsen(env):
+        env["result"].update(deficiency="1/1", balanced=False)
+        env["result"]["witness"].update(weights=["1/1", "0/1"], vector=["1/1", "0/1"], gap="1/1")
+
+    forge(path, worsen)
+    assert verify_status(capsys, path) == (1, "FAILED")
+
+
+def respell_measure_key(env):
+    env["result"]["measure"] = {"-03": env["result"]["measure"].pop("-3")}
+
+
+def respell_the_identity(env):
+    bset = env["result"]["bset"]
+    bset[bset.index("e")] = "aA"
+
+
+@pytest.mark.parametrize("argv, respell", [
+    (["boost", "--group", Z, "--m", "1", "--eps", "9/16"], respell_measure_key),
+    (["ramsey-check", "--group", F2, "--m", "1", "--n", "1", "--eps", "1/2",
+      "--method", "pictures"], respell_the_identity),
+], ids=["boost", "ramsey-check"])
+def test_verify_reads_elements_in_canonical_form_only(capsys, tmp_path, argv, respell):
+    # "-03" names -3 and "aA" names e, but the tool writes neither
+    path = tmp_path / "env.json"
+    assert run(capsys, *argv, "--out", str(path))[0] == 0
+    assert verify_status(capsys, path) == (0, "ok")
+    forge(path, respell)
+    assert verify_status(capsys, path) == (1, "FAILED")
+
+
+@pytest.mark.parametrize("argv, text, canonical", [
+    (["folner-check", "--group", Z, "--a-set", '["01"]', "--b-set", '["0","1"]',
+      "--eps", "1/2"], "01", "1"),
+    (["pictures", "--group", F2, "--window-radius", "1", "--domain-radius", "1",
+      "--target", '{"kind":"explicit","elements":["aA"]}'], "aA", "e"),
+], ids=["folner-check", "pictures"])
+def test_element_arguments_are_read_in_canonical_form_only(capsys, argv, text, canonical):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: element {text!r} is not in its canonical form {canonical!r}\n"
+
+
+# S3 as permutations of (0, 1, 2) in lexicographic order; 1 and 2 are transpositions
+S3 = ('{"kind":"finite_table","generators":[1,2],"table":[[0,1,2,3,4,5],[1,0,4,5,2,3],'
+      '[2,3,0,1,5,4],[3,2,5,4,0,1],[4,5,1,0,3,2],[5,4,3,2,1,0]]}')
+
+
+def test_table_group_ramsey_check_by_both_methods(capsys, tmp_path):
+    results = []
+    for method in ("direct", "pictures"):
+        path = tmp_path / f"{method}.json"
+        env = run_envelope(capsys, "ramsey-check", "--group", S3, "--m", "1", "--n", "2",
+                           "--eps", "1/2", "--method", method, "--out", str(path))[1]
+        assert env["job"]["group"]["generators"] == [1, 2]
+        assert verify_status(capsys, path) == (0, "ok")
+        results.append(env["result"])
+    assert [r["is_ramsey"] for r in results] == [True, True]
+    assert [r["interior"] for r in results] == [["0", "1", "2"]] * 2
+
+
+@pytest.mark.parametrize("radius, exact", [("2", False), ("3", True)])
+def test_table_group_folner_function(capsys, tmp_path, radius, exact):
+    # ball(2) misses one of the six elements and ball(3) is the whole group
+    path = tmp_path / "folner.json"
+    env = run_envelope(capsys, "folner-function", "--group", S3, "--k", "1",
+                       "--window-radius", radius, "--out", str(path))[1]
+    assert (env["result"]["size"], env["result"]["exact"]) == (4, exact)
+    assert verify_status(capsys, path) == (0, "ok")
+
+
+def test_verify_checks_an_empty_interior(capsys, tmp_path):
+    # no translate of ball(2) fits in ball(1)
+    path = tmp_path / "ramsey.json"
+    env = ramsey_envelope(capsys, path, "--m", "2", "--n", "1", "--eps", "1/2")
+    assert (env["result"]["is_ramsey"], env["result"]["reason"]) == (False, "empty_interior")
+    assert verify_status(capsys, path) == (0, "ok")
+    forge(path, lambda env: env["result"].update(is_ramsey=True))
+    assert verify_status(capsys, path) == (1, "FAILED")

@@ -199,15 +199,15 @@ def test_realization_search_f2_finds_first_letter():
 
 def test_realization_search_z_exhausts():
     window = ball(Z, 1)
-    assert realization_search(Z, window, [Q(1), Q(0), Q(-1)], 4) is None
+    assert realization_search(Z, window, dict(zip(window, [Q(1), Q(0), Q(-1)])), 4) is None
 
 
 def test_realization_search_rejects_degenerate_weights():
     window = ball(Z, 1)
     with pytest.raises(ValueError):
-        realization_search(Z, window, [Q(0), Q(0), Q(0)], 3)
+        realization_search(Z, window, dict.fromkeys(window, Q(0)), 3)
     with pytest.raises(ValueError):
-        realization_search(Z, window, [Q(1), Q(1), Q(1)], 3)
+        realization_search(Z, window, dict.fromkeys(window, Q(1)), 3)
 
 
 def test_candidate_pools_are_deterministic():

@@ -55,7 +55,6 @@ ENTRY_POINTS = {
     "realization_search_mapping": lambda x: realization_search(
         Z, WINDOW, dict(zip(WINDOW, (x, 0, -1))), 1
     ),
-    "realization_search_sequence": lambda x: realization_search(Z, WINDOW, (x, 0, -1), 1),
     "LinearSystem": lambda x: LinearSystem(1, [((x,), LE, 1)]),
     "Measure": lambda x: Measure(Z, {Z.identity(): x}),
 }
