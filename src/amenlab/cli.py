@@ -3,22 +3,21 @@
 Every run produces a JSON envelope: tool version, the job echo, the
 result with any certificates, and a content digest.  Envelopes for
 deterministic jobs are byte-identical across runs.  ``amenlab verify``
-recomputes the digest and then rechecks the result against the job by
-plain arithmetic: certificates are checked without LP pivoting (every
-step of a ``boost`` tower included), while ``folner-check``,
-``pictures`` and ``f2-verify`` recompute their (search-free) results and
-compare.  A checked result must answer its own job: each parameter it
-restates, such as the eps of ``boost`` or the window of a
-``realize-search`` certificate, must equal the job's.
-``balance``, ``folner-function``, ``ramsey-function``, ``function-table``
-and ``weighted-folner`` embed no certificate of minimality or optimality,
-so their result is computed again and compared.  A result that carries
-no evidence is reported as ``"certificates": "none"`` with exit code 0:
-a positive direct ``ramsey-check`` verdict past 4096 subsets, which
-keeps no witnesses, and a ``realize-search`` that found nothing.  Element
-strings are read in the canonical form the tool writes, and no other.
-The enumeration cap is ``--cap`` alone, default
-``ramsey.DEFAULT_ENUMERATION_CAP``.
+recomputes the digest and then rechecks the result against the job.
+Certificates are checked by plain arithmetic without LP pivoting (every
+step of a ``boost`` tower included), and each parameter a result
+restates, such as the eps of ``boost``, must equal the job's.
+``pictures`` recomputes its family from the job's window, which must be
+in canonical order.  Every other command without a certificate
+(``balance``, ``folner-check``, ``folner-function``, ``weighted-folner``,
+``ramsey-function``, ``f2-verify`` and ``function-table``) is run again
+from its job's fields, and job and result are compared byte for byte.
+A result that carries no evidence is reported as ``"certificates":
+"none"`` with exit code 0: a positive direct ``ramsey-check`` verdict
+past 4096 subsets, which keeps no witnesses, and a ``realize-search``
+that found nothing.  Element strings are read in the canonical form the
+tool writes, and no other.  The enumeration cap is ``--cap`` alone,
+default ``ramsey.DEFAULT_ENUMERATION_CAP``; ``verify`` exits 2 past it.
 
 Exit codes: 0 for completed computations (negative mathematical verdicts
 such as "not Ramsey" or "infeasible" are still successes), 1 for errors
@@ -98,7 +97,7 @@ from .ramsey import (
     ramsey_function,
     verify_ramsey_verdict,
 )
-from .rationals import canonical_dumps, fmt_q, parse_q, sha256_digest
+from .rationals import canonical_dumps, fmt_q, parse_q, sha256_digest, typed
 
 
 class CliError(ValueError):
@@ -106,6 +105,7 @@ class CliError(ValueError):
 
 
 def _load_json_arg(text: str):
+    """A JSON document on the command line: inline text or a file path."""
     text = text.strip()
     if text.startswith("{") or text.startswith("["):
         return json.loads(text)
@@ -151,9 +151,10 @@ def _emit(env: dict, out_path: str | None) -> int:
 
 
 # ---------------------------------------------------------------- commands
-# run(args) sees --group as a Group and --eps as a Fraction, and returns
-# (job fields, result); verify(group, job, result) rechecks and returns
-# True or False, or None when the result carries no certificates.
+# run(args) sees --group as a Group and --eps as a Fraction, reads each other
+# JSON document through args.load, and returns (job fields, result);
+# verify(group, job, result) rechecks and returns True or False, or None
+# when the result carries no certificates.
 
 
 def _ramsey_check(args):
@@ -170,8 +171,8 @@ def _ramsey_check(args):
 
 def _verify_ramsey_check(group, job, result) -> bool | None:
     verdict = RamseyVerdict.from_json(result, group)
-    if job["witnesses"] is not True:  # every run keeps the witnesses it collects
-        return False
+    if job["witnesses"] is not True or len(verdict.products) > job["cap"]:
+        return False  # every run keeps the witnesses it collects and stops past its cap
     if (verdict.eps, verdict.method, verdict.window, verdict.bset) != (
         parse_q(job["eps"]), job["method"], ball(group, job["m"]), ball(group, job["n"])
     ):
@@ -188,20 +189,14 @@ def _ramsey_function(args):
 
 
 def _folner_check(args):
-    window = parse_elements(args.group, _load_json_arg(args.a_set))
-    bset = parse_elements(args.group, _load_json_arg(args.b_set))
+    window = parse_elements(args.group, args.load(args.window))
+    bset = parse_elements(args.group, args.load(args.bset))
     report = is_epsilon_folner(window, bset, args.eps)
     job = {
         "window": [repr(a) for a in sort_elements(window)],
         "bset": [repr(b) for b in sort_elements(bset)],
     }
     return job, report.to_json()
-
-
-def _verify_folner_check(group, job, result) -> bool:
-    window = parse_elements(group, job["window"])
-    bset = parse_elements(group, job["bset"])
-    return is_epsilon_folner(window, bset, parse_q(job["eps"])).to_json() == result
 
 
 def _folner_function(args):
@@ -213,28 +208,20 @@ def _weighted_folner(args):
     return {"m": args.m, "n": args.n}, weighted_folner(args.group, args.m, args.n).to_json()
 
 
-def _balance_result(family: SetFamily) -> dict:
+def _balance(args):
+    family = SetFamily.from_json(args.load(args.family))
     eps_star, witness = balance_deficiency(family)
-    return {
+    result = {
         "deficiency": fmt_q(eps_star),
         "balanced": eps_star == 0,
         "witness": witness.to_json(),
         "family": family.to_json(),
     }
-
-
-def _balance(args):
-    family = SetFamily.from_json(_load_json_arg(args.family))
-    return {"family": family.to_json()}, _balance_result(family)
-
-
-def _verify_balance(group, job, result) -> bool:
-    """The witness shows a gap, not that it is least: solve again and compare."""
-    return _balance_result(SetFamily.from_json(job["family"])) == result
+    return {"family": family.to_json()}, result
 
 
 def _unbalance_witness(args):
-    family = SetFamily.from_json(_load_json_arg(args.family))
+    family = SetFamily.from_json(args.load(args.family))
     witness = unbalance_witness(family)
     result = {
         "family": family.to_json(),
@@ -258,7 +245,7 @@ def _verify_unbalance(group, job, result) -> bool:
 
 
 def _pictures(args):
-    target = SetSpec.from_json(_load_json_arg(args.target), args.group)
+    target = SetSpec.from_json(args.load(args.target), args.group)
     window = ball(args.group, args.window_radius)
     domain = ball(args.group, args.domain_radius, cap=PROBE_BALL_CAP)
     family = realized_family(window, target.compile(args.group), domain)
@@ -275,7 +262,9 @@ def _pictures(args):
 
 
 def _verify_pictures(group, job, result) -> bool:
-    window = tuple(sort_elements(parse_elements(group, job["window"])))
+    window = parse_elements(group, job["window"])
+    if list(window) != sort_elements(window):
+        return False  # the run writes its window in canonical order
     test = SetSpec.from_json(job["target"], group).compile(group)
     family = realized_family(window, test, ball(group, job["domain_radius"], cap=PROBE_BALL_CAP))
     return family.to_json() == result["family"]
@@ -283,7 +272,7 @@ def _verify_pictures(group, job, result) -> bool:
 
 def _realize_search(args):
     window = ball(args.group, args.window_radius)
-    fobj = _load_json_arg(args.f)
+    fobj = args.load(args.f)
     if not isinstance(fobj, dict):
         raise CliError("--f must be a JSON object mapping window elements to rationals")
     f = parse_weights(args.group, fobj)
@@ -390,13 +379,6 @@ def _f2_verify(args):
     return {"disjoint": [k, length]}, verify_disjoint_translates(k, length).to_json()
 
 
-def _verify_f2_verify(group, job, result) -> bool:
-    if "identities" in job:
-        return verify_identities(job["identities"]).to_json() == result
-    k, length = job["disjoint"]
-    return verify_disjoint_translates(k, length).to_json() == result
-
-
 def _f2_infeasible(args):
     delta = parse_q(args.delta)
     outcome = simultaneous_invariance(args.K, delta, args.r)
@@ -461,9 +443,15 @@ def _emit_table(env: dict, out_path: str | None) -> int:
 
 
 def _verify_by_rerun(group, job, result) -> bool:
-    """A summary carries no certificates: run its job again and compare."""
-    args = argparse.Namespace(**{**job, "group": json.dumps(job["group"])})
-    again = _job_and_result(COMMANDS[job["command"]], args)
+    """Run the job again from its own fields, an optional argument it does not
+    name taking its parser default, and compare job and result."""
+    command = COMMANDS[job["command"]]
+    parser = argparse.ArgumentParser()
+    actions = [parser.add_argument(*flags, **options) for flags, options in command.arguments]
+    defaults = {a.dest: a.default for a in actions}
+    # a job field is parsed JSON already, never a file path to open
+    args = argparse.Namespace(**{**defaults, **job, "load": lambda value: value})
+    again = _job_and_result(command, args)
     return canonical_dumps(again) == canonical_dumps((job, result))
 
 
@@ -524,10 +512,13 @@ _COMMANDS = (
         "folner-check",
         "exact boundary counts for a candidate set",
         _folner_check,
-        _verify_folner_check,
+        _verify_by_rerun,
         (
-            _arg("--a-set", required=True, help="JSON list of elements"),
-            _arg("--b-set", required=True, help="JSON list of elements"),
+            # named as the job writes them, so a rerun reads them back
+            _arg("--a-set", dest="window", metavar="A_SET", required=True,
+                 help="JSON list of elements"),
+            _arg("--b-set", dest="bset", metavar="B_SET", required=True,
+                 help="JSON list of elements"),
         ),
         eps=True,
     ),
@@ -555,7 +546,7 @@ _COMMANDS = (
         "balance",
         "balance deficiency of a set family",
         _balance,
-        _verify_balance,
+        _verify_by_rerun,
         (_arg("--family", required=True, help="family JSON or file path"),),
         group=False,
     ),
@@ -601,7 +592,7 @@ _COMMANDS = (
         "f2-verify",
         "pointwise identity / disjointness scans in the rank-2 free group",
         _f2_verify,
-        _verify_f2_verify,
+        _verify_by_rerun,
         (
             _arg("--identities", type=int, default=None, metavar="L"),
             _arg("--disjoint", type=int, nargs=2, default=None, metavar=("K", "L")),
@@ -638,7 +629,7 @@ def _job_and_result(command: Command, args) -> tuple[dict, dict]:
     """Load the shared options, run the command and echo its inputs as the job."""
     job = {"command": command.name}
     if command.group:
-        args.group = group_from_json(_load_json_arg(args.group))
+        args.group = group_from_json(args.load(args.group))
         job["group"] = args.group.to_json()
     if command.eps:
         args.eps = parse_q(args.eps)
@@ -651,6 +642,7 @@ def _job_and_result(command: Command, args) -> tuple[dict, dict]:
 
 
 def _run(command: Command, args) -> int:
+    args.load = _load_json_arg
     return command.emit(_envelope(*_job_and_result(command, args)), args.out)
 
 
@@ -676,6 +668,10 @@ def _verify(path: str) -> int:
         return 1
     try:
         group = group_from_json(job["group"]) if command.group else None
+        if command.cap and typed(job["cap"], int, "cap") > DEFAULT_ENUMERATION_CAP:
+            raise CapExceeded(
+                f"job cap {job['cap']} exceeds enumeration cap {DEFAULT_ENUMERATION_CAP}"
+            )
         ok = command.verify(group, job, result)
     except (LookupError, TypeError, ValueError, AttributeError):
         ok = False  # a missing or malformed field is a failed check

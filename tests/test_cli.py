@@ -1,6 +1,7 @@
 import json
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -893,3 +894,86 @@ def test_verify_checks_an_empty_interior(capsys, tmp_path):
     assert verify_status(capsys, path) == (0, "ok")
     forge(path, lambda env: env["result"].update(is_ramsey=True))
     assert verify_status(capsys, path) == (1, "FAILED")
+
+
+def test_folner_function_reports_no_set_inside_a_small_window(capsys, tmp_path):
+    # no 1/2-Folner set of Z fits in ball(1); verify reruns the job to the same null size
+    path = tmp_path / "folner.json"
+    env = run_envelope(capsys, "folner-function", "--group", Z, "--k", "2",
+                       "--window-radius", "1", "--out", str(path))[1]
+    result = env["result"]
+    assert (result["size"], result["exact"]) == (None, False)
+    assert result["note"] == "no Folner set inside the window"
+    assert verify_status(capsys, path) == (0, "ok")
+
+
+FAMILY_3 = '{"ground":["x","y","z"],"members":[["x"],["y","z"]]}'
+PROGRESSION = '{"kind":"progression","axis":0,"modulus":2,"residues":[0]}'
+
+
+@pytest.mark.parametrize("argv, change", [
+    pytest.param(
+        ["folner-check", "--group", Z, "--a-set", '["1","-1"]', "--b-set", '["0","1","2","3"]',
+         "--eps", "1/1"],
+        lambda job: job.update(window=["1", "-1"], bset=["3", "2", "1", "0"]),
+        id="folner-check-unordered",
+    ),
+    pytest.param(
+        ["balance", "--family", FAMILY_3],
+        lambda job: job["family"].update(members=[["z", "y"], ["x"], ["x"]]),
+        id="balance-unordered",
+    ),
+    pytest.param(["f2-verify", "--identities", "3"], lambda job: job.update(extra=1),
+                 id="f2-verify-extra-field"),
+    pytest.param(
+        ["pictures", "--group", Z, "--window-radius", "1", "--domain-radius", "3",
+         "--target", PROGRESSION],
+        lambda job: job.update(window=["1", "0", "-1"]),
+        id="pictures-unordered",
+    ),
+    # a job field holds parsed JSON: verify reads no file it names
+    pytest.param(["balance", "--family", FAMILY_3], lambda job: job.update(family="family.json"),
+                 id="balance-path"),
+])
+def test_verify_rejects_a_job_the_run_never_writes(capsys, tmp_path, argv, change):
+    path = tmp_path / "env.json"
+    assert run(capsys, *argv, "--out", str(path))[0] == 0
+    assert verify_status(capsys, path) == (0, "ok")
+    forge(path, lambda env: change(env["job"]))
+    assert verify_status(capsys, path) == (1, "FAILED")
+
+
+def widen_to_ball_16(env):
+    """Restate a Z ball(1)/ball(3) pictures verdict for ball(16): |A*C| = 33."""
+    ball16 = [str(x) for x in range(-16, 17)]
+    env["job"]["n"] = 16
+    env["result"].update(bset=ball16, products=ball16, interior=ball16[1:-1],
+                         subsets_checked=2 ** 33)
+
+
+def test_verify_rejects_a_verdict_past_its_cap(capsys, tmp_path):
+    # a run stops past its cap, so a verdict over more of A*C was never computed
+    path = tmp_path / "ramsey.json"
+    ramsey_envelope(capsys, path, "--m", "1", "--n", "3", "--eps", "1/2", "--method", "pictures")
+    copy = tmp_path / "copy.json"
+    copy.write_text(path.read_text())
+    forge(copy, lambda env: env["job"].update(cap=3))
+    assert verify_status(capsys, copy) == (1, "FAILED")
+    forge(path, widen_to_ball_16)
+    started = time.perf_counter()
+    assert verify_status(capsys, path) == (1, "FAILED")
+    assert time.perf_counter() - started < 1
+    forge(path, lambda env: env["job"].update(cap=40))
+    assert cap_line(capsys, "verify", str(path)) == (2, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["ramsey-function", "--group", Z, "--m", "1", "--eps", "1/2", "--n-max", "2"],
+    ["function-table", "--group", Z5, "--m-max", "1", "--k-max", "1", "--n-max", "2"],
+])
+def test_verify_caps_a_job_past_the_enumeration_cap(capsys, tmp_path, argv):
+    # verify reruns these jobs, so a forged cap would widen its enumeration
+    path = tmp_path / "env.json"
+    assert run(capsys, *argv, "--out", str(path))[0] == 0
+    forge(path, lambda env: env["job"].update(cap=40))
+    assert cap_line(capsys, "verify", str(path)) == (2, "")
