@@ -3,21 +3,19 @@
 Every run produces a JSON envelope: tool version, the job echo, the
 result with any certificates, and a content digest.  Envelopes for
 deterministic jobs are byte-identical across runs.  ``amenlab verify``
-recomputes the digest and then rechecks the result against the job.
-Certificates are checked by plain arithmetic without LP pivoting (every
-step of a ``boost`` tower included), and each parameter a result
-restates, such as the eps of ``boost``, must equal the job's.
-``pictures`` recomputes its family from the job's window, which must be
-in canonical order.  Every other command without a certificate
-(``balance``, ``folner-check``, ``folner-function``, ``weighted-folner``,
-``ramsey-function``, ``f2-verify`` and ``function-table``) is run again
-from its job's fields, and job and result are compared byte for byte.
-A result that carries no evidence is reported as ``"certificates":
-"none"`` with exit code 0: a positive direct ``ramsey-check`` verdict
-past 4096 subsets, which keeps no witnesses, and a ``realize-search``
-that found nothing.  Element strings are read in the canonical form the
-tool writes, and no other.  The enumeration cap is ``--cap`` alone,
-default ``ramsey.DEFAULT_ENUMERATION_CAP``; ``verify`` exits 2 past it.
+recomputes the digest, rebuilds every job from its own fields without
+solving it and requires the two byte-identical, and then rechecks the
+result.  Certificates are checked by plain arithmetic without LP
+pivoting (every step of a ``boost`` tower included), and each parameter
+a result restates, such as the eps of ``boost``, must equal the job's.
+A command without a certificate is run again from the rebuilt job and
+its result compared byte for byte.  A result that carries no evidence
+is reported as ``"certificates": "none"`` with exit code 0: a positive
+direct ``ramsey-check`` verdict past 4096 subsets, which keeps no
+witnesses, and a ``realize-search`` that found nothing.  Element
+strings are read in the canonical form the tool writes, and no other.
+The enumeration cap is ``--cap`` alone, default
+``ramsey.DEFAULT_ENUMERATION_CAP``; ``verify`` exits 2 past it.
 
 Exit codes: 0 for completed computations (negative mathematical verdicts
 such as "not Ramsey" or "infeasible" are still successes), 1 for errors
@@ -151,13 +149,14 @@ def _emit(env: dict, out_path: str | None) -> int:
 
 
 # ---------------------------------------------------------------- commands
-# run(args) sees --group as a Group and --eps as a Fraction, reads each other
-# JSON document through args.load, and returns (job fields, result);
-# verify(group, job, result) rechecks and returns True or False, or None
-# when the result carries no certificates.
+# run(args) yields its job fields, then its result; it sees --group as a Group,
+# --eps as a Fraction, and reads each other JSON document through args.load.
+# verify(args, result) rechecks certificates against the arguments the job was
+# rebuilt from: True or False, or None when the result carries none.
 
 
 def _ramsey_check(args):
+    yield {"m": args.m, "n": args.n, "method": args.method, "witnesses": True}
     verdict = is_epsilon_ramsey(
         ball(args.group, args.m),
         ball(args.group, args.n),
@@ -165,63 +164,67 @@ def _ramsey_check(args):
         method=args.method,
         cap=args.cap,
     )
-    job = {"m": args.m, "n": args.n, "method": args.method, "witnesses": True}
-    return job, verdict.to_json()
+    yield verdict.to_json()
 
 
-def _verify_ramsey_check(group, job, result) -> bool | None:
-    verdict = RamseyVerdict.from_json(result, group)
-    if job["witnesses"] is not True or len(verdict.products) > job["cap"]:
-        return False  # every run keeps the witnesses it collects and stops past its cap
-    if (verdict.eps, verdict.method, verdict.window, verdict.bset) != (
-        parse_q(job["eps"]), job["method"], ball(group, job["m"]), ball(group, job["n"])
-    ):
+def _verify_ramsey_check(args, result) -> bool | None:
+    verdict = RamseyVerdict.from_json(result, args.group)
+    if (verdict.eps, verdict.method) != (args.eps, args.method) or len(verdict.products) > args.cap:
+        return False  # the job's eps and method, and every run stops past its cap
+    try:  # a ball larger than the verdict's own is not it
+        if (verdict.window, verdict.bset) != (
+            ball(args.group, args.m, cap=len(verdict.window)),
+            ball(args.group, args.n, cap=len(verdict.bset)),
+        ):
+            return False
+    except CapExceeded:
         return False
     checked = verify_ramsey_verdict(verdict)
-    if checked is None and keeps_witnesses(job["method"], len(verdict.products)):
+    if checked is None and keeps_witnesses(args.method, len(verdict.products)):
         return False  # a positive verdict whose witnesses were collected and dropped
     return checked
 
 
 def _ramsey_function(args):
-    res = ramsey_function(args.group, args.m, args.eps, args.n_max, cap=args.cap)
-    return {"m": args.m, "n_max": args.n_max}, res.to_json()
+    yield {"m": args.m, "n_max": args.n_max}
+    yield ramsey_function(args.group, args.m, args.eps, args.n_max, cap=args.cap).to_json()
 
 
 def _folner_check(args):
     window = parse_elements(args.group, args.load(args.window))
     bset = parse_elements(args.group, args.load(args.bset))
-    report = is_epsilon_folner(window, bset, args.eps)
-    job = {
+    yield {
         "window": [repr(a) for a in sort_elements(window)],
         "bset": [repr(b) for b in sort_elements(bset)],
     }
-    return job, report.to_json()
+    yield is_epsilon_folner(window, bset, args.eps).to_json()
 
 
 def _folner_function(args):
-    res = folner_function(args.group, args.k, ball(args.group, args.window_radius))
-    return {"k": args.k, "window_radius": args.window_radius}, res.to_json()
+    yield {"k": args.k, "window_radius": args.window_radius}
+    yield folner_function(args.group, args.k, ball(args.group, args.window_radius)).to_json()
 
 
 def _weighted_folner(args):
-    return {"m": args.m, "n": args.n}, weighted_folner(args.group, args.m, args.n).to_json()
+    yield {"m": args.m, "n": args.n}
+    yield weighted_folner(args.group, args.m, args.n).to_json()
 
 
 def _balance(args):
     family = SetFamily.from_json(args.load(args.family))
+    yield {"family": family.to_json()}
     eps_star, witness = balance_deficiency(family)
-    result = {
+    yield {
         "deficiency": fmt_q(eps_star),
         "balanced": eps_star == 0,
         "witness": witness.to_json(),
         "family": family.to_json(),
     }
-    return {"family": family.to_json()}, result
 
 
 def _unbalance_witness(args):
     family = SetFamily.from_json(args.load(args.family))
+    yield {"family": family.to_json()}
     witness = unbalance_witness(family)
     result = {
         "family": family.to_json(),
@@ -230,13 +233,13 @@ def _unbalance_witness(args):
     }
     if witness is None:  # a balanced claim carries its zero-gap balance witness
         result["balance_witness"] = balance_deficiency(family)[1].to_json()
-    return {"family": family.to_json()}, result
+    yield result
 
 
-def _verify_unbalance(group, job, result) -> bool:
-    if result["family"] != job["family"]:
+def _verify_unbalance(args, result) -> bool:
+    if result["family"] != args.family:
         return False
-    family = SetFamily.from_json(result["family"])
+    family = SetFamily.from_json(args.family)
     if result["witness"] is None:
         witness = BalanceWitness.from_json(result["balance_witness"])
         return result["balanced"] is True and verify_balance_witness(family, witness, 0)
@@ -247,27 +250,23 @@ def _verify_unbalance(group, job, result) -> bool:
 def _pictures(args):
     target = SetSpec.from_json(args.load(args.target), args.group)
     window = ball(args.group, args.window_radius)
-    domain = ball(args.group, args.domain_radius, cap=PROBE_BALL_CAP)
-    family = realized_family(window, target.compile(args.group), domain)
-    job = {
+    yield {
         "window": [repr(a) for a in window],
         "target": target.to_json(),
         "domain_radius": args.domain_radius,
     }
-    result = {
+    domain = ball(args.group, args.domain_radius, cap=PROBE_BALL_CAP)
+    family = realized_family(window, target.compile(args.group), domain)
+    yield {
         "family": family.to_json(),
         "note": "pictures over the probe domain only; the full family may be larger",
     }
-    return job, result
 
 
-def _verify_pictures(group, job, result) -> bool:
-    window = parse_elements(group, job["window"])
-    if list(window) != sort_elements(window):
-        return False  # the run writes its window in canonical order
-    test = SetSpec.from_json(job["target"], group).compile(group)
-    family = realized_family(window, test, ball(group, job["domain_radius"], cap=PROBE_BALL_CAP))
-    return family.to_json() == result["family"]
+def _pictures_window_radius(job) -> dict:
+    """A pictures job writes its window, not its radius: the least radius of a ball that size."""
+    size = len(job["window"])
+    return {"window_radius": _ball_with_size(group_from_json(job["group"]), size, size)[1]}
 
 
 def _realize_search(args):
@@ -278,25 +277,26 @@ def _realize_search(args):
     f = parse_weights(args.group, fobj)
     if set(f) != set(window):
         raise CliError("the keys of --f must be the window's elements, each once")
-    cert = realization_search(args.group, window, f, args.radius)
-    job = {
+    yield {
         "window_radius": args.window_radius,
         "f": {repr(k): fmt_q(v) for k, v in sorted(f.items(), key=lambda kv: kv[0].key())},
         "radius": args.radius,
     }
+    cert = realization_search(args.group, window, f, args.radius)
     result = {"found": cert is not None}
     if cert is not None:
         result["certificate"] = cert.to_json()
-    return job, result
+    yield result
 
 
-def _verify_realize_search(group, job, result) -> bool | None:
+def _verify_realize_search(args, result) -> bool | None:
     if not result["found"]:  # an exhausted pool is no evidence either way
         return False if "certificate" in result else None
     cert = NonAmenabilityCertificate.from_json(result["certificate"])
-    window = tuple(sort_elements(ball(group, job["window_radius"])))
-    f = tuple(parse_q(job["f"][repr(a)]) for a in window)
-    if (cert.group, cert.window, cert.f_values, cert.radius) != (group, window, f, job["radius"]):
+    window = ball(args.group, args.window_radius)
+    f = tuple(parse_q(args.f[repr(a)]) for a in window)
+    echoed = (args.group, window, f, args.radius)
+    if (cert.group, cert.window, cert.f_values, cert.radius) != echoed:
         return False
     return verify_nonamenability_certificate(cert)
 
@@ -325,37 +325,35 @@ def _ramp_radius(m: int, eps: Fraction) -> int:
 def _boost(args):
     final_radius = _ramp_radius(args.m, args.eps)
     f = _boost_ramp(args.group, final_radius)
-    res = boost(ball(args.group, args.m), f, args.eps)
-    return {"m": args.m, "ramp_radius": final_radius}, res.to_json()
+    yield {"m": args.m, "ramp_radius": final_radius}
+    yield boost(ball(args.group, args.m), f, args.eps).to_json()
 
 
-def _ball_with_size(group: Group, size: int) -> tuple:
-    """The ball with exactly `size` elements; ValueError when there is none."""
-    for radius in range(BOOST_RADIUS_CAP + 1):
+def _ball_with_size(group: Group, size: int, max_radius: int) -> tuple:
+    """The ball with `size` elements and its least radius up to max_radius, else ValueError."""
+    for radius in range(max_radius + 1):
         try:
             found = ball(group, radius, cap=size)
         except CapExceeded:  # the balls grew past `size`
             break
         if len(found) == size:
-            return found
+            return found, radius
     raise ValueError(f"no ball has {size} elements")
 
 
-def _verify_boost(group, job, result) -> bool:
+def _verify_boost(args, result) -> bool:
     """Rebuild the tower from its sizes and recompose rho_i = nu_i * rho_(i+1), rho_n = delta_e:
     each nu_i lies in its levels' interior, each tail gap is rho_i's f-gap over
     level i and at most (3/4)^(n-i), and rho_0 is the result's measure."""
-    eps, steps = parse_q(job["eps"]), result["steps"]
-    if (parse_q(result["eps"]), job["ramp_radius"], len(steps)) != (
-        eps, _ramp_radius(job["m"], eps), boost_steps_needed(eps)
-    ):
+    group, eps, steps = args.group, args.eps, result["steps"]
+    if (parse_q(result["eps"]), len(steps)) != (eps, boost_steps_needed(eps)):
         return False
     n = len(steps)
-    towers = [ball(group, job["m"])]
-    towers += [_ball_with_size(group, s["next_window_size"]) for s in steps]
+    towers = [ball(group, args.m)]
+    towers += [_ball_with_size(group, s["next_window_size"], BOOST_RADIUS_CAP)[0] for s in steps]
     if [len(t) for t in towers[:n]] != [s["window_size"] for s in steps]:
         return False
-    f = _boost_ramp(group, job["ramp_radius"])
+    f = _boost_ramp(group, _ramp_radius(args.m, eps))
     rho = Measure.point_mass(group.identity())
     for i in range(n - 1, -1, -1):
         nu = Measure.from_json(group, steps[i]["measure"])
@@ -374,21 +372,23 @@ def _f2_verify(args):
     if (args.identities is None) == (args.disjoint is None):
         raise CliError("provide exactly one of --identities L and --disjoint K L")
     if args.identities is not None:
-        return {"identities": args.identities}, verify_identities(args.identities).to_json()
-    k, length = args.disjoint
-    return {"disjoint": [k, length]}, verify_disjoint_translates(k, length).to_json()
+        yield {"identities": args.identities}
+        yield verify_identities(args.identities).to_json()
+    else:
+        yield {"disjoint": args.disjoint}
+        yield verify_disjoint_translates(*args.disjoint).to_json()
 
 
 def _f2_infeasible(args):
     delta = parse_q(args.delta)
-    outcome = simultaneous_invariance(args.K, delta, args.r)
-    return {"K": args.K, "delta": fmt_q(delta), "r": args.r}, outcome.to_json()
+    yield {"K": args.K, "delta": fmt_q(delta), "r": args.r}
+    yield simultaneous_invariance(args.K, delta, args.r).to_json()
 
 
-def _verify_f2_infeasible(group, job, result) -> bool:
+def _verify_f2_infeasible(args, result) -> bool:
     outcome = InvarianceOutcome.from_json(result)
     echoed = (outcome.translate_count, fmt_q(outcome.delta), outcome.radius)
-    return echoed == (job["K"], job["delta"], job["r"]) and verify_invariance_outcome(outcome)
+    return echoed == (args.K, args.delta, args.r) and verify_invariance_outcome(outcome)
 
 
 _TABLE_COLUMNS = ("quantity", "m", "k", "value", "status")
@@ -396,6 +396,7 @@ _TABLE_ECHO = ("m_max", "k_max", "window_radius", "n_max")
 
 
 def _function_table(args):
+    yield {name: getattr(args, name) for name in _TABLE_ECHO}
     m_values = list(range(1, args.m_max + 1))
     k_values = list(range(1, args.k_max + 1))
     harness = inequality_harness(
@@ -421,11 +422,10 @@ def _function_table(args):
             # the harness caps its Ramsey searches lower, so these rows solve their own
             rr = ramsey_function(args.group, m, Fraction(1, k), args.n_max, cap=args.cap)
             rows.append(["ramsey", m, k, rr.value, rr.status])
-    result = {
+    yield {
         "rows": [dict(zip(_TABLE_COLUMNS, row)) for row in rows],
         "harness": harness.to_json(),
     }
-    return {name: getattr(args, name) for name in _TABLE_ECHO}, result
 
 
 def _emit_table(env: dict, out_path: str | None) -> int:
@@ -442,19 +442,6 @@ def _emit_table(env: dict, out_path: str | None) -> int:
     return 0
 
 
-def _verify_by_rerun(group, job, result) -> bool:
-    """Run the job again from its own fields, an optional argument it does not
-    name taking its parser default, and compare job and result."""
-    command = COMMANDS[job["command"]]
-    parser = argparse.ArgumentParser()
-    actions = [parser.add_argument(*flags, **options) for flags, options in command.arguments]
-    defaults = {a.dest: a.default for a in actions}
-    # a job field is parsed JSON already, never a file path to open
-    args = argparse.Namespace(**{**defaults, **job, "load": lambda value: value})
-    again = _job_and_result(command, args)
-    return canonical_dumps(again) == canonical_dumps((job, result))
-
-
 # ---------------------------------------------------------------- table
 
 
@@ -463,15 +450,18 @@ class Command:
     """One command: its own parser arguments, its run and its verifier.
 
     ``group``, ``eps`` and ``cap`` say which shared options it takes, which
-    `_run` loads and echoes into the job; ``emit(envelope, out_path)``
-    writes the result and returns the exit code.
+    `_steps` loads and echoes into the job; ``emit(envelope, out_path)``
+    writes the result and returns the exit code.  Without ``verify`` a job
+    is verified by a rerun.  ``job_args(job)`` gives the arguments a job
+    writes only as a value derived from them.
     """
 
     name: str
     help: str
     run: Callable
-    verify: Callable
     arguments: tuple = ()
+    verify: Callable | None = None
+    job_args: Callable | None = None
     group: bool = True
     eps: bool = False
     cap: bool = False
@@ -487,12 +477,12 @@ _COMMANDS = (
         "ramsey-check",
         "decide eps-Ramseyness of ball(n) w.r.t. ball(m)",
         _ramsey_check,
-        _verify_ramsey_check,
         (
             _arg("--m", type=int, required=True),
             _arg("--n", type=int, required=True),
             _arg("--method", choices=["direct", "pictures"], default="direct"),
         ),
+        verify=_verify_ramsey_check,
         eps=True,
         cap=True,
     ),
@@ -500,7 +490,6 @@ _COMMANDS = (
         "ramsey-function",
         "least n with ball(n) eps-Ramsey w.r.t. ball(m)",
         _ramsey_function,
-        _verify_by_rerun,
         (
             _arg("--m", type=int, required=True),
             _arg("--n-max", type=int, required=True),
@@ -512,7 +501,6 @@ _COMMANDS = (
         "folner-check",
         "exact boundary counts for a candidate set",
         _folner_check,
-        _verify_by_rerun,
         (
             # named as the job writes them, so a rerun reads them back
             _arg("--a-set", dest="window", metavar="A_SET", required=True,
@@ -526,7 +514,6 @@ _COMMANDS = (
         "folner-function",
         "minimum 1/k-Folner size over a window",
         _folner_function,
-        _verify_by_rerun,
         (
             _arg("--k", type=int, required=True),
             _arg("--window-radius", type=int, default=6),
@@ -536,7 +523,6 @@ _COMMANDS = (
         "weighted-folner",
         "optimal measure invariance defect",
         _weighted_folner,
-        _verify_by_rerun,
         (
             _arg("--m", type=int, required=True),
             _arg("--n", type=int, required=True),
@@ -546,7 +532,6 @@ _COMMANDS = (
         "balance",
         "balance deficiency of a set family",
         _balance,
-        _verify_by_rerun,
         (_arg("--family", required=True, help="family JSON or file path"),),
         group=False,
     ),
@@ -554,45 +539,44 @@ _COMMANDS = (
         "unbalance-witness",
         "zero-sum positive-on-members weighting",
         _unbalance_witness,
-        _verify_unbalance,
         (_arg("--family", required=True),),
+        verify=_verify_unbalance,
         group=False,
     ),
     Command(
         "pictures",
         "realized picture family over a probe ball",
         _pictures,
-        _verify_pictures,
         (
             _arg("--window-radius", type=int, required=True),
             _arg("--target", required=True, help="set construction JSON"),
             _arg("--domain-radius", type=int, required=True),
         ),
+        job_args=_pictures_window_radius,
     ),
     Command(
         "realize-search",
         "search the candidate pool for a positive-sum realization",
         _realize_search,
-        _verify_realize_search,
         (
             _arg("--window-radius", type=int, required=True),
             _arg("--f", required=True, help='JSON mapping element -> "p/q", zero sum'),
             _arg("--radius", type=int, required=True),
         ),
+        verify=_verify_realize_search,
     ),
     Command(
         "boost",
         "compose averaging steps down to a target gap",
         _boost,
-        _verify_boost,
         (_arg("--m", type=int, required=True, help="window = ball(m)"),),
+        verify=_verify_boost,
         eps=True,
     ),
     Command(
         "f2-verify",
         "pointwise identity / disjointness scans in the rank-2 free group",
         _f2_verify,
-        _verify_by_rerun,
         (
             _arg("--identities", type=int, default=None, metavar="L"),
             _arg("--disjoint", type=int, nargs=2, default=None, metavar=("K", "L")),
@@ -603,15 +587,14 @@ _COMMANDS = (
         "f2-infeasible",
         "five-set invariance LP over a ball",
         _f2_infeasible,
-        _verify_f2_infeasible,
         (_arg("K", type=int), _arg("delta"), _arg("r", type=int)),
+        verify=_verify_f2_infeasible,
         group=False,
     ),
     Command(
         "function-table",
         "tabulate Folner / weighted / Ramsey functions with inequality checks",
         _function_table,
-        _verify_by_rerun,
         (
             _arg("--m-max", type=int, default=1),
             _arg("--k-max", type=int, default=2),
@@ -625,8 +608,8 @@ _COMMANDS = (
 COMMANDS = {command.name: command for command in _COMMANDS}
 
 
-def _job_and_result(command: Command, args) -> tuple[dict, dict]:
-    """Load the shared options, run the command and echo its inputs as the job."""
+def _steps(command: Command, args):
+    """Load the shared options and run the command: yield its job, then its result."""
     job = {"command": command.name}
     if command.group:
         args.group = group_from_json(args.load(args.group))
@@ -636,14 +619,28 @@ def _job_and_result(command: Command, args) -> tuple[dict, dict]:
         job["eps"] = fmt_q(args.eps)
     if command.cap:
         job["cap"] = args.cap
-    fields, result = command.run(args)
-    job.update(fields)
-    return job, result
+    run = command.run(args)
+    yield {**job, **next(run)}
+    yield next(run)
+
+
+def _job_args(command: Command, job: dict) -> argparse.Namespace:
+    """The arguments a job was run with: each field read back through its option's
+    type, an omitted one taking its parser default, and parsed JSON never loaded again."""
+    parser = argparse.ArgumentParser()
+    actions = [parser.add_argument(*flags, **options) for flags, options in command.arguments]
+    args = {a.dest: a.default for a in actions} | job | {"load": lambda value: value}
+    for a in actions:
+        if a.type and a.dest in job:
+            args[a.dest] = [a.type(v) for v in job[a.dest]] if a.nargs else a.type(job[a.dest])
+    if command.job_args:
+        args.update(command.job_args(job))
+    return argparse.Namespace(**args)
 
 
 def _run(command: Command, args) -> int:
     args.load = _load_json_arg
-    return command.emit(_envelope(*_job_and_result(command, args)), args.out)
+    return command.emit(_envelope(*_steps(command, args)), args.out)
 
 
 def _verify(path: str) -> int:
@@ -667,12 +664,18 @@ def _verify(path: str) -> int:
         sys.stderr.write(f"verify: unknown command {name!r}\n")
         return 1
     try:
-        group = group_from_json(job["group"]) if command.group else None
         if command.cap and typed(job["cap"], int, "cap") > DEFAULT_ENUMERATION_CAP:
             raise CapExceeded(
                 f"job cap {job['cap']} exceeds enumeration cap {DEFAULT_ENUMERATION_CAP}"
             )
-        ok = command.verify(group, job, result)
+        args = _job_args(command, job)
+        steps = _steps(command, args)
+        if canonical_dumps(next(steps)) != canonical_dumps(job):
+            ok = False  # a job the run never writes
+        elif command.verify is None:
+            ok = canonical_dumps(next(steps)) == canonical_dumps(result)
+        else:
+            ok = command.verify(args, result)
     except (LookupError, TypeError, ValueError, AttributeError):
         ok = False  # a missing or malformed field is a failed check
     status = "none" if ok is None else "ok" if ok else "FAILED"

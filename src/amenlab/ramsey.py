@@ -713,8 +713,8 @@ def ramsey_function(
 ) -> RamseyFunctionResult:
     """Least n <= n_max with ball(n) eps-Ramsey w.r.t. ball(m), else exhausted.
 
-    Each radius is decided by the pictures route.  Radii where the enumeration cap is exceeded are recorded as
-    "cap_exceeded" and do not count as negative verdicts.
+    Each radius is decided by the pictures route.  Radii past the enumeration cap are recorded
+    as "cap_exceeded", not as negative verdicts, and past the first of them no ball is built.
     """
     eps = exact(eps)
     window = ball(group, m)
@@ -723,9 +723,9 @@ def ramsey_function(
         bset = ball(group, n)
         try:
             verdict = is_epsilon_ramsey(window, bset, eps, method="pictures", cap=cap)
-        except CapExceeded:
-            per_n.append((n, "cap_exceeded"))
-            continue
+        except CapExceeded:  # A*C only grows with n: every larger radius is past the cap too
+            per_n += [(r, "cap_exceeded") for r in range(n, n_max + 1)]
+            break
         if verdict.is_ramsey:
             per_n.append((n, "ramsey"))
             return RamseyFunctionResult(m, eps, n_max, n, "found", per_n)

@@ -519,9 +519,13 @@ def test_verify_rejects_unknown_group_field(capsys, tmp_path):
     assert verify_status(capsys, path) == (1, "FAILED")
 
 
-def readme_envelope(capsys, path, command):
+def readme_argv(command):
     (argv,) = [argv for argv in readme_commands() if argv[0] == command]
-    assert run(capsys, *argv, "--out", str(path))[0] == 0
+    return argv
+
+
+def readme_envelope(capsys, path, command):
+    assert run(capsys, *readme_argv(command), "--out", str(path))[0] == 0
     return json.loads(path.read_text())
 
 
@@ -909,38 +913,80 @@ def test_folner_function_reports_no_set_inside_a_small_window(capsys, tmp_path):
 
 FAMILY_3 = '{"ground":["x","y","z"],"members":[["x"],["y","z"]]}'
 PROGRESSION = '{"kind":"progression","axis":0,"modulus":2,"residues":[0]}'
+RAMSEY_Z = ["ramsey-check", "--group", Z, "--m", "1", "--n", "2", "--eps", "1/2",
+            "--method", "pictures"]
+
+
+def reorder_members(env):
+    """The same family with its members out of order and one repeated, in job and result."""
+    for part in ("job", "result"):
+        env[part]["family"]["members"] = [["y"], ["x"], ["x"]]
 
 
 @pytest.mark.parametrize("argv, change", [
     pytest.param(
         ["folner-check", "--group", Z, "--a-set", '["1","-1"]', "--b-set", '["0","1","2","3"]',
          "--eps", "1/1"],
-        lambda job: job.update(window=["1", "-1"], bset=["3", "2", "1", "0"]),
+        lambda env: env["job"].update(window=["1", "-1"], bset=["3", "2", "1", "0"]),
         id="folner-check-unordered",
     ),
     pytest.param(
         ["balance", "--family", FAMILY_3],
-        lambda job: job["family"].update(members=[["z", "y"], ["x"], ["x"]]),
+        lambda env: env["job"]["family"].update(members=[["z", "y"], ["x"], ["x"]]),
         id="balance-unordered",
     ),
-    pytest.param(["f2-verify", "--identities", "3"], lambda job: job.update(extra=1),
+    pytest.param(["f2-verify", "--identities", "3"], lambda env: env["job"].update(extra=1),
                  id="f2-verify-extra-field"),
     pytest.param(
         ["pictures", "--group", Z, "--window-radius", "1", "--domain-radius", "3",
          "--target", PROGRESSION],
-        lambda job: job.update(window=["1", "0", "-1"]),
+        lambda env: env["job"].update(window=["1", "0", "-1"]),
         id="pictures-unordered",
     ),
     # a job field holds parsed JSON: verify reads no file it names
-    pytest.param(["balance", "--family", FAMILY_3], lambda job: job.update(family="family.json"),
-                 id="balance-path"),
+    pytest.param(["balance", "--family", FAMILY_3],
+                 lambda env: env["job"].update(family="family.json"), id="balance-path"),
+    # the certificate commands rebuild their jobs too
+    pytest.param(RAMSEY_Z, lambda env: env["job"].update(eps="2/4"), id="ramsey-check-eps-form"),
+    pytest.param(RAMSEY_Z, lambda env: env["job"].update(extra=1), id="ramsey-check-extra-field"),
+    pytest.param(RAMSEY_Z, lambda env: env["job"].update(m=True), id="ramsey-check-boolean-m"),
+    pytest.param(["boost", "--group", Z, "--m", "1", "--eps", "9/16"],
+                 lambda env: env["job"].update(eps="18/32"), id="boost-eps-form"),
+    pytest.param(
+        ["unbalance-witness", "--family", '{"ground":["x","y","z"],"members":[["x"],["y"]]}'],
+        reorder_members,
+        id="unbalance-witness-unordered",
+    ),
+    pytest.param(readme_argv("realize-search"), lambda env: env["job"]["f"].update(aa="5/1"),
+                 id="realize-search-extra-weight"),
+    pytest.param(readme_argv("realize-search"), lambda env: env["job"]["f"].update(a="2/2"),
+                 id="realize-search-weight-form"),
+    pytest.param(readme_argv("pictures"),
+                 lambda env: env["job"]["target"].update(letters=["a", "A", "a"]),
+                 id="pictures-repeated-letter"),
+    pytest.param(readme_argv("pictures"), lambda env: env["job"].update(extra=1),
+                 id="pictures-extra-field"),
+    pytest.param(["f2-infeasible", "4", "1/100", "2"], lambda env: env["job"].update(extra=1),
+                 id="f2-infeasible-extra-field"),
 ])
 def test_verify_rejects_a_job_the_run_never_writes(capsys, tmp_path, argv, change):
     path = tmp_path / "env.json"
     assert run(capsys, *argv, "--out", str(path))[0] == 0
     assert verify_status(capsys, path) == (0, "ok")
-    forge(path, lambda env: change(env["job"]))
+    forge(path, change)
     assert verify_status(capsys, path) == (1, "FAILED")
+
+
+def test_verify_builds_no_ball_past_the_verdicts_own(capsys, tmp_path):
+    # ball(F2, 12) has 1,062,881 words; the verdict's bset ball(1) has 5
+    path = tmp_path / "ramsey.json"
+    assert run(capsys, "ramsey-check", "--group", F2, "--m", "1", "--n", "1", "--eps", "1/2",
+               "--method", "pictures", "--out", str(path))[0] == 0
+    assert verify_status(capsys, path) == (0, "ok")
+    forge(path, lambda env: env["job"].update(n=12))
+    started = time.perf_counter()
+    assert verify_status(capsys, path) == (1, "FAILED")
+    assert time.perf_counter() - started < 1
 
 
 def widen_to_ball_16(env):

@@ -29,6 +29,7 @@ from amenlab.ramsey import (
     subset_measure,
     verify_ramsey_verdict,
 )
+from amenlab import ramsey
 from amenlab.linprog import solve_feasibility
 
 Z = FreeAbelianGroup(1)
@@ -276,6 +277,22 @@ def test_f2_ramsey_function_exhausts():
     assert statuses[1] == "not_ramsey"
     assert statuses[2] == "not_ramsey"
     assert statuses[3] == "cap_exceeded"
+
+
+def test_ramsey_function_builds_no_ball_past_the_cap(monkeypatch):
+    # A*C only grows with n, so every radius past the first cap_exceeded one is past the cap too
+    radii = []
+
+    def counting_ball(group, radius, **options):
+        radii.append(radius)
+        return ball(group, radius, **options)
+
+    monkeypatch.setattr(ramsey, "ball", counting_ball)
+    res = ramsey_function(F2, 1, Q(1, 2), 6)
+    assert res.per_n == [(0, "not_ramsey"), (1, "not_ramsey"), (2, "not_ramsey")] + [
+        (n, "cap_exceeded") for n in range(3, 7)
+    ]
+    assert max(radii) == 3
 
 
 def test_cap_enforced():
