@@ -24,7 +24,6 @@ from .linprog import EQ, GE, LE, LinearSystem, Optimum, minimize, solve_feasibil
 from .rationals import exact, fmt_q, items, parse_q
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 POSITIVE_SETS_CAP = 20  # largest ground set whose subsets `family_of_positive_sets` enumerates
 
@@ -171,12 +170,12 @@ def deficiency_system(family: SetFamily) -> LinearSystem:
         raise ValueError("balance decisions need a nonempty family")
     k = len(family.members)
     width = len(family.ground)
-    rows = [(tuple([_F1] * k + [_F0, _F0]), EQ, _F1)]
+    rows = [(tuple([1] * k + [0, 0]), EQ, 1)]
     for i in range(width):
-        coeffs = [_F1 if mask >> i & 1 else _F0 for mask in family.members]
-        rows.append((tuple(coeffs + [Fraction(-1), _F0]), LE, _F0))
-        rows.append((tuple(coeffs + [_F0, Fraction(-1)]), GE, _F0))
-    objective = [_F0] * k + [_F1, Fraction(-1)]
+        coeffs = [mask >> i & 1 for mask in family.members]
+        rows.append((tuple(coeffs + [-1, 0]), LE, 0))
+        rows.append((tuple(coeffs + [0, -1]), GE, 0))
+    objective = [0] * k + [1, -1]
     nonneg = [True] * k + [False, False]
     return LinearSystem(k + 2, rows, objective, nonneg)
 
@@ -213,10 +212,10 @@ def unbalance_witness(family: SetFamily) -> UnbalanceWitness | None:
     if not family.members:
         raise ValueError("balance decisions need a nonempty family")
     width = len(family.ground)
-    rows = [(tuple([_F1] * width), EQ, _F0)]
+    rows = [(tuple([1] * width), EQ, 0)]
     for mask in family.members:
-        coeffs = tuple(_F1 if mask >> i & 1 else _F0 for i in range(width))
-        rows.append((coeffs, GE, _F1))
+        coeffs = tuple(mask >> i & 1 for i in range(width))
+        rows.append((coeffs, GE, 1))
     out = solve_feasibility(LinearSystem(width, rows))
     if not out.feasible:
         return None

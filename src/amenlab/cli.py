@@ -92,6 +92,7 @@ from .ramsey import (
     interior,
     is_epsilon_ramsey,
     keeps_witnesses,
+    ramsey_eps,
     ramsey_function,
     verify_ramsey_verdict,
 )
@@ -157,9 +158,12 @@ def _emit(env: dict, out_path: str | None) -> int:
 
 def _ramsey_check(args):
     yield {"m": args.m, "n": args.n, "method": args.method, "witnesses": True}
+    ramsey_eps(args.eps)  # bad input exits 1 even when B is past the cap
+    # For n >= m, ball(m)·ball(n - m) = ball(n) with ball(n - m) inside C, so A·C = ball(n)
+    # and a ball past the cap is past it too; for n < m, C may be empty whatever B's size.
     verdict = is_epsilon_ramsey(
         ball(args.group, args.m),
-        ball(args.group, args.n),
+        ball(args.group, args.n, cap=args.cap if args.n >= args.m else None),
         args.eps,
         method=args.method,
         cap=args.cap,

@@ -58,8 +58,6 @@ from .pictures import SetSpec, height
 from .rationals import exact, fmt_q, parse_q, typed
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
-_GAP = {-1: -_F1, 0: _F0, 1: _F1}  # LP coefficient of membership(w * x) - membership(x)
 
 FIVE_SET_ORDER = (
     "first_or_low",
@@ -277,11 +275,12 @@ def _gap_rows(table: list[list[list[bool]]], delta: Fraction, keep) -> list[tupl
     The normalization row, then for each set and each translate w_j
     (j >= 1) the <= delta and >= -delta rows of ``nu(w_j^-1 E) - nu(E)``.
     """
-    rows = [((_F1,) * len(keep), EQ, _F1)]
+    rows = [((1,) * len(keep), EQ, 1)]
     for per_translate in table:
         base = per_translate[0]
         for shifted in per_translate[1:]:
-            coeffs = tuple(_GAP[shifted[c] - base[c]] for c in keep)
+            # membership(w * x) - membership(x), as an int
+            coeffs = tuple(shifted[c] - base[c] for c in keep)
             rows.append((coeffs, LE, delta))
             rows.append((coeffs, GE, -delta))
     return rows
@@ -426,13 +425,13 @@ def _threshold_system(system: LinearSystem) -> LinearSystem:
     rows = []
     for row in system.rows:
         if row.rel == EQ:
-            rows.append((row.coeffs + (_F0,), EQ, row.rhs))
+            rows.append((row.coeffs + (0,), EQ, row.rhs))
         elif row.rel == LE:
-            rows.append((row.coeffs + (-_F1,), LE, row.rhs))
+            rows.append((row.coeffs + (-1,), LE, row.rhs))
         else:
-            rows.append((tuple(-c for c in row.coeffs) + (-_F1,), LE, -row.rhs))
+            rows.append((tuple(-c for c in row.coeffs) + (-1,), LE, -row.rhs))
     n = system.num_vars
-    return LinearSystem(n + 1, rows, (_F0,) * n + (_F1,), nonneg=True)
+    return LinearSystem(n + 1, rows, (0,) * n + (1,), nonneg=True)
 
 
 @dataclass

@@ -46,7 +46,6 @@ from .rationals import exact, fmt_q
 from .ramsey import boost_steps_needed, interior, ramsey_function
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 MAX_WINDOW_CANDIDATES = 1 << 24
 # keeps weighted solves at desk scale
@@ -227,23 +226,23 @@ def weighted_folner(group: Group, m: int, n: int) -> WeightedFolnerValue:
     nvars = nc + len(terms)
     if nvars > WEIGHTED_LP_CAP:
         raise CapExceeded(f"weighted Folner LP has {nvars} variables, beyond {WEIGHTED_LP_CAP}")
-    rows = [(tuple([_F1] * nc + [_F0] * len(terms)), EQ, _F1)]
+    rows = [(tuple([1] * nc + [0] * len(terms)), EQ, 1)]
     for t_idx, (g, x) in enumerate(terms):
-        coeffs = [_F0] * nvars
+        coeffs = [0] * nvars
         src = cpos.get(g.inverse() * x)  # (g nu)(x) = nu(g^{-1} x)
         dst = cpos.get(x)
         if src is not None:
-            coeffs[src] = _F1
+            coeffs[src] = 1
         if dst is not None:
-            coeffs[dst] -= _F1
+            coeffs[dst] -= 1
         tcol = nc + t_idx
         up = list(coeffs)
-        up[tcol] = Fraction(-1)
-        rows.append((tuple(up), LE, _F0))
+        up[tcol] = -1
+        rows.append((tuple(up), LE, 0))
         dn = list(coeffs)
-        dn[tcol] = _F1
-        rows.append((tuple(dn), GE, _F0))
-    objective = [_F0] * nc + [_F1] * len(terms)
+        dn[tcol] = 1
+        rows.append((tuple(dn), GE, 0))
+    objective = [0] * nc + [1] * len(terms)
     opt = minimize(LinearSystem(nvars, rows, objective, nonneg=True))
     weights = {c: w for c, w in zip(C, opt.point[:nc]) if w}
     nu = Measure(group, weights)
@@ -260,6 +259,8 @@ def weighted_folner_function(group: Group, m: int, eps, n_max: int) -> int | Non
     measure, is passed over.
     """
     eps = exact(eps)
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     for n in range(0, n_max + 1):
         try:
             cell = weighted_folner(group, m, n)

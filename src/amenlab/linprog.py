@@ -2,11 +2,13 @@
 
 A dense two-phase simplex with Bland's anti-cycling rule, so pivoting
 terminates and identical systems produce identical answers bit for bit.
-It pivots on integer rows, each over one positive denominator.  System
-data passes the `rationals.exact` gate (a Fraction or an int; a float,
-bool or string is a ValueError) and results are `fractions.Fraction`.
-Every result is accompanied by data that can be re-checked by plain
-arithmetic, independent of the solver:
+System data passes the `rationals.exact` gate (a Fraction or an int; a
+float, bool or string is a ValueError) and results are
+`fractions.Fraction`.  `LinearSystem` stores each row once more as
+integers over one positive denominator, with the columns of its nonzero
+coefficients; the simplex's tableau starts from those integer rows, and
+`verify_certificate` rechecks every result on them in integer arithmetic
+alone, independent of the solver:
 
 * Feasible     -> a rational point satisfying every constraint exactly.
 * Infeasible   -> Farkas multipliers, one per constraint row, that
@@ -30,23 +32,68 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import compress
 from math import comb, gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from operator import eq, ge, le, mul
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .rationals import exact, fmt_q, parse_q
 
 LE, EQ, GE = "<=", "=", ">="
 _RELS = (LE, EQ, GE)
+_HOLDS = {LE: le, EQ: eq, GE: ge}
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+_EXACT_TYPES = {int, Fraction}
 
 
-@dataclass(frozen=True)
-class Row:
-    coeffs: tuple[Fraction, ...]
+def _gated(values) -> tuple:
+    """values as a tuple that passed the `exact` gate: ints and Fractions as given."""
+    values = tuple(values)
+    if set(map(type, values)) <= _EXACT_TYPES:  # a bool's type is not int
+        return values
+    return tuple(map(exact, values))
+
+
+class Row(NamedTuple):
+    """``coeffs · x  rel  rhs``, as given and as integers.
+
+    ``coeffs`` and ``rhs`` are the gated values as given, each an int or
+    a Fraction (an int stays an int, so ``/`` on it gives a float: do
+    arithmetic on the integer form, or pass the value through `exact`
+    first).  The same row reads ``Σ nums[k] · x[support[k]]  rel  rnum``,
+    all over the positive ``den``, the lcm of the row's denominators:
+    ``support`` lists the columns of the nonzero coefficients in
+    increasing order.
+    """
+
+    coeffs: tuple[Fraction | int, ...]
     rel: str
-    rhs: Fraction
+    rhs: Fraction | int
+    support: tuple[int, ...]
+    nums: tuple[int, ...]
+    rnum: int
+    den: int
+
+
+def _scaled(values: Sequence) -> tuple[list[int], int] | None:
+    """Integers X over D, the lcm of the values' denominators, with X[j]/D == values[j].
+
+    None when a value is not an int or a Fraction: a certificate holding
+    one cannot be checked exactly, so it fails.
+    """
+    if not set(map(type, values)) <= _EXACT_TYPES:
+        return None
+    d = lcm(*(x.denominator for x in values))
+    return [x.numerator * (d // x.denominator) for x in values], d
+
+
+def _row(coeffs: tuple, rel: str, rhs: Fraction | int) -> Row:
+    support = tuple(compress(range(len(coeffs)), coeffs))
+    ints, den = _scaled((*compress(coeffs, coeffs), rhs))
+    rnum = ints.pop()
+    return Row(coeffs, rel, rhs, support, tuple(ints), rnum, den)
 
 
 class LinearSystem:
@@ -55,6 +102,8 @@ class LinearSystem:
     ``objective``, when given, holds one coefficient per variable of the
     linear form to minimize.  Coefficients and right-hand sides pass the
     `exact` gate: a Fraction or an int, never a float, bool or string.
+    ``rows`` and ``objective`` keep each value as given, an int or a
+    Fraction; see `Row` for the integer form that arithmetic reads.
     """
 
     def __init__(
@@ -67,20 +116,20 @@ class LinearSystem:
         if num_vars < 1:
             raise ValueError("a system needs at least one variable")
         self.num_vars = int(num_vars)
-        packed = []  # most data is Fraction already: skip the gate's call per coefficient
+        packed = []
         for coeffs, rel, rhs in rows:
-            coeffs = tuple(c if type(c) is Fraction else exact(c) for c in coeffs)
+            coeffs = _gated(coeffs)
             if len(coeffs) != self.num_vars:
                 raise ValueError("row length does not match variable count")
             if rel not in _RELS:
                 raise ValueError(f"unknown relation {rel!r}")
-            packed.append(Row(coeffs, rel, rhs if type(rhs) is Fraction else exact(rhs)))
+            packed.append(_row(coeffs, rel, rhs if type(rhs) in _EXACT_TYPES else exact(rhs)))
         self.rows: tuple[Row, ...] = tuple(packed)
         if objective is not None:
-            objective = tuple(c if type(c) is Fraction else exact(c) for c in objective)
+            objective = _gated(objective)
             if len(objective) != self.num_vars:
                 raise ValueError("objective length does not match variable count")
-        self.objective: tuple[Fraction, ...] | None = objective
+        self.objective: tuple[Fraction | int, ...] | None = objective
         if isinstance(nonneg, bool):
             nonneg = [nonneg] * self.num_vars
         self.nonneg: tuple[bool, ...] = tuple(bool(b) for b in nonneg)
@@ -136,18 +185,21 @@ class _Simplex:
     Row i is the ints ``T[i]`` over the positive ``den[i]``, the cost row
     ``zrow`` over ``zden``, each in lowest terms: the exact values of a
     Fraction tableau, so the pivot sequence and all results are the same.
+    Each row starts as the system's own integer row over its ``den``.
     """
 
     def __init__(self, system: LinearSystem):
         self.system = system
         self.var_cols: list[tuple[int, int]] = []  # (original var, sign)
+        first_col = []  # the column of each original variable's positive part
         for j in range(system.num_vars):
+            first_col.append(len(self.var_cols))
             self.var_cols.append((j, 1))
             if not system.nonneg[j]:
                 self.var_cols.append((j, -1))
         rows = system.rows
         m = len(rows)
-        self.sigma = [1 if row.rhs >= 0 else -1 for row in rows]
+        self.sigma = [1 if row.rnum >= 0 else -1 for row in rows]
         # the slack's sign once the rhs is nonnegative; a +1 slack starts basic
         slack = [sigma * {LE: 1, GE: -1, EQ: 0}[row.rel] for sigma, row in zip(self.sigma, rows)]
         ncols = len(self.var_cols)
@@ -168,20 +220,21 @@ class _Simplex:
         self.ncols = ncols
         self.T: list[list[int]] = []
         self.den: list[int] = []
+        nonneg = system.nonneg
         for i, row in enumerate(rows):
             sigma = self.sigma[i]
-            d = lcm(row.rhs.denominator, *(c.denominator for c in row.coeffs))
             body = [0] * (ncols + 1)
-            for col, (j, sign) in enumerate(self.var_cols):
-                c = row.coeffs[j]
-                if c:
-                    body[col] = sigma * sign * c.numerator * (d // c.denominator)
+            for j, a in zip(row.support, row.nums):
+                col = first_col[j]
+                body[col] = sigma * a
+                if not nonneg[j]:
+                    body[col + 1] = -sigma * a
             if slack[i]:
-                body[slack_col[i]] = slack[i] * d
-            body[self.basis[i]] = d
-            body[-1] = sigma * row.rhs.numerator * (d // row.rhs.denominator)
+                body[slack_col[i]] = slack[i] * row.den
+            body[self.basis[i]] = row.den
+            body[-1] = sigma * row.rnum
             self.T.append(body)
-            self.den.append(d)
+            self.den.append(row.den)
         self.pivots = 0
         # Bland's rule terminates within the number of distinct bases.
         self.pivot_cap = comb(ncols, m) if m else 1
@@ -358,86 +411,98 @@ def minimize(system: LinearSystem) -> Optimum:
     return out
 
 
-def _point_feasible(system: LinearSystem, point: Sequence[Fraction]) -> bool:
+def _feasible_point(system: LinearSystem, point: Sequence[Fraction]) -> tuple[list[int], int] | None:
+    """The point as `_scaled` integers when it satisfies every constraint, else None."""
     if len(point) != system.num_vars:
-        return False
-    for j, flag in enumerate(system.nonneg):
-        if flag and point[j] < 0:
-            return False
+        return None
+    scaled = _scaled(point)
+    if scaled is None:
+        return None
+    x, d = scaled
+    if any(xj < 0 for xj, flag in zip(x, system.nonneg) if flag):
+        return None
+    # row · point rel rhs, both sides times row.den * d > 0
     for row in system.rows:
-        v = sum((c * x for c, x in zip(row.coeffs, point) if c), _F0)
-        if row.rel == LE and not v <= row.rhs:
-            return False
-        if row.rel == GE and not v >= row.rhs:
-            return False
-        if row.rel == EQ and v != row.rhs:
-            return False
-    return True
+        lhs = sum(map(mul, row.nums, map(x.__getitem__, row.support)))
+        if not _HOLDS[row.rel](lhs, row.rnum * d):
+            return None
+    return scaled
 
 
-def _combine(system: LinearSystem, multipliers: Sequence[Fraction]) -> tuple[list, Fraction]:
-    """Σ yᵢ·rowᵢ and Σ yᵢ·bᵢ over the rows, skipping zero multipliers yᵢ."""
-    g = [_F0] * system.num_vars
-    h = _F0
-    for y, row in zip(multipliers, system.rows):
+def _combine(system: LinearSystem, multipliers: Sequence[int]) -> tuple[list[int], int, int]:
+    """Σ yᵢ·rowᵢ and Σ yᵢ·bᵢ over the rows for integer yᵢ, each times the
+    returned positive scale: the lcm of the row denominators with yᵢ ≠ 0."""
+    rows = system.rows
+    scale = lcm(*(row.den for y, row in zip(multipliers, rows) if y))
+    g = [0] * system.num_vars
+    h = 0
+    for y, row in zip(multipliers, rows):
         if y:
-            for j, c in enumerate(row.coeffs):
-                if c:
-                    g[j] += y * c
-            h += y * row.rhs
-    return g, h
+            f = y * (scale // row.den)
+            for j, a in zip(row.support, row.nums):
+                g[j] += f * a
+            h += f * row.rnum
+    return g, h, scale
 
 
 def _farkas_valid(system: LinearSystem, lam: Sequence[Fraction]) -> bool:
     if len(lam) != len(system.rows):
         return False
-    for coef, row in zip(lam, system.rows):
-        if row.rel != EQ and coef < 0:
+    scaled = _scaled(lam)
+    if scaled is None:
+        return False
+    y = scaled[0]  # only signs are compared, so the positive scale drops out
+    for yi, row in zip(y, system.rows):
+        if row.rel != EQ and yi < 0:
             return False
     # multiplier i scales row i oriented as "<=", so a ">=" row flips
-    g, h = _combine(system, [-y if row.rel == GE else y for y, row in zip(lam, system.rows)])
+    g, h, _ = _combine(system, [-yi if row.rel == GE else yi for yi, row in zip(y, system.rows)])
     if h >= 0:
         return False
-    for j, flag in enumerate(system.nonneg):
-        if flag:
-            if g[j] < 0:
-                return False
-        elif g[j] != 0:
+    for gj, flag in zip(g, system.nonneg):
+        if gj < 0 if flag else gj != 0:
             return False
     return True
 
 
 def _optimum_valid(system: LinearSystem, opt: Optimum) -> bool:
-    if system.objective is None:
+    if system.objective is None or len(opt.duals) != len(system.rows):
         return False
-    if not _point_feasible(system, opt.point):
+    point = _feasible_point(system, opt.point)
+    value = _scaled((opt.value,))
+    duals = _scaled(opt.duals)
+    if point is None or value is None or duals is None:
         return False
-    if len(opt.duals) != len(system.rows):
+    x, xden = point
+    (vnum,), vden = value
+    c, cden = _scaled(system.objective)
+    # c · x == value, both sides times cden * xden * vden
+    if sum(map(mul, c, x)) * vden != vnum * cden * xden:
         return False
-    c = system.objective
-    primal = sum((cj * xj for cj, xj in zip(c, opt.point) if cj), _F0)
-    if primal != opt.value:
-        return False
+    y, yden = duals
     # dual feasibility for a minimization
-    for y, row in zip(opt.duals, system.rows):
-        if (row.rel == LE and y > 0) or (row.rel == GE and y < 0):
+    for yi, row in zip(y, system.rows):
+        if (row.rel == LE and yi > 0) or (row.rel == GE and yi < 0):
             return False
-    g, dual_value = _combine(system, opt.duals)
-    for j in range(system.num_vars):
-        reduced = c[j] - g[j]
-        if system.nonneg[j]:
-            if reduced < 0:
-                return False
-        elif reduced != 0:
+    # the duals combine to g / (yden * scale) and dual_value / (yden * scale)
+    g, dual_value, scale = _combine(system, y)
+    gden = yden * scale
+    for cj, gj, flag in zip(c, g, system.nonneg):
+        reduced = cj * gden - gj * cden  # (c_j - g_j) times cden * gden
+        if reduced < 0 if flag else reduced != 0:
             return False
-    return dual_value == opt.value
+    return dual_value * vden == vnum * gden
 
 
 def verify_certificate(system: LinearSystem, outcome) -> bool:
-    """Recheck a solver outcome by exact arithmetic alone (no pivoting)."""
+    """Recheck a solver outcome by exact integer arithmetic alone.
+
+    It reads the system's integer rows and the certificate, never a
+    tableau, so no pivoting step is trusted.
+    """
     if isinstance(outcome, FeasibilityOutcome):
         if outcome.feasible:
-            return outcome.point is not None and _point_feasible(system, outcome.point)
+            return outcome.point is not None and _feasible_point(system, outcome.point) is not None
         return outcome.farkas is not None and _farkas_valid(system, outcome.farkas)
     if isinstance(outcome, Optimum):
         return _optimum_valid(system, outcome)

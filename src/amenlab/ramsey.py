@@ -190,12 +190,10 @@ def direct_gap_system(
     whose coefficient rows vanish are kept for stable indexing.
     """
     nc = len(cols)
-    rows = [(tuple([_F1] * nc), EQ, _F1)]
+    rows = [(tuple([1] * nc), EQ, 1)]
     for i in range(width):
         for j in range(i + 1, width):
-            coeffs = tuple(
-                Fraction((col >> i & 1) - (col >> j & 1)) for col in cols
-            )
+            coeffs = tuple((col >> i & 1) - (col >> j & 1) for col in cols)
             rows.append((coeffs, LE, eps))
             rows.append((coeffs, GE, -eps))
     return LinearSystem(nc, rows, nonneg=True)
@@ -311,6 +309,14 @@ def keeps_witnesses(method: str, k: int) -> bool:
     return method == "pictures" or 1 << k <= WITNESS_MASK_LIMIT
 
 
+def ramsey_eps(eps) -> Fraction:
+    """eps through the `exact` gate; a negative eps is a ValueError."""
+    eps = exact(eps)
+    if eps < 0:
+        raise ValueError("eps must be >= 0")
+    return eps
+
+
 def is_epsilon_ramsey(
     window: Iterable[Element],
     bset: Iterable[Element],
@@ -329,9 +335,7 @@ def is_epsilon_ramsey(
     every mask; the pictures route solves one deficiency LP per realized
     family, in the order of the families' least masks (`_families`).
     """
-    eps = exact(eps)
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
+    eps = ramsey_eps(eps)
     if method not in ("direct", "pictures"):
         raise ValueError("method must be 'direct' or 'pictures'")
     window = tuple(sort_elements(window))
@@ -717,6 +721,8 @@ def ramsey_function(
     as "cap_exceeded", not as negative verdicts, and past the first of them no ball is built.
     """
     eps = exact(eps)
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     window = ball(group, m)
     per_n: list[tuple[int, str]] = []
     for n in range(0, n_max + 1):

@@ -1,10 +1,12 @@
-"""Test oracles for the simplex: a minimal-face feasibility check and a
-Fraction tableau.
+"""Test oracles for the simplex: a minimal-face feasibility check, a
+Fraction tableau and a Fraction certificate checker.
 
 `FractionSimplex` is the simplex over `fractions.Fraction` that the
 integer-row tableau in `amenlab.linprog` replaced; both must take the same
-pivots and return the same results.  The rest of this module is
-solver-independent.
+pivots and return the same results.  `fraction_verify_certificate` is the
+certificate check over Fractions and dense rows that the integer
+`verify_certificate` replaced; both must accept the same outcomes.  The
+rest of this module is solver-independent.
 
 Feasibility is decided by enumerating candidate active sets: a polyhedron
 is nonempty exactly when some subset of at most `n` inequality rows,
@@ -22,7 +24,7 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from amenlab.linprog import EQ, GE, LE, LinearSystem
+from amenlab.linprog import EQ, GE, LE, FeasibilityOutcome, LinearSystem, Optimum
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -159,11 +161,11 @@ class FractionSimplex:
             for col, (j, sign) in enumerate(self.var_cols):
                 c = row.coeffs[j]
                 if c:
-                    body[col] = sigma * sign * c
+                    body[col] = sigma * sign * Fraction(c)
             s = 1 if row.rel == LE else (-1 if row.rel == GE else 0)
             if s:
                 body[slack_col[i]] = Fraction(sigma * s)
-            tableau.append(body + [sigma * row.rhs])
+            tableau.append(body + [sigma * Fraction(row.rhs)])
             if s and sigma * s == 1:
                 basis[i] = slack_col[i]
                 reader_col[i] = slack_col[i]
@@ -314,3 +316,92 @@ class FractionSimplex:
             if vals[col]:
                 x[j] += sign * vals[col]
         return tuple(x)
+
+
+# ------------------------------------------------ the Fraction certificate check
+
+
+def _point_feasible(system: LinearSystem, point: Sequence[Fraction]) -> bool:
+    if len(point) != system.num_vars:
+        return False
+    for j, flag in enumerate(system.nonneg):
+        if flag and point[j] < 0:
+            return False
+    for row in system.rows:
+        v = sum((c * x for c, x in zip(row.coeffs, point) if c), _F0)
+        if row.rel == LE and not v <= row.rhs:
+            return False
+        if row.rel == GE and not v >= row.rhs:
+            return False
+        if row.rel == EQ and v != row.rhs:
+            return False
+    return True
+
+
+def _combine(system: LinearSystem, multipliers: Sequence[Fraction]) -> tuple[list, Fraction]:
+    """Σ yᵢ·rowᵢ and Σ yᵢ·bᵢ over the rows, skipping zero multipliers yᵢ."""
+    g = [_F0] * system.num_vars
+    h = _F0
+    for y, row in zip(multipliers, system.rows):
+        if y:
+            for j, c in enumerate(row.coeffs):
+                if c:
+                    g[j] += y * c
+            h += y * row.rhs
+    return g, h
+
+
+def _farkas_valid(system: LinearSystem, lam: Sequence[Fraction]) -> bool:
+    if len(lam) != len(system.rows):
+        return False
+    for coef, row in zip(lam, system.rows):
+        if row.rel != EQ and coef < 0:
+            return False
+    # multiplier i scales row i oriented as "<=", so a ">=" row flips
+    g, h = _combine(system, [-y if row.rel == GE else y for y, row in zip(lam, system.rows)])
+    if h >= 0:
+        return False
+    for j, flag in enumerate(system.nonneg):
+        if flag:
+            if g[j] < 0:
+                return False
+        elif g[j] != 0:
+            return False
+    return True
+
+
+def _optimum_valid(system: LinearSystem, opt: Optimum) -> bool:
+    if system.objective is None:
+        return False
+    if not _point_feasible(system, opt.point):
+        return False
+    if len(opt.duals) != len(system.rows):
+        return False
+    c = system.objective
+    primal = sum((cj * xj for cj, xj in zip(c, opt.point) if cj), _F0)
+    if primal != opt.value:
+        return False
+    # dual feasibility for a minimization
+    for y, row in zip(opt.duals, system.rows):
+        if (row.rel == LE and y > 0) or (row.rel == GE and y < 0):
+            return False
+    g, dual_value = _combine(system, opt.duals)
+    for j in range(system.num_vars):
+        reduced = c[j] - g[j]
+        if system.nonneg[j]:
+            if reduced < 0:
+                return False
+        elif reduced != 0:
+            return False
+    return dual_value == opt.value
+
+
+def fraction_verify_certificate(system: LinearSystem, outcome) -> bool:
+    """`verify_certificate` over Fractions and dense rows, for tests only."""
+    if isinstance(outcome, FeasibilityOutcome):
+        if outcome.feasible:
+            return outcome.point is not None and _point_feasible(system, outcome.point)
+        return outcome.farkas is not None and _farkas_valid(system, outcome.farkas)
+    if isinstance(outcome, Optimum):
+        return _optimum_valid(system, outcome)
+    raise TypeError(f"unknown certificate type: {type(outcome).__name__}")

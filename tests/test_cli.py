@@ -1023,3 +1023,65 @@ def test_verify_caps_a_job_past_the_enumeration_cap(capsys, tmp_path, argv):
     assert run(capsys, *argv, "--out", str(path))[0] == 0
     forge(path, lambda env: env["job"].update(cap=40))
     assert cap_line(capsys, "verify", str(path)) == (2, "")
+
+
+def test_ramsey_check_caps_b_before_building_it(capsys, tmp_path):
+    # for n >= m, A*C = ball(n): ball(F2, 12) has 1,062,881 words, past the cap of 24
+    path = tmp_path / "ramsey.json"
+    started = time.perf_counter()
+    assert cap_line(capsys, "ramsey-check", "--group", F2, "--m", "1", "--n", "12",
+                    "--eps", "1/2", "--method", "pictures", "--out", str(path)) == (2, "")
+    assert time.perf_counter() - started < 1
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("cap, code", [(16, 2), (17, 0)])
+def test_ramsey_check_ball_cap_is_the_enumeration_cap(capsys, cap, code):
+    # |A*C| = |ball(F2, 2)| = 17, so the run stops exactly when |A*C| > cap
+    argv = ["ramsey-check", "--group", F2, "--m", "1", "--n", "2", "--eps", "1/2",
+            "--method", "pictures", "--cap", str(cap)]
+    if code:
+        assert cap_line(capsys, *argv) == (code, "")
+    else:
+        assert run(capsys, *argv)[0] == code
+
+
+def test_ramsey_check_rejects_a_negative_eps_before_capping_b(capsys):
+    assert error_line(capsys, "ramsey-check", "--group", F2, "--m", "1", "--n", "12",
+                      "--eps=-1/2", "--method", "pictures") == 1
+
+
+def test_ramsey_check_does_not_cap_b_below_the_window(capsys):
+    # n < m: C is empty however large B is, so ball(1)'s 5 words pass a cap of 1
+    code, env = run_envelope(capsys, "ramsey-check", "--group", F2, "--m", "2", "--n", "1",
+                             "--eps", "1/2", "--cap", "1")
+    assert code == 0 and env["result"]["reason"] == "empty_interior"
+
+
+NEGATIVE_N_MAX = [
+    (["ramsey-function", "--group", Z, "--m", "1", "--eps", "1/2"], "-1"),
+    (["function-table", "--group", Z5, "--m-max", "1", "--k-max", "1", "--window-radius", "2"],
+     "-3"),
+]
+
+
+@pytest.mark.parametrize("argv, n_max", NEGATIVE_N_MAX)
+def test_negative_n_max_exits_one(capsys, tmp_path, argv, n_max):
+    path = tmp_path / "env.json"
+    assert error_line(capsys, *argv, "--n-max", n_max, "--out", str(path)) == 1
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("argv, n_max", NEGATIVE_N_MAX)
+def test_verify_rejects_a_negative_n_max(capsys, tmp_path, argv, n_max):
+    path = tmp_path / "env.json"
+    assert run(capsys, *argv, "--n-max", "0", "--out", str(path))[0] == 0
+    assert verify_status(capsys, path) == (0, "ok")
+
+    def forge_n_max(env):
+        env["job"]["n_max"] = int(n_max)
+        if "per_n" in env["result"]:  # an empty search, as the run used to write it
+            env["result"].update(n_max=int(n_max), per_n=[], status="exhausted", value=None)
+
+    forge(path, forge_n_max)
+    assert verify_status(capsys, path) == (1, "FAILED")

@@ -156,3 +156,9 @@ def test_harness_no_violations_z_and_z5():
         names = {i.name for i in report.instances}
         assert "ramsey_le_weighted" in names
         assert "folner_le_exp_weighted" in names
+
+
+def test_weighted_folner_function_rejects_a_negative_n_max():
+    # range(0, n_max + 1) would be empty and report an exhausted search
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        weighted_folner_function(Z, 1, Q(1, 2), -1)

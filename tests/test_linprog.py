@@ -3,7 +3,12 @@ from fractions import Fraction as Q
 
 import pytest
 
-from helpers_lp import FractionSimplex, oracle_feasible, random_system
+from helpers_lp import (
+    FractionSimplex,
+    fraction_verify_certificate,
+    oracle_feasible,
+    random_system,
+)
 from amenlab.balance import SetFamily, deficiency_system
 from amenlab.groups import FreeAbelianGroup, ball, sort_elements
 from amenlab.linprog import (
@@ -18,7 +23,7 @@ from amenlab.linprog import (
     solve_feasibility,
     verify_certificate,
 )
-from amenlab.ramsey import _layout, _masks_and_columns
+from amenlab.ramsey import _layout, _masks_and_columns, direct_gap_system
 from amenlab.rationals import canonical_dumps
 
 
@@ -161,6 +166,41 @@ def test_rejects_floats():
         LinearSystem(1, [([0.5], LE, 1)])
 
 
+@pytest.mark.parametrize("bad", [True, False, 0.5, 1.0, "1"])
+def test_gate_rejects_each_non_exact_value(bad):
+    with pytest.raises(ValueError, match="exact rational expected"):
+        LinearSystem(2, [([1, bad], LE, 1)])
+    with pytest.raises(ValueError, match="exact rational expected"):
+        LinearSystem(2, [([1, 0], GE, bad)])
+    with pytest.raises(ValueError, match="exact rational expected"):
+        LinearSystem(2, [([1, 0], EQ, 1)], objective=[bad, 1])
+
+
+def test_rows_keep_the_gated_input_and_its_integer_form():
+    coeffs = (1, Q(1, 3), 0, Q(-2), Q(0))
+    s = LinearSystem(5, [(coeffs, GE, Q(5, 2)), ([0, 0, -1, 0, 2], LE, 3)], objective=[0, 1, Q(1, 2), 0, 0])
+    row, int_row = s.rows
+    assert (row.coeffs, row.rel, row.rhs) == (coeffs, GE, Q(5, 2))
+    assert [type(c) for c in row.coeffs] == [type(c) for c in coeffs]
+    # over den = lcm(3, 2) = 6: 1, 1/3 and -2 become 6, 2 and -12, and 5/2 becomes 15
+    assert (row.support, row.nums, row.rnum, row.den) == ((0, 1, 3), (6, 2, -12), 15, 6)
+    assert (int_row.support, int_row.nums, int_row.rnum, int_row.den) == ((2, 4), (-1, 2), 3, 1)
+    assert s.objective == (0, 1, Q(1, 2), 0, 0)
+
+
+def test_certificates_with_non_exact_entries_do_not_verify():
+    s = LinearSystem(1, [([1], GE, 1)], objective=[1])
+    assert verify_certificate(s, Optimum(Q(1), (Q(1),), (Q(1),)))
+    for bad in (1.0, True):
+        assert not verify_certificate(s, FeasibilityOutcome(True, point=(bad,)))
+        assert not verify_certificate(s, Optimum(bad, (Q(1),), (Q(1),)))
+        assert not verify_certificate(s, Optimum(Q(1), (bad,), (Q(1),)))
+        assert not verify_certificate(s, Optimum(Q(1), (Q(1),), (bad,)))
+    s2 = LinearSystem(1, [([1], GE, 1), ([1], LE, 0)])
+    assert verify_certificate(s2, FeasibilityOutcome(False, farkas=(Q(1), Q(1))))
+    assert not verify_certificate(s2, FeasibilityOutcome(False, farkas=(1.0, Q(1))))
+
+
 def test_shape_validation():
     with pytest.raises(ValueError):
         LinearSystem(2, [([1], LE, 0)])
@@ -285,3 +325,82 @@ def test_ratio_tie_goes_to_the_smaller_basis_index():
     assert r == 1  # Bland's basis-index rule, not the first tied row
     assert _assert_tableaus_agree(system)["value"] == 1
 
+
+
+# ------------------------------------ integer certificate check vs Fractions
+
+
+def _forgeries(outcome, rng: random.Random) -> list[tuple[str, object]]:
+    """Copies of a solver outcome with one entry moved, negated or dropped."""
+
+    def moved(values):
+        values = list(values)
+        values[rng.randrange(len(values))] += rng.choice((1, -1)) * Q(1, rng.randint(1, 6))
+        return tuple(values)
+
+    def negated(values):
+        values = list(values)
+        nonzero = [i for i, v in enumerate(values) if v]
+        if nonzero:
+            i = rng.choice(nonzero)
+            values[i] = -values[i]
+        return tuple(values)
+
+    if isinstance(outcome, Optimum):
+        value, point, duals = outcome.value, outcome.point, outcome.duals
+        return [
+            ("point moved", Optimum(value, moved(point), duals)),
+            ("dual negated", Optimum(value, point, negated(duals))),
+            ("point truncated", Optimum(value, point[:-1], duals)),
+            ("duals truncated", Optimum(value, point, duals[:-1])),
+            ("value moved", Optimum(moved((value,))[0], point, duals)),
+        ]
+    if outcome.feasible:
+        return [
+            ("point moved", FeasibilityOutcome(True, point=moved(outcome.point))),
+            ("point truncated", FeasibilityOutcome(True, point=outcome.point[:-1])),
+        ]
+    return [
+        ("farkas negated", FeasibilityOutcome(False, farkas=negated(outcome.farkas))),
+        ("farkas truncated", FeasibilityOutcome(False, farkas=outcome.farkas[:-1])),
+    ]
+
+
+def _solver_outcomes(system: LinearSystem) -> list:
+    out = [solve_feasibility(system)]
+    if system.objective is not None and out[0].feasible:
+        try:
+            out.append(minimize(system))
+        except ValueError:  # unbounded below
+            pass
+    return out
+
+
+def test_integer_checker_agrees_with_fraction_oracle():
+    rng = random.Random(20261019)
+    systems = [random_system(rng) for _ in range(150)]
+    systems += [_rational_system(rng) for _ in range(300)]
+    Z = FreeAbelianGroup(1)
+    window = tuple(sort_elements(ball(Z, 2)))
+    _, products, _, prod_pos = _layout(window, ball(Z, 4))
+    families = {frozenset(cols) for _, cols in _masks_and_columns(prod_pos, len(products))}
+    systems += [deficiency_system(SetFamily(window, key)) for key in sorted(families, key=sorted)]
+    # integer coefficients over a Fraction right-hand side, as the direct route builds them
+    window = tuple(sort_elements(ball(Z, 1)))
+    _, products, _, prod_pos = _layout(window, ball(Z, 4))
+    keys = {tuple(sorted(cols)) for _, cols in _masks_and_columns(prod_pos, len(products))}
+    systems += [direct_gap_system(len(window), key, Q(1, 3)) for key in sorted(keys)]
+    verdicts: dict[tuple[str, bool], int] = {}
+    for system in systems:
+        for outcome in _solver_outcomes(system):
+            assert verify_certificate(system, outcome)
+            assert fraction_verify_certificate(system, outcome)
+            for kind, forged in _forgeries(outcome, rng):
+                ok = verify_certificate(system, forged)
+                assert ok == fraction_verify_certificate(system, forged), (kind, system.rows, forged)
+                verdicts[kind, ok] = verdicts.get((kind, ok), 0) + 1
+    # every kind of forgery is rejected, and some moved points stay feasible
+    kinds = {kind for kind, _ in verdicts}
+    assert len(kinds) == 7
+    assert all(verdicts.get((kind, False)) for kind in kinds), verdicts
+    assert verdicts.get(("point moved", True)), verdicts

@@ -95,6 +95,12 @@ def test_z_eps_one_fixture():
     assert ramsey_function(Z, 1, Q(1), 3).value == 1
 
 
+def test_ramsey_function_rejects_a_negative_n_max():
+    # range(0, n_max + 1) would be empty and report an exhausted search
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        ramsey_function(Z, 1, Q(1, 2), -1)
+
+
 def test_method_agreement_small_z():
     for eps in (Q(0), Q(1, 3), Q(1, 2)):
         for n in range(1, 5):
