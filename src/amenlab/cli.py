@@ -14,8 +14,9 @@ is reported as ``"certificates": "none"`` with exit code 0: a positive
 direct ``ramsey-check`` verdict past 4096 subsets, which keeps no
 witnesses, and a ``realize-search`` that found nothing.  Element
 strings are read in the canonical form the tool writes, and no other.
-The enumeration cap is ``--cap`` alone, default
-``ramsey.DEFAULT_ENUMERATION_CAP``; ``verify`` exits 2 past it.
+Every cap is a constant: the enumeration cap is
+``ramsey.DEFAULT_ENUMERATION_CAP``, which the Ramsey and table jobs echo
+as ``"cap"``, so a job with another cap fails its rebuild.
 
 Exit codes: 0 for completed computations (negative mathematical verdicts
 such as "not Ramsey" or "infeasible" are still successes), 1 for errors
@@ -54,7 +55,6 @@ from .f2 import (
     verify_invariance_outcome,
 )
 from .folner import (
-    HARNESS_RAMSEY_CAP,
     folner_function,
     inequality_harness,
     is_epsilon_folner,
@@ -91,12 +91,11 @@ from .ramsey import (
     boost_steps_needed,
     interior,
     is_epsilon_ramsey,
-    keeps_witnesses,
     ramsey_eps,
     ramsey_function,
     verify_ramsey_verdict,
 )
-from .rationals import canonical_dumps, fmt_q, parse_q, sha256_digest, typed
+from .rationals import canonical_dumps, fmt_q, parse_q, sha256_digest
 
 
 class CliError(ValueError):
@@ -156,25 +155,27 @@ def _emit(env: dict, out_path: str | None) -> int:
 # rebuilt from: True or False, or None when the result carries none.
 
 
+# the Ramsey and table jobs echo the enumeration cap they ran under
+_CAP_ECHO = {"cap": DEFAULT_ENUMERATION_CAP}
+
+
 def _ramsey_check(args):
-    yield {"m": args.m, "n": args.n, "method": args.method, "witnesses": True}
+    yield {"m": args.m, "n": args.n, "method": args.method, "witnesses": True, **_CAP_ECHO}
     ramsey_eps(args.eps)  # bad input exits 1 even when B is past the cap
     # For n >= m, ball(m)·ball(n - m) = ball(n) with ball(n - m) inside C, so A·C = ball(n)
     # and a ball past the cap is past it too; for n < m, C may be empty whatever B's size.
+    cap = DEFAULT_ENUMERATION_CAP if args.n >= args.m else None
     verdict = is_epsilon_ramsey(
-        ball(args.group, args.m),
-        ball(args.group, args.n, cap=args.cap if args.n >= args.m else None),
-        args.eps,
-        method=args.method,
-        cap=args.cap,
+        ball(args.group, args.m), ball(args.group, args.n, cap=cap), args.eps, method=args.method
     )
     yield verdict.to_json()
 
 
 def _verify_ramsey_check(args, result) -> bool | None:
     verdict = RamseyVerdict.from_json(result, args.group)
-    if (verdict.eps, verdict.method) != (args.eps, args.method) or len(verdict.products) > args.cap:
-        return False  # the job's eps and method, and every run stops past its cap
+    past_cap = len(verdict.products) > DEFAULT_ENUMERATION_CAP  # every run stops past it
+    if past_cap or (verdict.eps, verdict.method) != (args.eps, args.method):
+        return False
     try:  # a ball larger than the verdict's own is not it
         if (verdict.window, verdict.bset) != (
             ball(args.group, args.m, cap=len(verdict.window)),
@@ -183,15 +184,12 @@ def _verify_ramsey_check(args, result) -> bool | None:
             return False
     except CapExceeded:
         return False
-    checked = verify_ramsey_verdict(verdict)
-    if checked is None and keeps_witnesses(args.method, len(verdict.products)):
-        return False  # a positive verdict whose witnesses were collected and dropped
-    return checked
+    return verify_ramsey_verdict(verdict)
 
 
 def _ramsey_function(args):
-    yield {"m": args.m, "n_max": args.n_max}
-    yield ramsey_function(args.group, args.m, args.eps, args.n_max, cap=args.cap).to_json()
+    yield {"m": args.m, "n_max": args.n_max, **_CAP_ECHO}
+    yield ramsey_function(args.group, args.m, args.eps, args.n_max).to_json()
 
 
 def _folner_check(args):
@@ -400,16 +398,11 @@ _TABLE_ECHO = ("m_max", "k_max", "window_radius", "n_max")
 
 
 def _function_table(args):
-    yield {name: getattr(args, name) for name in _TABLE_ECHO}
+    yield {name: getattr(args, name) for name in _TABLE_ECHO} | _CAP_ECHO
     m_values = list(range(1, args.m_max + 1))
     k_values = list(range(1, args.k_max + 1))
     harness = inequality_harness(
-        args.group,
-        m_values,
-        k_values,
-        window_radius=args.window_radius,
-        n_max=args.n_max,
-        ramsey_cap=min(args.cap, HARNESS_RAMSEY_CAP),
+        args.group, m_values, k_values, window_radius=args.window_radius, n_max=args.n_max
     )
     rows = []
     for k in k_values:
@@ -424,7 +417,7 @@ def _function_table(args):
             ww = harness.weighted[m, k]
             rows.append(["weighted_folner", m, k, ww, "ok" if ww is not None else "exhausted"])
             # the harness caps its Ramsey searches lower, so these rows solve their own
-            rr = ramsey_function(args.group, m, Fraction(1, k), args.n_max, cap=args.cap)
+            rr = ramsey_function(args.group, m, Fraction(1, k), args.n_max)
             rows.append(["ramsey", m, k, rr.value, rr.status])
     yield {
         "rows": [dict(zip(_TABLE_COLUMNS, row)) for row in rows],
@@ -453,8 +446,8 @@ def _emit_table(env: dict, out_path: str | None) -> int:
 class Command:
     """One command: its own parser arguments, its run and its verifier.
 
-    ``group``, ``eps`` and ``cap`` say which shared options it takes, which
-    `_steps` loads and echoes into the job; ``emit(envelope, out_path)``
+    ``group`` and ``eps`` say which shared options it takes, which `_steps`
+    loads and echoes into the job; ``emit(envelope, out_path)``
     writes the result and returns the exit code.  Without ``verify`` a job
     is verified by a rerun.  ``job_args(job)`` gives the arguments a job
     writes only as a value derived from them.
@@ -468,7 +461,6 @@ class Command:
     job_args: Callable | None = None
     group: bool = True
     eps: bool = False
-    cap: bool = False
     emit: Callable = _emit
 
 
@@ -488,7 +480,6 @@ _COMMANDS = (
         ),
         verify=_verify_ramsey_check,
         eps=True,
-        cap=True,
     ),
     Command(
         "ramsey-function",
@@ -499,7 +490,6 @@ _COMMANDS = (
             _arg("--n-max", type=int, required=True),
         ),
         eps=True,
-        cap=True,
     ),
     Command(
         "folner-check",
@@ -605,7 +595,6 @@ _COMMANDS = (
             _arg("--window-radius", type=int, default=6),
             _arg("--n-max", type=int, default=8),
         ),
-        cap=True,
         emit=_emit_table,
     ),
 )
@@ -621,8 +610,6 @@ def _steps(command: Command, args):
     if command.eps:
         args.eps = parse_q(args.eps)
         job["eps"] = fmt_q(args.eps)
-    if command.cap:
-        job["cap"] = args.cap
     run = command.run(args)
     yield {**job, **next(run)}
     yield next(run)
@@ -668,10 +655,6 @@ def _verify(path: str) -> int:
         sys.stderr.write(f"verify: unknown command {name!r}\n")
         return 1
     try:
-        if command.cap and typed(job["cap"], int, "cap") > DEFAULT_ENUMERATION_CAP:
-            raise CapExceeded(
-                f"job cap {job['cap']} exceeds enumeration cap {DEFAULT_ENUMERATION_CAP}"
-            )
         args = _job_args(command, job)
         steps = _steps(command, args)
         if canonical_dumps(next(steps)) != canonical_dumps(job):
@@ -711,8 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--group", required=True, help="group descriptor JSON or file path")
         if command.eps:
             p.add_argument("--eps", required=True, help='rational like "1/2"')
-        if command.cap:
-            p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP, help="enumeration cap")
         p.add_argument("--out", default=None, help="also write the envelope to this file")
         for flags, options in command.arguments:
             p.add_argument(*flags, **options)

@@ -355,18 +355,22 @@ def inequality_harness(
     *,
     window_radius: int = 6,
     n_max: int = 8,
-    ramsey_cap: int = HARNESS_RAMSEY_CAP,
 ) -> HarnessReport:
     """Compute both sides of the comparison inequalities on small instances.
 
     Quantities that exceed their caps are reported as untested, never as
     failures; any genuinely violated instance is a build-breaking event
-    surfaced through `HarnessReport.violated`.
+    surfaced through `HarnessReport.violated`.  An empty range of m or k
+    values compares nothing, so it is a ValueError.
     """
+    if not m_values or not k_values:
+        raise ValueError("the harness needs at least one m and one k value")
     s = len(group.generators())
     instances: list[HarnessInstance] = []
     # the comparisons share arguments, so each (m, eps) is solved once per call
-    ramsey = functools.cache(lambda m, eps: ramsey_function(group, m, eps, n_max, cap=ramsey_cap))
+    ramsey = functools.cache(
+        lambda m, eps: ramsey_function(group, m, eps, n_max, cap=HARNESS_RAMSEY_CAP)
+    )
     weighted_fn = functools.cache(lambda m, eps: weighted_folner_function(group, m, eps, n_max))
 
     folner: dict[int, FolnerFunctionResult] = {}

@@ -261,10 +261,7 @@ class _Simplex:
         if p < 0:
             p = -p
             rowr = [-x for x in rowr]
-        g = reduce(gcd, rowr) if p != 1 else 1  # g divides p
-        if g != 1:
-            p //= g
-            rowr = [x // g for x in rowr]
+        # every row is in lowest terms with den[i] in its basic column, so gcd(rowr) is 1
         T[r], den[r] = rowr, p  # row r now reads rowr / p, with 1 in column c
         for i, row in enumerate(T):
             f = row[c]

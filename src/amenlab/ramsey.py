@@ -300,7 +300,7 @@ def _mask_elements(products: Sequence[Element], mask: int) -> tuple[Element, ...
     return tuple(x for i, x in enumerate(products) if mask >> i & 1)
 
 
-def keeps_witnesses(method: str, k: int) -> bool:
+def _keeps_witnesses(method: str, k: int) -> bool:
     """Whether a positive verdict over the 2^k subsets of A*C carries witnesses.
 
     The pictures route always keeps its family witnesses; the direct
@@ -328,7 +328,7 @@ def is_epsilon_ramsey(
     """Decide eps-Ramseyness of B with respect to the window A.
 
     Covers every subset of A*C and reports either witnesses for all of
-    them (as far as `keeps_witnesses` allows) or the least failing subset
+    them (as far as `_keeps_witnesses` allows) or the least failing subset
     in bitmask order with an exact infeasibility certificate.  ``method``
     selects the decision route; both produce identical verdicts.  The
     direct route solves one LP per distinct column multiset, visiting
@@ -383,7 +383,7 @@ def is_epsilon_ramsey(
             family_witnesses.append((family, witness))
         family_witnesses.sort(key=lambda fw: fw[0].members)
     else:
-        if keeps_witnesses(method, k):
+        if _keeps_witnesses(method, k):
             witnesses = {}
         direct_memo: dict[tuple[int, ...], tuple] = {}
         for e_mask, cols in _masks_and_columns(prod_pos, k):
@@ -448,8 +448,9 @@ def verify_ramsey_verdict(verdict: RamseyVerdict) -> bool | None:
     pictures route's families are exactly the families those subsets
     realize, recomputed by enumeration alone (no LP).  A counterexample's
     columns are rebuilt from its subset with `picture`.  Returns None for
-    a positive verdict that carries no witnesses: only its layout and
-    subset count were checked.
+    a positive verdict that carries no witnesses because its route keeps
+    none (`_keeps_witnesses`): only its layout and subset count were
+    checked.  One whose route keeps them fails.
     """
     window = verdict.window
     C, products, pos, prod_pos = _layout(window, verdict.bset)
@@ -464,7 +465,7 @@ def verify_ramsey_verdict(verdict: RamseyVerdict) -> bool | None:
         if verdict.subsets_checked != 1 << k:
             return False
         if verdict.witnesses is None and verdict.family_witnesses is None:
-            return None
+            return False if _keeps_witnesses(verdict.method, k) else None
         if verdict.witnesses is not None:
             if verdict.witnesses.keys() != set(range(1 << k)):
                 return False

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from amenlab import cli
 from amenlab.cli import _envelope, build_parser, main
 from amenlab.rationals import sha256_digest
 
@@ -101,10 +102,8 @@ def test_negative_verdicts_exit_zero(capsys):
 
 
 def test_cap_exhaustion_exit_two(capsys):
-    code, _ = run(
-        capsys, "ramsey-check", "--group", Z, "--m", "1", "--n", "9",
-        "--eps", "1/2", "--cap", "10",
-    )
+    # ball(Z, 12) has 25 elements, past the enumeration cap of 24
+    code, _ = run(capsys, "ramsey-check", "--group", Z, "--m", "1", "--n", "12", "--eps", "1/2")
     assert code == 2
     assert main(["f2-infeasible", "9", "1/2", "2"]) == 2
     assert capsys.readouterr().err == "cap exhausted: translate count capped at 8\n"
@@ -238,6 +237,17 @@ def test_unknown_command_exits_one(capsys):
 def test_help_exits_zero(capsys):
     assert usage_exit_code(["--help"]) == 0
     assert usage_exit_code(["ramsey-check", "--help"]) == 0
+    # the enumeration cap is a constant: no command takes --cap
+    for argv in (
+        RAMSEY_Z,
+        ["ramsey-function", "--group", Z, "--m", "1", "--eps", "1/2", "--n-max", "2"],
+        ["function-table", "--group", Z5],
+    ):
+        capsys.readouterr()
+        assert usage_exit_code([argv[0], "--help"]) == 0
+        assert "--cap" not in capsys.readouterr().out
+        assert usage_exit_code([*argv, "--cap=-5"]) == 1
+        assert "unrecognized arguments: --cap=-5" in capsys.readouterr().err
 
 
 def test_ramsey_function_has_one_route(capsys):
@@ -1010,19 +1020,34 @@ def test_verify_rejects_a_verdict_past_its_cap(capsys, tmp_path):
     assert verify_status(capsys, path) == (1, "FAILED")
     assert time.perf_counter() - started < 1
     forge(path, lambda env: env["job"].update(cap=40))
-    assert cap_line(capsys, "verify", str(path)) == (2, "")
+    started = time.perf_counter()
+    assert verify_status(capsys, path) == (1, "FAILED")
+    assert time.perf_counter() - started < 1
 
 
 @pytest.mark.parametrize("argv", [
     ["ramsey-function", "--group", Z, "--m", "1", "--eps", "1/2", "--n-max", "2"],
     ["function-table", "--group", Z5, "--m-max", "1", "--k-max", "1", "--n-max", "2"],
+    RAMSEY_Z,
 ])
-def test_verify_caps_a_job_past_the_enumeration_cap(capsys, tmp_path, argv):
-    # verify reruns these jobs, so a forged cap would widen its enumeration
+def test_verify_caps_a_job_past_the_enumeration_cap(capsys, tmp_path, monkeypatch, argv):
+    # every run echoes the constant cap, so a job with another fails its rebuild
     path = tmp_path / "env.json"
     assert run(capsys, *argv, "--out", str(path))[0] == 0
-    forge(path, lambda env: env["job"].update(cap=40))
-    assert cap_line(capsys, "verify", str(path)) == (2, "")
+    assert json.loads(path.read_text())["job"]["cap"] == 24
+    honest = path.read_text()
+
+    def enumeration(*args, **kwargs):
+        raise AssertionError("verify enumerated for a forged cap")
+
+    for name in ("is_epsilon_ramsey", "ramsey_function", "inequality_harness"):
+        monkeypatch.setattr(cli, name, enumeration)
+    for cap in (40, -5, 3, True):
+        path.write_text(honest)
+        forge(path, lambda env: env["job"].update(cap=cap))
+        started = time.perf_counter()
+        assert verify_status(capsys, path) == (1, "FAILED")
+        assert time.perf_counter() - started < 1
 
 
 def test_ramsey_check_caps_b_before_building_it(capsys, tmp_path):
@@ -1035,11 +1060,12 @@ def test_ramsey_check_caps_b_before_building_it(capsys, tmp_path):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("cap, code", [(16, 2), (17, 0)])
-def test_ramsey_check_ball_cap_is_the_enumeration_cap(capsys, cap, code):
-    # |A*C| = |ball(F2, 2)| = 17, so the run stops exactly when |A*C| > cap
-    argv = ["ramsey-check", "--group", F2, "--m", "1", "--n", "2", "--eps", "1/2",
-            "--method", "pictures", "--cap", str(cap)]
+@pytest.mark.parametrize("order, code", [(25, 2), (24, 0)])
+def test_ramsey_check_ball_cap_is_the_enumeration_cap(capsys, order, code):
+    # ball(12) is the whole cyclic group, so |A*C| = order: the run stops exactly past 24
+    group = json.dumps({"kind": "cyclic", "order": order})
+    argv = ["ramsey-check", "--group", group, "--m", "1", "--n", "12", "--eps", "1/2",
+            "--method", "pictures"]
     if code:
         assert cap_line(capsys, *argv) == (code, "")
     else:
@@ -1052,36 +1078,43 @@ def test_ramsey_check_rejects_a_negative_eps_before_capping_b(capsys):
 
 
 def test_ramsey_check_does_not_cap_b_below_the_window(capsys):
-    # n < m: C is empty however large B is, so ball(1)'s 5 words pass a cap of 1
-    code, env = run_envelope(capsys, "ramsey-check", "--group", F2, "--m", "2", "--n", "1",
-                             "--eps", "1/2", "--cap", "1")
+    # n < m: C is empty however large B is, so ball(3)'s 53 words pass the cap of 24
+    code, env = run_envelope(capsys, "ramsey-check", "--group", F2, "--m", "4", "--n", "3",
+                             "--eps", "1/2")
     assert code == 0 and env["result"]["reason"] == "empty_interior"
 
 
+TABLE_Z5 = ["function-table", "--group", Z5, "--window-radius", "2"]
+# each argv ends with the option given an empty search range: a negative --n-max,
+# or a --k-max or --m-max of 0, with the other ranges nonempty
 NEGATIVE_N_MAX = [
-    (["ramsey-function", "--group", Z, "--m", "1", "--eps", "1/2"], "-1"),
-    (["function-table", "--group", Z5, "--m-max", "1", "--k-max", "1", "--window-radius", "2"],
-     "-3"),
+    (["ramsey-function", "--group", Z, "--m", "1", "--eps", "1/2", "--n-max"], "-1"),
+    ([*TABLE_Z5, "--m-max", "1", "--k-max", "1", "--n-max"], "-3"),
+    ([*TABLE_Z5, "--m-max", "1", "--n-max", "1", "--k-max"], "0"),
+    ([*TABLE_Z5, "--k-max", "1", "--n-max", "1", "--m-max"], "0"),
 ]
 
 
 @pytest.mark.parametrize("argv, n_max", NEGATIVE_N_MAX)
 def test_negative_n_max_exits_one(capsys, tmp_path, argv, n_max):
     path = tmp_path / "env.json"
-    assert error_line(capsys, *argv, "--n-max", n_max, "--out", str(path)) == 1
+    assert error_line(capsys, *argv, n_max, "--out", str(path)) == 1
     assert not path.exists()
 
 
 @pytest.mark.parametrize("argv, n_max", NEGATIVE_N_MAX)
 def test_verify_rejects_a_negative_n_max(capsys, tmp_path, argv, n_max):
+    # the least valid value: an --n-max of 0, a --k-max or --m-max of 1
     path = tmp_path / "env.json"
-    assert run(capsys, *argv, "--n-max", "0", "--out", str(path))[0] == 0
+    least = "0" if argv[-1] == "--n-max" else "1"
+    assert run(capsys, *argv, least, "--out", str(path))[0] == 0
     assert verify_status(capsys, path) == (0, "ok")
+    field = argv[-1].removeprefix("--").replace("-", "_")
 
-    def forge_n_max(env):
-        env["job"]["n_max"] = int(n_max)
+    def forge_range(env):
+        env["job"][field] = int(n_max)
         if "per_n" in env["result"]:  # an empty search, as the run used to write it
             env["result"].update(n_max=int(n_max), per_n=[], status="exhausted", value=None)
 
-    forge(path, forge_n_max)
+    forge(path, forge_range)
     assert verify_status(capsys, path) == (1, "FAILED")

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 
@@ -324,6 +325,35 @@ def test_ratio_tie_goes_to_the_smaller_basis_index():
     assert tied == [0, 1] and basis[1] < basis[0]
     assert r == 1  # Bland's basis-index rule, not the first tied row
     assert _assert_tableaus_agree(system)["value"] == 1
+
+
+def test_every_pivot_keeps_each_row_in_lowest_terms_over_its_basic_entry():
+    # the invariant by which `_pivot` never divides the pivot row by its gcd
+    rng = random.Random(20261021)
+    systems = [random_system(rng) for _ in range(150)]
+    systems += [_rational_system(rng) for _ in range(300)]
+    entries = []
+
+    def assert_invariant(sx):
+        for i, row in enumerate(sx.T):
+            assert row[sx.basis[i]] == sx.den[i]
+            assert gcd(*row, sx.den[i]) == 1
+
+    for system in systems:
+        sx = _Simplex(system)
+        pivot = sx._pivot
+
+        def checked(r, c, sx=sx, pivot=pivot):
+            entries.append(abs(sx.T[r][c]))
+            pivot(r, c)
+            assert_invariant(sx)
+
+        sx._pivot = checked
+        assert_invariant(sx)
+        if sx.run_phase1():  # phase 2 drives artificials out, by pivots too
+            sx.run_phase2(system.objective or [0] * system.num_vars)
+    # most pivots are on entries other than 1, where a gcd step would have run
+    assert len(entries) > 1000 and sum(p != 1 for p in entries) > len(entries) / 2
 
 
 

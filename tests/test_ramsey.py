@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -333,6 +334,18 @@ def test_witnesses_collected_and_exact():
     assert v.is_ramsey and v.witnesses is not None
     assert len(v.witnesses) == 2 ** len(v.products)
     assert verify_ramsey_verdict(v)
+
+
+def test_a_positive_verdict_without_the_witnesses_its_route_keeps_fails():
+    # 2^5 subsets: below the 4096 past which the direct route keeps no witnesses
+    for method in ("direct", "pictures"):
+        v = is_epsilon_ramsey(zball(1), zball(2), Q(1, 2), method=method)
+        assert verify_ramsey_verdict(v) is True
+        assert verify_ramsey_verdict(replace(v, witnesses=None, family_witnesses=None)) is False
+    # 2^13 subsets: the direct route kept none, so only the layout is checked
+    v = is_epsilon_ramsey(zball(1), zball(6), Q(1, 2), method="direct")
+    assert v.is_ramsey and v.witnesses is None
+    assert verify_ramsey_verdict(v) is None
 
 
 def test_determinism():
