@@ -83,6 +83,7 @@ from .pictures import (
     verify_nonamenability_certificate,
 )
 from .ramsey import (
+    BOOST_BALL_CAP,
     BOOST_RADIUS_CAP,
     BOOST_STEP_GAP,
     DEFAULT_ENUMERATION_CAP,
@@ -328,7 +329,8 @@ def _boost(args):
     final_radius = _ramp_radius(args.m, args.eps)
     f = _boost_ramp(args.group, final_radius)
     yield {"m": args.m, "ramp_radius": final_radius}
-    yield boost(ball(args.group, args.m), f, args.eps).to_json()
+    # the window is the tower's first level, so it is capped like every other
+    yield boost(ball(args.group, args.m, cap=BOOST_BALL_CAP), f, args.eps).to_json()
 
 
 def _ball_with_size(group: Group, size: int, max_radius: int) -> tuple:
@@ -351,7 +353,9 @@ def _verify_boost(args, result) -> bool:
     if (parse_q(result["eps"]), len(steps)) != (eps, boost_steps_needed(eps)):
         return False
     n = len(steps)
-    towers = [ball(group, args.m)]
+    if any(s["next_window_size"] > BOOST_BALL_CAP for s in steps):
+        return False  # no run builds a level that large
+    towers = [ball(group, args.m, cap=BOOST_BALL_CAP)]
     towers += [_ball_with_size(group, s["next_window_size"], BOOST_RADIUS_CAP)[0] for s in steps]
     if [len(t) for t in towers[:n]] != [s["window_size"] for s in steps]:
         return False

@@ -9,7 +9,7 @@ measures of ``E`` pairwise differ by at most eps.
 Two independent decision routes are implemented and must agree:
 
 * direct:   for each ``E`` solve the LP over ``nu in P(C)`` with the
-            pairwise gap constraints;
+            pairwise gap constraints, once per picture family;
 * pictures: for each ``E`` test eps-balancedness of the picture family
             ``{ {a in A : a*c in E} : c in C }`` via the balance module.
 
@@ -17,8 +17,9 @@ Only subsets of ``A*C`` matter: a picture depends on ``E`` through
 ``E ∩ A*C`` alone, so every other subset of ``B`` is equivalent to one
 of these.  Subsets are numbered by bitmask over the canonical order of
 ``A*C``, and a failing verdict reports the least failing mask.  The
-direct route visits every mask in increasing order (`_masks_and_columns`).
-The pictures route sees each realized family once, at its least mask and
+direct route visits every mask in increasing order (`_masks_and_columns`)
+and solves the gap LP the first time a mask realizes a family.  The
+pictures route sees each realized family once, at its least mask and
 in increasing mask order, from a memoized depth-first search over E's
 bits (`_families`), so it never walks the masks that repeat a family.
 The enumeration cap bounds |A*C|.
@@ -38,7 +39,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .balance import (
     BalanceWitness,
     SetFamily,
-    combined_vector,
     deficiency_optimum,
     deficiency_system,
     verify_balance_witness,
@@ -65,13 +65,16 @@ from .linprog import (
 from .pictures import picture
 from .rationals import exact, fmt_q, parse_q, typed
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 DEFAULT_ENUMERATION_CAP = 24
 WITNESS_MASK_LIMIT = 4096  # direct verdicts keep per-subset witnesses up to this many subsets
 BOOST_STEP_GAP = Fraction(3, 4)
 BOOST_RADIUS_CAP = 64  # largest ball radius in a boost tower
+# most elements of a ball in a boost tower: above every level the tests, README and demos
+# build (Z's ball(64) has 129, F2's ball(3) 53) and Z^2's ball(16) (545), and below
+# F2's ball(8) (13,121), whose level LP over the window ball(4) would have 25,761 rows
+BOOST_BALL_CAP = 1000
 BOOST_ATTEMPT_CAP = 50  # descents, each after one level's radius is bumped
 
 
@@ -331,9 +334,11 @@ def is_epsilon_ramsey(
     them (as far as `_keeps_witnesses` allows) or the least failing subset
     in bitmask order with an exact infeasibility certificate.  ``method``
     selects the decision route; both produce identical verdicts.  The
-    direct route solves one LP per distinct column multiset, visiting
-    every mask; the pictures route solves one deficiency LP per realized
-    family, in the order of the families' least masks (`_families`).
+    direct route visits every mask and solves one gap LP per realized
+    family, on its distinct columns: a repeated LP column never enters a
+    Bland's-rule basis, so the point and Farkas multipliers are those of
+    the LP on every column.  The pictures route solves one deficiency LP
+    per realized family, in the order of the families' least masks.
     """
     eps = ramsey_eps(eps)
     if method not in ("direct", "pictures"):
@@ -385,44 +390,29 @@ def is_epsilon_ramsey(
     else:
         if _keeps_witnesses(method, k):
             witnesses = {}
-        direct_memo: dict[tuple[int, ...], tuple] = {}
+        direct_memo: dict[frozenset[int], FeasibilityOutcome] = {}
         for e_mask, cols in _masks_and_columns(prod_pos, k):
-            key = tuple(sorted(cols))
-            hit = direct_memo.get(key)
-            if hit is None:
-                system = direct_gap_system(width, key, eps)
-                outcome = solve_feasibility(system)
-                if outcome.feasible:
-                    agg: dict[int, Fraction] = {}
-                    for col, w in zip(key, outcome.point):
-                        if w:
-                            agg[col] = agg.get(col, _F0) + w
-                    hit = (True, agg)
-                else:
-                    hit = (False, outcome.farkas)
-                direct_memo[key] = hit
-            feasible, payload = hit
-            if feasible:
-                # each column's weight goes to the first interior point with that
-                # column; the E-gap is read from the columns, with no group products
-                assigned = dict(payload)
-                support = {j: assigned.pop(col) for j, col in enumerate(cols) if col in assigned}
-                vector = combined_vector((cols[j] for j in support), support.values(), width)
-                if sum(support.values()) != 1 or max(vector) - min(vector) > eps:
-                    raise RuntimeError("internal error: remapped witness failed")
-                if witnesses is not None:
-                    witnesses[e_mask] = Measure(group, {C[j]: w for j, w in support.items()})
-            else:
-                # the multipliers were checked on the sorted columns by solve_feasibility;
-                # a Farkas certificate does not depend on the column order
+            family = frozenset(cols)
+            outcome = direct_memo.get(family)
+            if outcome is None:
+                outcome = solve_feasibility(direct_gap_system(width, sorted(family), eps))
+                direct_memo[family] = outcome
+            if not outcome.feasible:
+                # a Farkas certificate weighs the rows, which do not depend on
+                # how often or in which order the columns occur
                 counterexample = RamseyCounterexample(
                     e_mask,
                     _mask_elements(products, e_mask),
                     "direct_farkas",
-                    {"farkas": [fmt_q(x) for x in payload]},
+                    {"farkas": [fmt_q(x) for x in outcome.farkas]},
                 )
                 checked = e_mask + 1
                 break
+            if witnesses is not None:
+                # each column's weight goes to the first interior point with that column
+                weights = dict(zip(sorted(family), outcome.point))
+                support = {c: weights.pop(col) for c, col in zip(C, cols) if weights.get(col)}
+                witnesses[e_mask] = Measure(group, support)
 
     ok = counterexample is None
     return RamseyVerdict(
@@ -518,7 +508,10 @@ def subset_measure(
 
     The single-subset slice of the eps-Ramsey property; only the part of
     E inside A*C matters, and the 1/2 default is all the boosting
-    construction ever needs from a window.
+    construction ever needs from a window.  It solves the LP over every
+    interior point in canonical order, not over E's distinct columns as
+    `is_epsilon_ramsey` does: that LP can end at another point, and routed
+    through it, Z5 and Z6 `boost` results changed.
     """
     eps = exact(eps)
     window = tuple(sort_elements(window))
@@ -624,14 +617,14 @@ def _ball_tower(window: tuple[Element, ...], bumps: Sequence[int]) -> list[tuple
     for bump in bumps:
         current = set(towers[-1])
         radius = 0
-        while not current <= set(ball(group, radius)):
+        while not current <= set(ball(group, radius, cap=BOOST_BALL_CAP)):
             radius += 1
             if radius > BOOST_RADIUS_CAP:
                 raise CapExceeded(f"boost window is not contained in ball({BOOST_RADIUS_CAP})")
         next_radius = max(2 * radius, radius + 1) + bump
         if next_radius > BOOST_RADIUS_CAP:
             raise CapExceeded("boost tower exceeded the radius cap")
-        towers.append(ball(group, next_radius))
+        towers.append(ball(group, next_radius, cap=BOOST_BALL_CAP))
     return towers
 
 
@@ -649,7 +642,8 @@ def boost(
     nu_i, and nu_i * rho gives the tail gap over level i, at most
     (3/4)^(n-i).  A level whose step fails gets one more unit of radius
     and the descent restarts, at most `BOOST_ATTEMPT_CAP` times; a tower
-    past `BOOST_RADIUS_CAP` raises `CapExceeded`.  All gap bounds, per
+    past `BOOST_RADIUS_CAP` or with a ball past `BOOST_BALL_CAP` raises
+    `CapExceeded` as it is built.  All gap bounds, per
     step and final, are verified exactly.
     """
     eps = exact(eps)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import re
 import shlex
@@ -12,6 +13,7 @@ from amenlab.rationals import sha256_digest
 
 Z = '{"kind":"free_abelian","rank":1}'
 F2 = '{"kind":"free","generators":["a","b"]}'
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 Z5 = '{"kind":"cyclic","order":5}'
 FAMILY = '{"ground":["x","y"],"members":[["x"]]}'
 
@@ -271,7 +273,35 @@ def test_readme_commands_parse():
         parser.parse_args(argv)
 
 
-# digests of the README examples of the commands bench/golden.json does not cover;
+def _load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+GOLDEN = json.loads((BENCH / "golden.json").read_text())
+GOLDEN_JOBS = [
+    (workload, job["argv"])
+    for workload in sorted(GOLDEN["workloads"])
+    for job in _load_bench_module("jobgen").generate(workload, GOLDEN["seed"])
+]
+
+
+@pytest.mark.parametrize(
+    "workload, argv", GOLDEN_JOBS, ids=[" ".join(argv) for _, argv in GOLDEN_JOBS]
+)
+def test_golden_corpus_digest(capsys, tmp_path, workload, argv):
+    # the benchmark's recorded corpus, run in process; bench/ files are only read
+    path = tmp_path / "env.json"
+    assert main(argv + ["--out", str(path)]) == 0
+    capsys.readouterr()
+    digest = json.loads(path.read_text())["digest"]
+    assert digest == GOLDEN["workloads"][workload][" ".join(argv)]
+
+
+# digests of the README examples of the commands the golden corpus
+# (test_golden_corpus_digest) does not cover;
 # ramsey-function's job no longer echoes a "method", since it has one route
 README_DIGESTS = {
     "ramsey-function": "1e0f31ace6b39286d1f3ff64a77a5d86dccff3b1c037b0a5c9b2b91dca2a2d57",
@@ -809,6 +839,35 @@ def test_pictures_caps_the_probe_domain(capsys, tmp_path):
         "--domain-radius", "10", "--out", str(path),
     ) == (2, "")
     assert not path.exists()
+
+
+def test_boost_caps_the_balls_of_its_tower(capsys, tmp_path):
+    # five levels over ball(F2, 1) would reach ball(F2, 32); ball(F2, 8) already has 13,121 words
+    path = tmp_path / "boost.json"
+    start = time.perf_counter()
+    code = cap_line(capsys, "boost", "--group", F2, "--m", "1", "--eps", "1/4", "--out", str(path))
+    assert code == (2, "")
+    assert time.perf_counter() - start < 1
+    assert not path.exists()
+
+
+def test_boost_caps_its_window(capsys):
+    # ball(F2, 12) has 1,062,881 words; the cap stops the window at ball(F2, 6)
+    start = time.perf_counter()
+    assert cap_line(capsys, "boost", "--group", F2, "--m", "12", "--eps", "3/4") == (2, "")
+    assert time.perf_counter() - start < 1
+
+
+def test_verify_rejects_a_forged_oversize_boost_level(capsys, tmp_path):
+    path = tmp_path / "boost.json"
+    assert run(capsys, "boost", "--group", F2, "--m", "1", "--eps", "3/4",
+               "--out", str(path))[0] == 0
+    assert verify_status(capsys, path) == (0, "ok")
+    # the size of ball(F2, 16): verify must not build a ball that large to reject it
+    forge(path, lambda env: env["result"]["steps"][0].update(next_window_size=86_093_441))
+    start = time.perf_counter()
+    assert verify_status(capsys, path) == (1, "FAILED")
+    assert time.perf_counter() - start < 1
 
 
 def test_verify_caps_a_forged_realize_search_probe(capsys, tmp_path):

@@ -11,12 +11,16 @@ from amenlab.groups import (
     CyclicGroup,
     FreeAbelianGroup,
     FreeGroup,
+    Measure,
     TableGroup,
     ball,
     sort_elements,
 )
-from amenlab.rationals import canonical_dumps
+from amenlab.rationals import canonical_dumps, fmt_q
 from amenlab.ramsey import (
+    WITNESS_MASK_LIMIT,
+    RamseyCounterexample,
+    RamseyVerdict,
     _families,
     _layout,
     _masks_and_columns,
@@ -274,6 +278,92 @@ def test_pictures_witnesses_match_a_walk_over_every_mask():
     verdict = is_epsilon_ramsey(window, bset, Q(1, 2), method="pictures")
     assert verdict.is_ramsey and verdict.subsets_checked == 1 << len(verdict.products)
     assert verdict.family_witnesses == expected
+
+
+def _direct_by_column_multiset(window, bset, eps):
+    """The direct route with its LPs keyed by the sorted column multiset: one
+    LP per multiplicity pattern, each column's weights summed and placed on
+    the first interior point with that column.  Returns the verdict."""
+    window = tuple(sort_elements(window))
+    C, products, _, prod_pos = _layout(window, bset)
+    k, width = len(products), len(window)
+    witnesses = {} if 1 << k <= WITNESS_MASK_LIMIT else None
+    memo = {}
+    counterexample, checked = None, 1 << k
+    for e_mask, cols in _masks_and_columns(prod_pos, k):
+        key = tuple(sorted(cols))
+        if key not in memo:
+            outcome = solve_feasibility(direct_gap_system(width, key, eps))
+            summed = {}
+            for col, w in zip(key, outcome.point or ()):
+                if w:
+                    summed[col] = summed.get(col, 0) + w
+            memo[key] = outcome, summed
+        outcome, summed = memo[key]
+        if not outcome.feasible:
+            elements = tuple(x for i, x in enumerate(products) if e_mask >> i & 1)
+            farkas = {"farkas": [fmt_q(x) for x in outcome.farkas]}
+            counterexample = RamseyCounterexample(e_mask, elements, "direct_farkas", farkas)
+            checked = e_mask + 1
+            break
+        if witnesses is not None:
+            left = dict(summed)
+            support = {C[j]: left.pop(col) for j, col in enumerate(cols) if col in left}
+            witnesses[e_mask] = Measure(window[0].group, support)
+    ok = counterexample is None
+    return RamseyVerdict(ok, eps, "direct", window, tuple(sort_elements(bset)), C, products,
+                         witnesses=witnesses if ok else None, counterexample=counterexample,
+                         subsets_checked=checked)
+
+
+# (name, group, m, n, eps); the direct route's LPs are pinned on two of them
+_PINNED_LAYOUTS = (
+    [("Z", Z, 1, n, eps) for n in range(1, 7) for eps in (Q(0), Q(1, 3), Q(1, 2))]
+    + [("Z", Z, 2, 4, eps) for eps in (Q(1, 3), Q(5, 8))]
+    + [(name, group, 1, 2, eps)
+       for name, group in (("Z2", FreeAbelianGroup(2)), ("F2", F2))
+       for eps in (Q(0), Q(1, 3), Q(5, 12))]
+    + [("Z5", CyclicGroup(5), 1, 2, Q(1, 3)), ("Z6", CyclicGroup(6), 1, 3, Q(1, 3)),
+       ("S3", TableGroup(S3_TABLE), 1, 2, Q(1, 3))]
+)
+# id -> (LPs solved, distinct column multisets over the same masks)
+_PINNED_LPS = {"Z-1-5-1/2": (101, 532), "F2-1-2-5/12": (80, 81)}
+
+
+@pytest.mark.parametrize(
+    "group, m, n, eps",
+    [layout[1:] for layout in _PINNED_LAYOUTS],
+    ids=[f"{name}-{m}-{n}-{fmt_q(eps)}" for name, _, m, n, eps in _PINNED_LAYOUTS],
+)
+def test_direct_route_solves_one_lp_per_family_and_matches_the_multiset_loop(
+    request, monkeypatch, group, m, n, eps
+):
+    window, bset = ball(group, m), ball(group, n)
+    calls = []
+
+    def counting_solve(system):
+        calls.append(system)
+        return solve_feasibility(system)
+
+    monkeypatch.setattr(ramsey, "solve_feasibility", counting_solve)
+    verdict = is_epsilon_ramsey(window, bset, eps, method="direct")
+    expected = _direct_by_column_multiset(window, bset, eps)
+    assert canonical_dumps(verdict.to_json()) == canonical_dumps(expected.to_json())
+    _, products, _, prod_pos = _layout(verdict.window, bset)
+    families, multisets = set(), set()
+    for e_mask, cols in _masks_and_columns(prod_pos, len(products)):
+        if e_mask == verdict.subsets_checked:
+            break
+        families.add(frozenset(cols))
+        multisets.add(tuple(sorted(cols)))
+    assert len(calls) == len(families)
+    pinned = _PINNED_LPS.get(request.node.callspec.id)
+    if pinned is not None:
+        assert (len(calls), len(multisets)) == pinned
+    if request.node.callspec.id == "Z-1-5-1/2":
+        # the empty and the full picture give equal LP columns
+        full = (1 << len(window)) - 1
+        assert any({0, full} <= family for family in families)
 
 
 def test_f2_ramsey_function_exhausts():
