@@ -164,17 +164,21 @@ def _ramsey_check(args):
     yield {"m": args.m, "n": args.n, "method": args.method, "witnesses": True, **_CAP_ECHO}
     ramsey_eps(args.eps)  # bad input exits 1 even when B is past the cap
     # For n >= m, ball(m)·ball(n - m) = ball(n) with ball(n - m) inside C, so A·C = ball(n)
-    # and a ball past the cap is past it too; for n < m, C may be empty whatever B's size.
-    cap = DEFAULT_ENUMERATION_CAP if args.n >= args.m else None
-    verdict = is_epsilon_ramsey(
-        ball(args.group, args.m), ball(args.group, args.n, cap=cap), args.eps, method=args.method
-    )
+    # and a ball past the cap is past it too; for n < m, C may be empty whatever B's size,
+    # so B, inside the window, stops at the window's ball cap.
+    window = ball(args.group, args.m, cap=BOOST_BALL_CAP)
+    cap = DEFAULT_ENUMERATION_CAP if args.n >= args.m else BOOST_BALL_CAP
+    bset = ball(args.group, args.n, cap=cap)
+    verdict = is_epsilon_ramsey(window, bset, args.eps, method=args.method)
     yield verdict.to_json()
 
 
 def _verify_ramsey_check(args, result) -> bool | None:
     verdict = RamseyVerdict.from_json(result, args.group)
-    past_cap = len(verdict.products) > DEFAULT_ENUMERATION_CAP  # every run stops past it
+    # every run stops past either cap
+    past_cap = (
+        len(verdict.products) > DEFAULT_ENUMERATION_CAP or len(verdict.window) > BOOST_BALL_CAP
+    )
     if past_cap or (verdict.eps, verdict.method) != (args.eps, args.method):
         return False
     try:  # a ball larger than the verdict's own is not it

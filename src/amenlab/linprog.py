@@ -1,12 +1,15 @@
 """Exact rational linear feasibility and minimization with certificates.
 
-A dense two-phase simplex with Bland's anti-cycling rule, so pivoting
+A two-phase simplex with Bland's anti-cycling rule, so pivoting
 terminates and identical systems produce identical answers bit for bit.
-System data passes the `rationals.exact` gate (a Fraction or an int; a
-float, bool or string is a ValueError) and results are
-`fractions.Fraction`.  `LinearSystem` stores each row once more as
-integers over one positive denominator, with the columns of its nonzero
-coefficients; the simplex's tableau starts from those integer rows, and
+Its tableau rows are dense lists of integers over one denominator each; a
+pivot on an entry of 1 updates only the columns where the pivot row is
+nonzero, in place.  System data passes the `rationals.exact` gate (a
+Fraction or an int; a float, bool or string is a ValueError) and results
+are `fractions.Fraction`, each read off the tableau as one quotient of
+two ints.  `LinearSystem` stores each row once more as integers over one
+positive denominator, with the columns of its nonzero coefficients; the
+simplex's tableau starts from those integer rows, and
 `verify_certificate` rechecks every result on them in integer arithmetic
 alone, independent of the solver:
 
@@ -186,6 +189,10 @@ class _Simplex:
     ``zrow`` over ``zden``, each in lowest terms: the exact values of a
     Fraction tableau, so the pivot sequence and all results are the same.
     Each row starts as the system's own integer row over its ``den``.
+    A pivot lists the pivot row's nonzero columns once and `_eliminate`
+    updates each other row on them alone when the pivot entry is 1, in
+    place, so no two rows may share a list.  Points, duals and values are
+    each read as one ``Fraction(int, int)``.
     """
 
     def __init__(self, system: LinearSystem):
@@ -251,7 +258,7 @@ class _Simplex:
             # basic columns are unit columns, so pricing out one row keeps
             # the cost of every other basic column as given
             if z[b]:
-                z, zden = _eliminate(z, zden, z[b], self.T[i], self.den[i])
+                z, zden = _eliminate(z, zden, z[b], self.T[i], self.den[i], _support(self.T[i]))
         self.zrow, self.zden = z, zden
 
     def _pivot(self, r: int, c: int):
@@ -263,13 +270,14 @@ class _Simplex:
             rowr = [-x for x in rowr]
         # every row is in lowest terms with den[i] in its basic column, so gcd(rowr) is 1
         T[r], den[r] = rowr, p  # row r now reads rowr / p, with 1 in column c
+        support = _support(rowr)
         for i, row in enumerate(T):
             f = row[c]
             if f and i != r:
-                T[i], den[i] = _eliminate(row, den[i], f, rowr, p)
+                T[i], den[i] = _eliminate(row, den[i], f, rowr, p, support)
         f = self.zrow[c]
         if f:
-            self.zrow, self.zden = _eliminate(self.zrow, self.zden, f, rowr, p)
+            self.zrow, self.zden = _eliminate(self.zrow, self.zden, f, rowr, p, support)
         self.basis[r] = c
         self.pivots += 1
         if self.pivots > self.pivot_cap:
@@ -317,15 +325,16 @@ class _Simplex:
 
     def value(self) -> Fraction:
         """The objective value at the current basis."""
-        return -Fraction(self.zrow[-1], self.zden)
+        return Fraction(-self.zrow[-1], self.zden)
 
     def duals(self, phase1: bool) -> tuple[Fraction, ...]:
         """Row duals read off the reduced costs, in the rows' own orientation."""
+        z, zden = self.zrow, self.zden
         out = []
-        for i in range(len(self.T)):
-            col = self.reader_col[i]
-            cost = _F1 if (phase1 and self.reader_is_artificial[i]) else _F0
-            out.append(self.sigma[i] * (cost - Fraction(self.zrow[col], self.zden)))
+        for i, col in enumerate(self.reader_col):
+            # the reader's cost (1 on a phase-1 artificial, else 0) minus its reduced cost
+            cost = zden if phase1 and self.reader_is_artificial[i] else 0
+            out.append(Fraction(self.sigma[i] * (cost - z[col]), zden))
         return tuple(out)
 
     def farkas_multipliers(self) -> tuple[Fraction, ...]:
@@ -355,26 +364,42 @@ class _Simplex:
         return self._iterate(forbid_enter=self.art_set)
 
     def primal_point(self) -> tuple[Fraction, ...]:
-        vals = [_F0] * self.ncols
-        for i, col in enumerate(self.basis):
-            vals[col] = Fraction(self.T[i][-1], self.den[i])
         x = [_F0] * self.system.num_vars
-        for col, (j, sign) in enumerate(self.var_cols):
-            if vals[col]:
-                x[j] += sign * vals[col]
+        nvar = len(self.var_cols)
+        for i, col in enumerate(self.basis):
+            # a free variable's two parts are opposite columns, so at most one is basic
+            if col < nvar:
+                j, sign = self.var_cols[col]
+                x[j] = Fraction(sign * self.T[i][-1], self.den[i])
         return tuple(x)
 
 
-def _eliminate(row: list[int], den: int, f: int, prow: list[int], p: int) -> tuple[list[int], int]:
-    """row/den minus (f/den)*(prow/p), as (p*row - f*prow) / (den*p) in lowest terms."""
+def _support(row: list[int]) -> list[int]:
+    """The columns of the row's nonzero entries, the right-hand side included."""
+    return [j for j, a in enumerate(row) if a]
+
+
+def _eliminate(
+    row: list[int], den: int, f: int, prow: list[int], p: int, support: list[int]
+) -> tuple[list[int], int]:
+    """row/den minus (f/den)*(prow/p), as (p*row - f*prow) / (den*p) in lowest terms.
+
+    `support` lists the columns where prow is nonzero.  When p is 1 only
+    those entries change: they are updated in `row` itself, which is in
+    lowest terms already when den is 1.  Otherwise every entry is scaled
+    by p, into a new row.
+    """
     if p == 1:
-        new = [a - f * b for a, b in zip(row, prow)]
+        for j in support:
+            row[j] -= f * prow[j]
+        if den == 1:
+            return row, den
     else:
-        new = [p * a - f * b for a, b in zip(row, prow)]
+        row = [p * a - f * b for a, b in zip(row, prow)]
         den *= p
-    # reduce, not gcd(*new): a row-sized argument tuple per call raised peak RSS
-    g = reduce(gcd, new, den) if den != 1 else 1
-    return ([a // g for a in new], den // g) if g != 1 else (new, den)
+    # reduce, not gcd(*row): a row-sized argument tuple per call raised peak RSS
+    g = reduce(gcd, row, den)
+    return ([a // g for a in row], den // g) if g != 1 else (row, den)
 
 
 def solve_feasibility(system: LinearSystem) -> FeasibilityOutcome:

@@ -1143,7 +1143,27 @@ def test_ramsey_check_does_not_cap_b_below_the_window(capsys):
     assert code == 0 and env["result"]["reason"] == "empty_interior"
 
 
-TABLE_Z5 = ["function-table", "--group", Z5, "--window-radius", "2"]
+def test_ramsey_check_caps_its_window(capsys):
+    # ball(F2, 12) has 1,062,881 words; the ball cap stops the window at ball(F2, 6)
+    start = time.perf_counter()
+    assert cap_line(capsys, "ramsey-check", "--group", F2, "--m", "12", "--n", "1",
+                    "--eps", "1/2") == (2, "")
+    assert time.perf_counter() - start < 1
+
+
+def test_verify_rejects_a_ramsey_window_past_the_ball_cap(capsys, tmp_path, monkeypatch):
+    # an empty interior in a window of 1,457 words, written while the cap was raised
+    path = tmp_path / "ramsey.json"
+    cap = cli.BOOST_BALL_CAP
+    monkeypatch.setattr(cli, "BOOST_BALL_CAP", 1457)
+    assert run(capsys, "ramsey-check", "--group", F2, "--m", "6", "--n", "1", "--eps", "1/2",
+               "--out", str(path))[0] == 0
+    assert verify_status(capsys, path) == (0, "ok")
+    monkeypatch.setattr(cli, "BOOST_BALL_CAP", cap)
+    assert verify_status(capsys, path) == (1, "FAILED")
+
+
+TABLE_Z5 =["function-table", "--group", Z5, "--window-radius", "2"]
 # each argv ends with the option given an empty search range: a negative --n-max,
 # or a --k-max or --m-max of 0, with the other ranges nonempty
 NEGATIVE_N_MAX = [

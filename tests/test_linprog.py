@@ -10,8 +10,9 @@ from helpers_lp import (
     oracle_feasible,
     random_system,
 )
+from amenlab import linprog
 from amenlab.balance import SetFamily, deficiency_system
-from amenlab.groups import FreeAbelianGroup, ball, sort_elements
+from amenlab.groups import FreeAbelianGroup, FreeGroup, ball, sort_elements
 from amenlab.linprog import (
     EQ,
     GE,
@@ -26,6 +27,8 @@ from amenlab.linprog import (
 )
 from amenlab.ramsey import _layout, _masks_and_columns, direct_gap_system
 from amenlab.rationals import canonical_dumps
+
+F2 = FreeGroup(["a", "b"])
 
 
 def test_box_feasible():
@@ -222,6 +225,7 @@ def _run(sx) -> dict:
         out["farkas"] = sx.farkas_multipliers()
     else:
         out["point"] = sx.primal_point()
+    if out["feasible"] and system.objective is not None:
         out["bounded"] = sx.run_phase2(system.objective)
         if out["bounded"]:
             out.update(optimum=sx.primal_point(), duals=sx.duals(phase1=False), value=sx.value())
@@ -271,6 +275,57 @@ def test_integer_tableau_pivots_like_fractions_on_deficiency_lps():
     for key in sorted(families, key=sorted):
         out = _assert_tableaus_agree(deficiency_system(SetFamily(window, key)))
         assert out["bounded"]
+
+
+def test_integer_tableau_pivots_like_fractions_on_direct_gap_lps():
+    # the direct route's LPs for F2 ball(1)/ball(2) at eps 5/12, in the order it solves
+    # them: one per new family, up to the first infeasible one, its Farkas counterexample
+    window = tuple(sort_elements(ball(F2, 1)))
+    _, products, _, prod_pos = _layout(window, ball(F2, 2))
+    families, outcomes = set(), []
+    for _, cols in _masks_and_columns(prod_pos, len(products)):
+        key = frozenset(cols)
+        if key not in families:
+            families.add(key)
+            system = direct_gap_system(len(window), sorted(key), Q(5, 12))
+            outcomes.append(_assert_tableaus_agree(system)["feasible"])
+            if not outcomes[-1]:
+                break
+    assert len(outcomes) == 80 and outcomes.count(False) == 1
+
+
+def test_no_tableau_row_is_shared_and_both_elimination_paths_run(monkeypatch):
+    # `_eliminate` updates a row in place when the pivot entry is 1, so no two
+    # rows of the tableau, the cost row included, may be one list
+    rng = random.Random(20261022)
+    systems = [random_system(rng) for _ in range(150)]
+    systems += [_rational_system(rng) for _ in range(300)]
+    Z = FreeAbelianGroup(1)
+    window = tuple(sort_elements(ball(Z, 2)))
+    _, products, _, prod_pos = _layout(window, ball(Z, 4))
+    families = {frozenset(cols) for _, cols in _masks_and_columns(prod_pos, len(products))}
+    systems += [deficiency_system(SetFamily(window, key)) for key in sorted(families, key=sorted)]
+    paths = {"in place": 0, "whole row": 0}
+    eliminate = linprog._eliminate
+
+    def counted(row, den, f, prow, p, support):
+        paths["in place" if p == 1 else "whole row"] += 1
+        return eliminate(row, den, f, prow, p, support)
+
+    monkeypatch.setattr(linprog, "_eliminate", counted)
+    pivots = 0
+    for system in systems:
+        sx = _Simplex(system)
+        pivot = sx._pivot
+
+        def checked(r, c, sx=sx, pivot=pivot):
+            pivot(r, c)
+            rows = [*sx.T, sx.zrow]
+            assert len(set(map(id, rows))) == len(rows)
+
+        sx._pivot = checked
+        pivots += _run(sx)["pivots"]
+    assert pivots > 1000 and paths["in place"] > 0 and paths["whole row"] > 0, paths
 
 
 def _logged_pivots(sx) -> list[tuple]:
