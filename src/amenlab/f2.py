@@ -29,15 +29,17 @@ one more LP, which makes ``delta`` a variable and minimizes it: its
 optimal point gives a measure at the threshold and its duals prove that
 no smaller ``delta`` is feasible.
 
-The scans and the LP builds share one membership pass (`_members`): for
-each translate it forms the products with the word list once, evaluates
-every predicate it needs on them and keeps only the boolean lists, so no
-product or predicate value is computed twice, and one translate's
-products are held at a time.
+The scans and the LP builds share one membership pass (`_members`).
+Every set here is decided by a word's first letter and its height, so
+for each translate w the words x fall into classes by the first letter
+and height of w * x, both read off x without multiplying.  One product
+is formed per class, each predicate is evaluated once on it, and every
+word of the class gets that result; only the boolean lists are kept.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -92,10 +94,41 @@ def five_set_specs(group: FreeGroup) -> dict[str, SetSpec]:
     return {key: SetSpec.from_json(obj) for key, obj in sets.items()}
 
 
-def _members(w: Element, words, tests) -> list[list[bool]]:
-    """[test(w * x) for x in words] for each test, each product formed once."""
-    products = [w * x for x in words]
-    return [[test(p) for p in products] for test in tests]
+def _members(w: Element, words, heights, tests) -> list[list[bool]]:
+    """[test(w * x) for x in words] for each test, one product per class.
+
+    ``heights[i]`` is ``height(words[i])``.  Every test must be decided by
+    the first letter and the height of its argument: a ``first_letter`` or
+    ``h_above`` set, or a complement, union or intersection of such sets,
+    which are all the sets f2 builds (an ``explicit`` set is not).  The
+    class of ``w * x`` is then (first letter, height), and both are read
+    off ``x`` without forming the product: height is additive, so the
+    height of ``x`` stands in for it, and the first letter is ``w``'s own
+    unless ``x`` begins with ``w^-1``, when it is the letter of ``x`` after
+    that prefix (none for the identity).  Each test runs once per class,
+    on one real product, and every word of the class gets that result.
+    """
+    u = w.value
+    n = len(u)
+    cancel = tuple(code ^ 1 for code in reversed(u))
+    lead = u[0] if u else None
+    ids: dict[tuple, int] = {}  # class -> its index in reps
+    reps = []  # one word of each class, in first-seen order
+    index = []
+    for x, h in zip(words, heights):
+        v = x.value
+        if v[:n] == cancel:
+            key = (v[n] if len(v) > n else None, h)
+        else:
+            key = (lead, h)
+        i = ids.get(key)
+        if i is None:
+            i = ids[key] = len(reps)
+            reps.append(x)
+        index.append(i)
+    products = [w * x for x in reps]
+    results = ([test(p) for p in products] for test in tests)
+    return [[by_class[i] for i in index] for by_class in results]
 
 
 MAX_SCAN_LENGTH = 12
@@ -154,9 +187,14 @@ def _check_translate_count(translate_count: int) -> None:
         raise CapExceeded(f"translate count capped at {MAX_TRANSLATES}")
 
 
-def _invariance_ball(translate_count: int, radius: int) -> tuple[FreeGroup, tuple[Element, ...]]:
+def _invariance_ball(
+    translate_count: int, delta: Fraction, radius: int
+) -> tuple[FreeGroup, tuple[Element, ...]]:
     """F2 and the invariance LP's column ball: every solve and verify path
-    raises `CapExceeded` here for K or the ball past its cap, before any LP."""
+    raises `ValueError` here for delta < 0 and `CapExceeded` for K or the
+    ball past its cap, before any ball or LP is built."""
+    if delta < 0:
+        raise ValueError("delta must be >= 0")
     _check_translate_count(translate_count)
     group = f2_group()
     return group, ball(group, radius, cap=INVARIANCE_BALL_CAP)
@@ -170,8 +208,9 @@ def verify_identities(max_length: int) -> ScanReport:
     four containments threading the five sets, and the translation law
     ``w * high = (height > height(w))`` for all w in the translate ball
     against all words of length <= max_length - TRANSLATE_RADIUS.  Each
-    of the six sets is evaluated once per word, and ``high`` once per
-    translated word.
+    of the six sets is evaluated once per class of `_members`, and each
+    identity once per distinct membership profile, weighted by the number
+    of words that have it.
     """
     if max_length > MAX_SCAN_LENGTH:
         raise CapExceeded(f"scan capped at length {MAX_SCAN_LENGTH}")
@@ -180,8 +219,8 @@ def verify_identities(max_length: int) -> ScanReport:
     sets = five_set_specs(group)
     tests = [first_spec(group).compile(group)] + [sets[k].compile(group) for k in FIVE_SET_ORDER]
     high = tests[-1]
-    # per word: first, then the five sets in FIVE_SET_ORDER
-    members = list(zip(*([test(u) for u in words] for test in tests)))
+    # profile (first, then the five sets in FIVE_SET_ORDER) -> number of words having it
+    profiles = Counter(zip(*_members(group.identity(), words, [height(u) for u in words], tests)))
     identities = (
         ("first_xor_low_is_two_cores", lambda f, fl, fh, rh, rl, h: (f ^ (not h)) == (fh or rl)),
         ("rest_xor_high_is_two_cores", lambda f, fl, fh, rh, rl, h: ((not f) ^ h) == (fh or rl)),
@@ -192,7 +231,7 @@ def verify_identities(max_length: int) -> ScanReport:
     )
     report = ScanReport(max_length, "verified pointwise on all words")
     for name, holds in identities:
-        failures = sum(not holds(*m) for m in members)
+        failures = sum(n for m, n in profiles.items() if not holds(*m))
         report.checks.append(IdentityCheck(name, len(words), failures))
 
     inner = ball(group, max(0, max_length - TRANSLATE_RADIUS))
@@ -201,7 +240,7 @@ def verify_identities(max_length: int) -> ScanReport:
     failures = 0
     for w in translators:
         hw = height(w)
-        [shifted] = _members(w.inverse(), inner, [high])
+        [shifted] = _members(w.inverse(), inner, heights, [high])
         failures += sum(s != (hu > hw) for s, hu in zip(shifted, heights))
     report.checks.append(
         IdentityCheck("translate_high_is_level_shift", len(translators) * len(inner), failures)
@@ -214,9 +253,9 @@ def verify_disjoint_translates(translate_count: int, max_length: int) -> ScanRep
 
     Scanned families: a^k(rest_and_low), b^k(first_and_high), b^k(first),
     a^k(rest) for k < translate_count.  A word lies in at most one member
-    of each sequence: for each distinct power p the products p * u are
-    formed once and shared by every family using p, and a failure is a
-    word in two or more members.
+    of each sequence: for each distinct power p one `_members` pass is
+    shared by every family using p, and a failure is a word in two or
+    more members.
     """
     _check_translate_count(translate_count)
     if max_length > MAX_SCAN_LENGTH:
@@ -236,10 +275,11 @@ def verify_disjoint_translates(translate_count: int, max_length: int) -> ScanRep
     for i, (_, generator, _) in enumerate(families):
         for k in range(translate_count):
             users.setdefault(generator ** (-k), []).append(i)
+    heights = [height(u) for u in words]
     hits = [[0] * len(words) for _ in families]
     for p, family_ids in users.items():
         tests = [families[i][2] for i in family_ids]
-        for i, member in zip(family_ids, _members(p, words, tests)):
+        for i, member in zip(family_ids, _members(p, words, heights, tests)):
             hits[i] = [n + m for n, m in zip(hits[i], member)]
     report = ScanReport(max_length, "pairwise disjointness scanned on words", translate_count)
     for (name, _, _), counts in zip(families, hits):
@@ -259,13 +299,14 @@ def invariance_translates(group: FreeGroup, translate_count: int) -> list[Elemen
 def _membership_table(group: FreeGroup, columns, translate_count: int) -> list[list[list[bool]]]:
     """table[i][j][c]: whether w_j * columns[c] lies in set i of FIVE_SET_ORDER.
 
-    w_0 is the identity, then `invariance_translates` order.  One
-    translate's products are formed at a time.
+    w_0 is the identity, then `invariance_translates` order.  The column
+    heights are computed once and shared by every translate's pass.
     """
     sets = five_set_specs(group)
     tests = [sets[k].compile(group) for k in FIVE_SET_ORDER]
     translates = [group.identity()] + invariance_translates(group, translate_count)
-    by_translate = [_members(w, columns, tests) for w in translates]
+    heights = [height(x) for x in columns]
+    by_translate = [_members(w, columns, heights, tests) for w in translates]
     return [[members[i] for members in by_translate] for i in range(len(tests))]
 
 
@@ -298,7 +339,7 @@ def invariance_system(
     >= -delta row for ``nu(w^-1 E) - nu(E)``.
     """
     delta = exact(delta)
-    group, columns = _invariance_ball(translate_count, radius)
+    group, columns = _invariance_ball(translate_count, delta, radius)
     table = _membership_table(group, columns, translate_count)
     rows = _gap_rows(table, delta, range(len(columns)))
     return LinearSystem(len(columns), rows, nonneg=True), columns
@@ -374,9 +415,7 @@ def simultaneous_invariance(translate_count: int, delta, radius: int) -> Invaria
     the full system too: merged columns are identical columns over the same rows.
     """
     delta = exact(delta)
-    group, columns = _invariance_ball(translate_count, radius)
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
+    group, columns = _invariance_ball(translate_count, delta, radius)
     system, reps = _merged_system(group, columns, translate_count, delta)
     outcome = solve_feasibility(system)
     if outcome.feasible:
@@ -396,7 +435,9 @@ def verify_invariance_outcome(outcome: InvarianceOutcome) -> bool:
     """
     if outcome.feasible:
         nu = outcome.measure
-        group, columns = _invariance_ball(outcome.translate_count, outcome.radius)
+        group, columns = _invariance_ball(
+            outcome.translate_count, outcome.delta, outcome.radius
+        )
         if nu is None or set(nu.support()) - set(columns):
             return False
         sets = five_set_specs(group)
@@ -451,7 +492,7 @@ class ThresholdReport:
 
 def invariance_threshold(translate_count: int, radius: int) -> ThresholdReport:
     """The exact crossover delta of the five-set invariance LP, by one LP."""
-    group, columns = _invariance_ball(translate_count, radius)
+    group, columns = _invariance_ball(translate_count, _F0, radius)
     system, reps = _merged_system(group, columns, translate_count, _F0)
     opt = minimize(_threshold_system(system))
     weights = {rep: w for rep, w in zip(reps, opt.point[:-1]) if w}

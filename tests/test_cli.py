@@ -3,13 +3,16 @@ import json
 import re
 import shlex
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from amenlab import cli
+from amenlab import cli, f2
 from amenlab.cli import _envelope, build_parser, main
-from amenlab.rationals import sha256_digest
+from amenlab.groups import ball
+from amenlab.linprog import LinearSystem, solve_feasibility, verify_certificate
+from amenlab.rationals import fmt_q, sha256_digest
 
 Z = '{"kind":"free_abelian","rank":1}'
 F2 = '{"kind":"free","generators":["a","b"]}'
@@ -815,6 +818,28 @@ def cap_line(capsys, *argv):
     captured = capsys.readouterr()
     assert captured.err.startswith("cap exhausted: ") and captured.err.count("\n") == 1, captured.err
     return code, captured.out
+
+
+def test_negative_delta_is_refused_by_the_run_and_by_verify(capsys, tmp_path):
+    assert error_line(capsys, "f2-infeasible", "--", "8", "-1/25", "2") == 1
+    # The LP at delta = -1/25 is infeasible, and its Farkas vector is a valid
+    # certificate for it; only the sign of delta can reject the forgery.
+    group = f2.f2_group()
+    columns = ball(group, 2)
+    rows = f2._gap_rows(f2._membership_table(group, columns, 8), Fraction(-1, 25),
+                        range(len(columns)))
+    system = LinearSystem(len(columns), rows, nonneg=True)
+    outcome = solve_feasibility(system)
+    assert not outcome.feasible and verify_certificate(system, outcome)
+    path = tmp_path / "inf.json"
+    assert run(capsys, "f2-infeasible", "8", "1/25", "2", "--out", str(path))[0] == 0
+
+    def negate(env):
+        env["job"]["delta"] = env["result"]["delta"] = "-1/25"
+        env["result"]["farkas"] = [fmt_q(x) for x in outcome.farkas]
+
+    forge(path, negate)
+    assert verify_status(capsys, path) == (1, "FAILED")
 
 
 @pytest.mark.parametrize("job_field, result_field, value", [("K", "K", 9), ("r", "radius", 7)])

@@ -21,9 +21,9 @@ from amenlab.f2 import (
     verify_invariance_outcome,
     verify_threshold_report,
 )
-from amenlab.groups import CapExceeded, ball
+from amenlab.groups import CapExceeded, FreeGroup, ball
 from amenlab.linprog import EQ, GE, LE
-from amenlab.pictures import SetSpec, height
+from amenlab.pictures import SetSpec, candidate_pool, height
 
 G = f2_group()
 
@@ -183,6 +183,40 @@ def test_argument_validation():
         simultaneous_invariance(9, Q(1, 2), 2)
     with pytest.raises(CapExceeded):
         invariance_threshold(9, 2)
+
+
+def test_members_depend_only_on_the_class():
+    # every first-letter/height construction of Boolean depth <= 2 in the search pool
+    tests = [spec.compile(G) for spec in candidate_pool(G)]
+    assert len(tests) == 484
+    words = ball(G, 4)
+    heights = [height(x) for x in words]
+    for t in ball(G, 2):
+        products = [t * x for x in words]
+        assert f2._members(t, words, heights, tests) == [
+            [test(p) for p in products] for test in tests
+        ]
+
+
+def test_membership_table_forms_one_product_per_class(monkeypatch):
+    columns = ball(G, 6)
+    translates = [G.identity()] + invariance_translates(G, 8)
+    classes = sum(
+        len({(p.value[:1], height(p)) for p in (t * x for x in columns)}) for t in translates
+    )
+    calls = [0]
+    multiply = FreeGroup.multiply
+
+    def counting(self, g, h):
+        calls[0] += 1
+        return multiply(self, g, h)
+
+    monkeypatch.setattr(FreeGroup, "multiply", counting)
+    invariance_translates(G, 8)
+    powers, calls[0] = calls[0], 0
+    f2._membership_table(G, columns, 8)
+    # one product per (translate, class), plus the powers a^k and b^k themselves
+    assert (calls[0], classes, powers) == (447, 389, 58)
 
 
 # Per-word oracles: the scans and LP builds as they were before the
