@@ -124,7 +124,48 @@ def _envelope(job: dict, result: dict) -> dict:
 
 
 def _render(env: dict) -> str:
-    return json.dumps(env, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(env, indent=2, sort_keys=True)`` and a newline, byte for byte.
+
+    With an indent the json module encodes in pure Python, so the layout is
+    written here and only strings and other scalars go through its C code.
+    """
+    out: list[str] = []
+    _write_json(env, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _write_json(obj, newline: str, out: list[str]) -> None:
+    """Append obj as indented JSON; newline is the line break and indent obj starts on."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key, value in sorted(obj.items()):
+            out.append(sep + _quote(key) + ": ")
+            _write_json(value, inner, out)
+            sep = comma
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep, comma = "[" + inner, "," + inner
+        for value in obj:
+            out.append(sep)
+            _write_json(value, inner, out)
+            sep = comma
+        out.append(newline + "]")
+    else:
+        out.append(json.dumps(obj))
 
 
 def _write_file(text: str, out_path: str) -> None:

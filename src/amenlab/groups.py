@@ -11,7 +11,10 @@ Conventions fixed here and relied on by the rest of the package:
 
 * The word metric counts letters from ``S ∪ S⁻¹`` even when the
   generating set ``S`` is not closed under inversion, so `ball` always
-  satisfies ``|B_n| <= (2|S|+1)**n``.
+  satisfies ``|B_n| <= (2|S|+1)**n``.  A free group's ball is listed
+  by extension (each reduced word followed by the letters that do not
+  cancel its last one) and comes out in canonical order with no group
+  products; every other kind's ball is a breadth-first closure, sorted.
 * The canonical total order is shortlex on reduced words (a generator
   precedes its own inverse, which precedes the next generator),
   lexicographic on exponent vectors, and index order on finite groups.
@@ -453,12 +456,19 @@ def parse_weights(group: Group, obj: Mapping) -> dict[Element, Fraction]:
 def ball(group: Group, radius: int, *, cap: int | None = None) -> tuple[Element, ...]:
     """Word-metric ball B_radius, canonically ordered.
 
-    Computed as the breadth-first closure of {e} under left multiplication
-    by S ∪ S⁻¹, so B_0 = {e} and |B_n| <= (2|S|+1)**n.  Raises
-    `CapExceeded` if the ball grows past ``cap`` elements.
+    A free group's ball is listed one sphere at a time, in shortlex order
+    and with no products: the words of length k + 1 are those of length k,
+    in order, each followed by every letter that does not cancel its last
+    one, in code order.  Every other group's ball is the breadth-first
+    closure of {e} under left multiplication by S ∪ S⁻¹, sorted at the end.
+    So B_0 = {e} and |B_n| <= (2|S|+1)**n.  Raises `CapExceeded` if the
+    ball grows past ``cap`` elements; a free group's spheres have known
+    sizes, so it raises before building the sphere that would pass it.
     """
     if radius < 0:
         raise GroupError("ball radius must be >= 0")
+    if isinstance(group, FreeGroup):
+        return _free_ball(group, radius, cap)
     steps = set()
     for g in group.generators():
         steps.add(g)
@@ -479,6 +489,24 @@ def ball(group: Group, radius: int, *, cap: int | None = None) -> tuple[Element,
             break
         frontier = nxt
     return tuple(sort_elements(seen))
+
+
+def _free_ball(group: FreeGroup, radius: int, cap: int | None) -> tuple[Element, ...]:
+    letters = 2 * group.rank
+    # the one-letter tails that may follow a word ending in each letter code
+    tails = [tuple((c,) for c in range(letters) if c != last ^ 1) for last in range(letters)]
+    words = [()]
+    sphere = [()]
+    for k in range(radius):
+        # sphere k + 1 has 2r·(2r−1)^k words
+        if cap is not None and len(words) + letters * (letters - 1) ** k > cap:
+            raise CapExceeded(f"ball exceeded cap of {cap} elements")
+        if k:
+            sphere = [w + t for w in sphere for t in tails[w[-1]]]
+        else:
+            sphere = [(c,) for c in range(letters)]
+        words += sphere
+    return tuple([Element(group, w) for w in words])
 
 
 def translate_set(g: Element, elems: Iterable[Element]) -> frozenset[Element]:

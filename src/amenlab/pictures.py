@@ -50,14 +50,17 @@ _F0 = Fraction(0)
 
 PROBE_BALL_CAP = 100_000  # largest probe ball a picture family is taken over
 
-_HEIGHT_WEIGHTS = (1, -1, -1, 1)  # by letter code: a, A, b, B
+
+def _height(word: tuple) -> int:
+    # letter codes 0, 1, 2, 3 (a, A, b, B) weigh 1, -1, -1, 1
+    return word.count(0) - word.count(1) - word.count(2) + word.count(3)
 
 
 def height(el: Element) -> int:
     """Signed letter count: first generator weighs +1, second -1."""
     if not isinstance(el.group, FreeGroup) or el.group.rank != 2:
         raise GroupError("height is defined on rank-2 free groups")
-    return sum(_HEIGHT_WEIGHTS[l] for l in el.value)
+    return _height(el.value)
 
 
 def _explicit(obj: Mapping, group: Group | None) -> dict:
@@ -123,8 +126,8 @@ def _compile(spec: Mapping, group: Group) -> Callable[[Element], bool]:
             raise GroupError("h_above sets live in rank-2 free groups")
         k = spec["k"]
 
-        def test(el, _k=k, _w=_HEIGHT_WEIGHTS):
-            return sum(_w[l] for l in el.value) > _k
+        def test(el, _k=k):
+            return _height(el.value) > _k
 
     elif kind == "progression":
         axis = spec["axis"]

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import os
 import re
 import shlex
 import time
@@ -283,6 +284,38 @@ def _load_bench_module(name):
     return module
 
 
+def check_render(monkeypatch):
+    """Make `cli._render` require its text to be json.dumps's, byte for byte;
+    the list returned collects every text it renders."""
+    render, rendered = cli._render, []
+
+    def checked(env):
+        text = render(env)
+        expected = json.dumps(env, indent=2, sort_keys=True) + "\n"
+        same = text == expected  # a plain bool: pytest's diff of two large envelopes takes minutes
+        assert same, f"render differs from json.dumps at offset {len(os.path.commonprefix([text, expected]))}"
+        rendered.append(text)
+        return text
+
+    monkeypatch.setattr(cli, "_render", checked)
+    return rendered
+
+
+def test_render_matches_json_dumps_on_edge_values():
+    values = [
+        {},
+        [],
+        {"a": {}, "b": [], "c": [{}, []], "d": {"e": {"f": []}}},
+        [[], [[]], [{}], {"x": [[], {}]}],
+        {"name": "Følner \u2014 ∑ \"q\"\n\t\\", "é": ["ü", "\U0001d53d"]},
+        {"t": True, "f": False, "n": None, "i": [0, -7, 10**40], "s": ""},
+        {"tuple": (1, ("a", ())), "z": 1, "A": 2, "a": 3, "": 4},
+        "plain", 5, True, None,
+    ]
+    for value in values:
+        assert cli._render(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
 GOLDEN = json.loads((BENCH / "golden.json").read_text())
 GOLDEN_JOBS = [
     (workload, job["argv"])
@@ -294,10 +327,12 @@ GOLDEN_JOBS = [
 @pytest.mark.parametrize(
     "workload, argv", GOLDEN_JOBS, ids=[" ".join(argv) for _, argv in GOLDEN_JOBS]
 )
-def test_golden_corpus_digest(capsys, tmp_path, workload, argv):
+def test_golden_corpus_digest(capsys, tmp_path, monkeypatch, workload, argv):
     # the benchmark's recorded corpus, run in process; bench/ files are only read
+    rendered = check_render(monkeypatch)
     path = tmp_path / "env.json"
     assert main(argv + ["--out", str(path)]) == 0
+    assert rendered == [path.read_text()]
     capsys.readouterr()
     digest = json.loads(path.read_text())["digest"]
     assert digest == GOLDEN["workloads"][workload][" ".join(argv)]
@@ -323,11 +358,13 @@ VERIFY_OK = '{{"command": "{}", "digest": "ok", "certificates": "ok"}}\n'
 
 
 @pytest.mark.parametrize("command", sorted(README_DIGESTS))
-def test_readme_example_digest_is_pinned(capsys, tmp_path, command):
+def test_readme_example_digest_is_pinned(capsys, tmp_path, monkeypatch, command):
     (argv,) = [argv for argv in readme_commands() if argv[0] == command]
+    rendered = check_render(monkeypatch)
     path = tmp_path / "env.json"
     code, env = run_envelope(capsys, *argv, "--out", str(path))
     assert code == 0
+    assert rendered == [path.read_text()]
     assert env["digest"] == "sha256:" + README_DIGESTS[command]
     assert run(capsys, "verify", str(path)) == (0, VERIFY_OK.format(command))
 

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -348,3 +349,69 @@ def test_sort_elements_shortlex():
     rank = {ch: i for i, ch in enumerate("aAbB")}
     expected = sorted(words, key=lambda s: (len(s.strip("e")), [rank[ch] for ch in s.strip("e")]))
     assert [repr(e) for e in sort_elements(ball(F2, 3)[::-1])] == words == expected
+
+
+def bfs_ball(group, radius, cap=None):
+    """The closure of {e} under left multiplication by S ∪ S⁻¹, then sorted:
+    the construction `ball` used for every group before free groups were
+    listed by extension."""
+    steps = {s for g in group.generators() for s in (g, g.inverse())}
+    seen = {group.identity()}
+    frontier = list(seen)
+    for _ in range(radius):
+        nxt = []
+        for x in frontier:
+            for s in steps:
+                y = s * x
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        if cap is not None and len(seen) > cap:
+            raise CapExceeded(f"ball exceeded cap of {cap} elements")
+        if not nxt:
+            break
+        frontier = nxt
+    return tuple(sort_elements(seen))
+
+
+FREE_GROUPS = [FreeGroup(["a"]), F2, FreeGroup(["a", "b", "c"])]
+
+
+@pytest.mark.parametrize("group", FREE_GROUPS, ids=lambda g: f"rank{g.rank}")
+def test_free_ball_lists_the_bfs_ball_in_order(group):
+    for radius in range(7):
+        listed = ball(group, radius)
+        assert [x.value for x in listed] == [x.value for x in bfs_ball(group, radius)]
+        assert all(x.group is group for x in listed)
+
+
+def _outcome(build, group, radius, cap):
+    try:
+        return [x.value for x in build(group, radius, cap=cap)]
+    except CapExceeded as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("group", FREE_GROUPS, ids=lambda g: f"rank{g.rank}")
+def test_free_ball_cap_raises_or_returns_as_the_bfs(group):
+    outcomes = set()
+    for radius in range(6):
+        size = len(bfs_ball(group, radius))
+        for cap in (size - 1, size):
+            expected = _outcome(bfs_ball, group, radius, cap)
+            assert _outcome(ball, group, radius, cap) == expected
+            outcomes.add(isinstance(expected, str))
+    assert outcomes == {True, False}
+
+
+def test_free_balls_are_prefixes_of_larger_ones():
+    words = ball(F2, 7)
+    for radius in range(7):
+        assert words[: len(ball(F2, radius))] == ball(F2, radius)
+
+
+def test_free_ball_cap_raises_before_building_the_ball():
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="ball exceeded cap of 1000 elements"):
+        ball(F2, 10**6, cap=1000)
+    assert time.perf_counter() - start < 1

@@ -232,6 +232,16 @@ def test_height():
         height(zel(1))
 
 
+def test_height_is_the_letter_weight_sum():
+    weight = {"a": 1, "A": -1, "b": -1, "B": 1}
+    for k in (-2, 0, 3):
+        h_above = SetSpec.from_json({"kind": "h_above", "k": k}, F2).compile(F2)
+        for x in ball(F2, 6):
+            h = sum(weight[ch] for ch in repr(x).strip("e"))
+            assert height(x) == h
+            assert h_above(x) == (h > k)
+
+
 def test_setspec_json_roundtrip():
     h0 = {"kind": "h_above", "k": 0}
     specs = [
