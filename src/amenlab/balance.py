@@ -3,7 +3,8 @@
 A family of subsets of an ordered ground set is eps-balanced when some
 convex combination of the characteristic vectors of its members has
 max - min at most eps.  The least such eps (the balance deficiency) is
-computed by a single exact LP; the dual phenomenon is an unbalance
+computed by a single exact LP, or by none when the family holds the
+empty member (`empty_member_witness`); the dual phenomenon is an unbalance
 witness: a zero-sum rational weighting of the ground set whose sum over
 every member is strictly positive (normalized here to margin >= 1).
 Exactly one of {deficiency == 0, witness exists} holds for every
@@ -24,6 +25,7 @@ from .linprog import EQ, GE, LE, LinearSystem, Optimum, minimize, solve_feasibil
 from .rationals import exact, fmt_q, items, parse_q
 
 _F0 = Fraction(0)
+_F1 = Fraction(1)
 
 POSITIVE_SETS_CAP = 20  # largest ground set whose subsets `family_of_positive_sets` enumerates
 
@@ -196,10 +198,48 @@ def deficiency_optimum(family: SetFamily) -> tuple[Optimum, BalanceWitness]:
     return opt, BalanceWitness(weights, vector, opt.value)
 
 
+def empty_member_witness(family: SetFamily) -> BalanceWitness | None:
+    """The witness `deficiency_optimum` reads, found without its LP, when the
+    family holds the empty member; None otherwise.
+
+    That witness is weights (1, 0, ..., 0), vector 0 and gap 0: the point
+    mass on the empty member.  Proof, for the two-phase simplex under
+    Bland's rule that `minimize` runs on `deficiency_system`:
+
+    * The empty member is mask 0, so it is column 0, and it is nonzero
+      only on the convexity row, whose artificial is basic.  Its phase-1
+      reduced cost is -1, the least column index wins, and the convexity
+      row is the only row with a positive entry: the first pivot enters
+      λ₀ = 1 there.  Every other basic variable is 0, so the phase-1
+      objective, the sum of the artificials, is 0.
+    * From then on both phases sit at the lower bound of their objective:
+      0 in phase 1, and in phase 2 t_hi − t_lo, which is 0 at this point
+      (t_hi and t_lo are 0 there) and ≥ max v − min v ≥ 0 at every
+      feasible one.  So every later pivot is degenerate: a ratio-test
+      pivot on a positive ratio would lower the objective, and
+      `_drive_out_artificials` pivots only on rows whose artificial is 0.
+    * λ₀'s row has right-hand side 1, so it never wins a zero ratio and
+      is not an artificial's row; λ₀ stays basic at 1 and the point never
+      moves.
+
+    The LP thus ends at weights e₀ and value 0, and the vector of e₀ is 0.
+    """
+    if family.members[:1] != (0,):
+        return None
+    k, width = len(family.members), len(family.ground)
+    return BalanceWitness((_F1,) + (_F0,) * (k - 1), (_F0,) * width, _F0)
+
+
 def balance_deficiency(family: SetFamily) -> tuple[Fraction, BalanceWitness]:
-    """Least eps for which the family is eps-balanced, with attaining weights."""
-    opt, witness = deficiency_optimum(family)
-    return opt.value, witness
+    """Least eps for which the family is eps-balanced, with attaining weights.
+
+    The witness is `deficiency_optimum`'s; a family that holds the empty
+    member gets it from `empty_member_witness`, with no LP.
+    """
+    witness = empty_member_witness(family)
+    if witness is None:
+        witness = deficiency_optimum(family)[1]
+    return witness.gap, witness
 
 
 def unbalance_witness(family: SetFamily) -> UnbalanceWitness | None:

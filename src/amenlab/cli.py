@@ -139,7 +139,12 @@ _quote = json.encoder.encode_basestring_ascii
 
 
 def _write_json(obj, newline: str, out: list[str]) -> None:
-    """Append obj as indented JSON; newline is the line break and indent obj starts on."""
+    """Append obj as indented JSON; newline is the line break and indent obj starts on.
+
+    A list of strings, which is what an envelope's lists of scalars are
+    (rationals and element names), is appended as one piece, so the pieces
+    held until the final join stay few.
+    """
     if isinstance(obj, str):
         out.append(_quote(obj))
     elif isinstance(obj, dict):
@@ -159,6 +164,12 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
             return
         inner = newline + "  "
         sep, comma = "[" + inner, "," + inner
+        if type(obj[0]) is str:
+            try:
+                out.append(sep + comma.join(map(_quote, obj)) + newline + "]")
+                return
+            except TypeError:  # an item that is not a string: write item by item
+                pass
         for value in obj:
             out.append(sep)
             _write_json(value, inner, out)

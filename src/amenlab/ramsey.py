@@ -22,7 +22,11 @@ and solves the gap LP the first time a mask realizes a family.  The
 pictures route sees each realized family once, at its least mask and
 in increasing mask order, from a memoized depth-first search over E's
 bits (`_families`), so it never walks the masks that repeat a family.
-The enumeration cap bounds |A*C|.
+It solves one deficiency LP per realized family that does not hold the
+empty picture; a family that holds it is balanced, and Bland's rule
+would stop at the point mass on the empty member, so that witness is
+written without an LP (`empty_member_witness`).  The enumeration cap
+bounds |A*C|.
 
 The module also houses the constructive gap reductions: turning a
 1/2-Ramsey witness for the binary level set of ``f`` into a measure with
@@ -41,6 +45,7 @@ from .balance import (
     SetFamily,
     deficiency_optimum,
     deficiency_system,
+    empty_member_witness,
     verify_balance_witness,
 )
 from .groups import (
@@ -338,7 +343,10 @@ def is_epsilon_ramsey(
     family, on its distinct columns: a repeated LP column never enters a
     Bland's-rule basis, so the point and Farkas multipliers are those of
     the LP on every column.  The pictures route solves one deficiency LP
-    per realized family, in the order of the families' least masks.
+    per realized family that does not hold the empty picture, in the
+    order of the families' least masks; a family that holds it gets the
+    LP's witness, the point mass on the empty member, from
+    `empty_member_witness`.
     """
     eps = ramsey_eps(eps)
     if method not in ("direct", "pictures"):
@@ -372,19 +380,21 @@ def is_epsilon_ramsey(
         family_witnesses = []
         for e_mask, members in _families(prod_pos, k, width):
             family = SetFamily(window, members)
-            optimum, witness = deficiency_optimum(family)
-            if optimum.value > eps:
-                counterexample = RamseyCounterexample(
-                    e_mask,
-                    _mask_elements(products, e_mask),
-                    "balance_optimum",
-                    {
-                        "family": family.to_json(),
-                        "optimum": optimum.to_json(),
-                    },
-                )
-                checked = e_mask + 1
-                break
+            witness = empty_member_witness(family)
+            if witness is None:
+                optimum, witness = deficiency_optimum(family)
+                if optimum.value > eps:
+                    counterexample = RamseyCounterexample(
+                        e_mask,
+                        _mask_elements(products, e_mask),
+                        "balance_optimum",
+                        {
+                            "family": family.to_json(),
+                            "optimum": optimum.to_json(),
+                        },
+                    )
+                    checked = e_mask + 1
+                    break
             family_witnesses.append((family, witness))
         family_witnesses.sort(key=lambda fw: fw[0].members)
     else:

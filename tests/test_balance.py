@@ -1,13 +1,17 @@
+import json
 import random
 from fractions import Fraction as Q
 
 import pytest
 
+from amenlab import balance
 from amenlab.balance import (
     BalanceWitness,
     SetFamily,
     UnbalanceWitness,
     balance_deficiency,
+    deficiency_optimum,
+    empty_member_witness,
     family_of_positive_sets,
     unbalance_witness,
     verify_balance_witness,
@@ -59,7 +63,29 @@ def test_family_with_empty_member_is_balanced():
     f = fam("01", [[], ["0"]])
     eps, w = balance_deficiency(f)
     assert eps == 0
-    assert w.vector == (0, 0)
+    assert w == BalanceWitness((Q(1), Q(0)), (Q(0), Q(0)), Q(0))
+    assert w.to_json() == {"weights": ["1/1", "0/1"], "vector": ["0/1", "0/1"], "gap": "0/1"}
+
+
+@pytest.mark.parametrize("width", range(1, 7))
+def test_empty_member_witness_is_the_lp_witness(monkeypatch, width):
+    # Bland's rule stops at the point mass on the empty member, so the LP's
+    # witness is known without solving it
+    rng = random.Random(f"empty-member:{width}")
+    nonempty = range(1, 1 << width)
+    for _ in range(25):
+        others = rng.sample(nonempty, rng.randint(0, min(19, len(nonempty))))
+        family = SetFamily(range(width), [0, *others])
+        optimum, lp_witness = deficiency_optimum(family)
+        assert optimum.value == 0
+        assert optimum.point[: len(family)] == (1,) + (0,) * len(others)
+        witness = empty_member_witness(family)
+        assert json.dumps(witness.to_json()) == json.dumps(lp_witness.to_json())
+        assert witness == lp_witness
+        assert empty_member_witness(SetFamily(range(width), others or [1])) is None
+    # and balance_deficiency runs no LP for such a family
+    monkeypatch.setattr(balance, "minimize", None)
+    assert balance_deficiency(family) == (0, witness)
 
 
 def test_unbalance_witness_definitional_example():

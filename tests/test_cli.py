@@ -310,6 +310,9 @@ def test_render_matches_json_dumps_on_edge_values():
         {"name": "Følner \u2014 ∑ \"q\"\n\t\\", "é": ["ü", "\U0001d53d"]},
         {"t": True, "f": False, "n": None, "i": [0, -7, 10**40], "s": ""},
         {"tuple": (1, ("a", ())), "z": 1, "A": 2, "a": 3, "": 4},
+        # a list of strings is written as one piece; any other list item by item
+        ["1/2", "é\n", ""], ("x",), ["1/2", 0, None], [[7], ["0/1", "1/1"], ("q", 2)],
+        [1, [], "s"], [{}, None], ["a", {"b": [None]}],
         "plain", 5, True, None,
     ]
     for value in values:

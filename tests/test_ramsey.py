@@ -34,7 +34,7 @@ from amenlab.ramsey import (
     subset_measure,
     verify_ramsey_verdict,
 )
-from amenlab import ramsey
+from amenlab import balance, ramsey
 from amenlab.linprog import solve_feasibility
 
 Z = FreeAbelianGroup(1)
@@ -257,27 +257,76 @@ def _pictures_by_every_mask(window, bset, eps):
     return [(SetFamily(window, key), w) for key, w in sorted(seen.items(), key=lambda kv: sorted(kv[0]))]
 
 
+def _count_lps(monkeypatch):
+    """Count, from here on, the families the pictures route visits and the
+    deficiency LPs (`linprog.minimize` calls) it solves."""
+    counts = {"families": 0, "lps": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        ramsey, "empty_member_witness", counted("families", ramsey.empty_member_witness)
+    )
+    monkeypatch.setattr(balance, "minimize", counted("lps", balance.minimize))
+    return counts
+
+
 @pytest.mark.parametrize(
-    "group, m, n, eps",
-    [(F2, 1, 2, eps) for eps in (Q(0), Q(1, 3), Q(5, 12), Q(1, 2))] + [(Z, 2, 4, Q(1, 3))],
+    "group, m, n, eps, families, lps",
+    [
+        (F2, 1, 2, Q(0), 12, 6),
+        (F2, 1, 2, Q(1, 3), 60, 31),
+        (F2, 1, 2, Q(5, 12), 80, 47),
+        (F2, 1, 2, Q(1, 2), 174, 125),
+        (Z, 2, 4, Q(1, 3), 24, 8),
+    ],
     ids=["F2-0", "F2-1/3", "F2-5/12", "F2-1/2", "Z-2-4-1/3"],
 )
-def test_pictures_counterexample_matches_a_walk_over_every_mask(group, m, n, eps):
+def test_pictures_counterexample_matches_a_walk_over_every_mask(
+    monkeypatch, group, m, n, eps, families, lps
+):
     window, bset = ball(group, m), ball(group, n)
     e_mask, family, optimum = _pictures_by_every_mask(window, bset, eps)
+    counts = _count_lps(monkeypatch)
     verdict = is_epsilon_ramsey(window, bset, eps, method="pictures")
     assert not verdict.is_ramsey
     ce = verdict.counterexample
     assert (ce.e_mask, verdict.subsets_checked) == (e_mask, e_mask + 1)
     assert ce.payload == {"family": family.to_json(), "optimum": optimum.to_json()}
+    # the families holding the empty picture, up to the failing one, had no LP
+    assert counts == {"families": families, "lps": lps}
 
 
-def test_pictures_witnesses_match_a_walk_over_every_mask():
-    window, bset = zball(1), zball(4)
-    expected = _pictures_by_every_mask(window, bset, Q(1, 2))
-    verdict = is_epsilon_ramsey(window, bset, Q(1, 2), method="pictures")
+@pytest.mark.parametrize(
+    "group, m, n, eps, families, lps",
+    [
+        (Z, 1, 4, Q(1, 2), 100, 51),
+        (Z, 1, 6, Q(1, 2), 101, 51),
+        (Z, 1, 7, Q(1, 2), 101, 51),
+        (Z, 1, 8, Q(1, 2), 101, 51),
+        (Z, 2, 4, Q(5, 8), 474, 426),
+        (CyclicGroup(5), 1, 2, Q(1, 2), 8, 5),
+        (CyclicGroup(6), 1, 2, Q(1, 2), 27, 19),
+    ],
+    ids=["Z-1-4", "Z-1-6", "Z-1-7", "Z-1-8", "Z-2-4-5/8", "Z5-1-2", "Z6-1-2"],
+)
+def test_pictures_witnesses_match_a_walk_over_every_mask(
+    monkeypatch, group, m, n, eps, families, lps
+):
+    window, bset = ball(group, m), ball(group, n)
+    expected = _pictures_by_every_mask(window, bset, eps)
+    counts = _count_lps(monkeypatch)
+    verdict = is_epsilon_ramsey(window, bset, eps, method="pictures")
     assert verdict.is_ramsey and verdict.subsets_checked == 1 << len(verdict.products)
     assert verdict.family_witnesses == expected
+    # one LP per family that does not hold the empty picture
+    assert counts == {"families": families, "lps": lps}
+    assert lps == sum(1 for family, _ in expected if family.members[0])
 
 
 def _direct_by_column_multiset(window, bset, eps):
