@@ -35,6 +35,12 @@ for each translate w the words x fall into classes by the first letter
 and height of w * x, both read off x without multiplying.  One product
 is formed per class, each predicate is evaluated once on it, and every
 word of the class gets that result; only the boolean lists are kept.
+
+The scans never list their words.  `_word_classes` counts the words of
+length <= L by (prefix of length P, height), keeping one real word per
+class; for P at least |w| + 1 every word of a class has the same
+`_members` class under w, so the scans run `_members` on those words and
+weight each result by its class's count.
 """
 
 from __future__ import annotations
@@ -131,6 +137,64 @@ def _members(w: Element, words, heights, tests) -> list[list[bool]]:
     return [[by_class[i] for i in index] for by_class in results]
 
 
+def _word_classes(group: FreeGroup, max_length: int, prefix_length: int):
+    """The words of length <= max_length, counted by (x[:P], height(x)).
+
+    P is ``prefix_length`` >= 1.  Returns parallel lists: one real word of each
+    class, its height and the number of words in the class.  A word of
+    ball(P) shorter than P is a class of its own.  Every other word is a
+    head of length exactly P followed by a suffix that does not cancel
+    the head's last letter; the suffixes are counted by `_suffix_classes`
+    once per last letter, never listed, so no ball past radius P is built.
+    """
+    heads = ball(group, min(prefix_length, max_length))
+    weights = [height(Element(group, (code,))) for code in range(2 * group.rank)]
+    suffixes: dict = {}  # a head's last letter -> its suffix classes
+    words, heights, counts = [], [], []
+    for head in heads:
+        v, h = head.value, height(head)
+        if len(v) < prefix_length:
+            words.append(head)
+            heights.append(h)
+            counts.append(1)
+            continue
+        last = v[-1]
+        if last not in suffixes:
+            suffixes[last] = _suffix_classes(last, max_length - prefix_length, weights)
+        for dh, (n, tail) in suffixes[last].items():
+            words.append(Element(group, v + tail))
+            heights.append(h + dh)
+            counts.append(n)
+    return words, heights, counts
+
+
+def _suffix_classes(last: int, max_length: int, weights) -> dict[int, tuple[int, tuple]]:
+    """height -> (count, one suffix) over the reduced words of length <= max_length
+    whose first letter does not cancel the letter code ``last``.
+
+    A transfer-matrix pass over (length, last letter, height): each state
+    holds its word count and one of its words, and ``weights[c]`` is the
+    height of letter code c.  It is `groups._free_ball` with counts in
+    place of word lists.
+    """
+    layer = {(last, 0): (1, ())}  # (last letter, height) -> (count, one suffix)
+    out: dict[int, tuple[int, tuple]] = {}
+    for k in range(max_length + 1):
+        nxt: dict[tuple, tuple[int, tuple]] = {}
+        for (end, dh), (n, tail) in layer.items():
+            total, rep = out.get(dh, (0, tail))
+            out[dh] = (total + n, rep)
+            if k == max_length:
+                continue
+            for code, weight in enumerate(weights):
+                if code != end ^ 1:
+                    state = (code, dh + weight)
+                    total, rep = nxt.get(state, (0, tail + (code,)))
+                    nxt[state] = (total + n, rep)
+        layer = nxt
+    return out
+
+
 MAX_SCAN_LENGTH = 12
 MAX_TRANSLATES = 8  # largest translate count K of the disjointness scan and the invariance LP
 TRANSLATE_RADIUS = 3  # translators of the level-shift check: ball(TRANSLATE_RADIUS)
@@ -207,20 +271,25 @@ def verify_identities(max_length: int) -> ScanReport:
     first △ low and rest △ high through the two intersection sets, the
     four containments threading the five sets, and the translation law
     ``w * high = (height > height(w))`` for all w in the translate ball
-    against all words of length <= max_length - TRANSLATE_RADIUS.  Each
-    of the six sets is evaluated once per class of `_members`, and each
-    identity once per distinct membership profile, weighted by the number
-    of words that have it.
+    against all words of length <= max_length - TRANSLATE_RADIUS.  The
+    words are counted in `_word_classes`: by first letter and height for
+    the six identities, and by prefix of length TRANSLATE_RADIUS + 1 and
+    height for the translation law, which is what `_members` reads under
+    a translator of length <= TRANSLATE_RADIUS.  Each set is evaluated
+    once per `_members` class, and each identity once per distinct
+    membership profile, weighted by the number of words that have it.
     """
     if max_length > MAX_SCAN_LENGTH:
         raise CapExceeded(f"scan capped at length {MAX_SCAN_LENGTH}")
     group = f2_group()
-    words = ball(group, max_length)
+    words, heights, counts = _word_classes(group, max_length, 1)
     sets = five_set_specs(group)
     tests = [first_spec(group).compile(group)] + [sets[k].compile(group) for k in FIVE_SET_ORDER]
     high = tests[-1]
     # profile (first, then the five sets in FIVE_SET_ORDER) -> number of words having it
-    profiles = Counter(zip(*_members(group.identity(), words, [height(u) for u in words], tests)))
+    profiles: Counter = Counter()
+    for profile, n in zip(zip(*_members(group.identity(), words, heights, tests)), counts):
+        profiles[profile] += n
     identities = (
         ("first_xor_low_is_two_cores", lambda f, fl, fh, rh, rl, h: (f ^ (not h)) == (fh or rl)),
         ("rest_xor_high_is_two_cores", lambda f, fl, fh, rh, rl, h: ((not f) ^ h) == (fh or rl)),
@@ -230,20 +299,22 @@ def verify_identities(max_length: int) -> ScanReport:
         ("low_inside_first_or_low", lambda f, fl, fh, rh, rl, h: h or fl),
     )
     report = ScanReport(max_length, "verified pointwise on all words")
+    checked = sum(counts)
     for name, holds in identities:
         failures = sum(n for m, n in profiles.items() if not holds(*m))
-        report.checks.append(IdentityCheck(name, len(words), failures))
+        report.checks.append(IdentityCheck(name, checked, failures))
 
-    inner = ball(group, max(0, max_length - TRANSLATE_RADIUS))
-    heights = [height(u) for u in inner]
+    inner, heights, counts = _word_classes(
+        group, max(0, max_length - TRANSLATE_RADIUS), TRANSLATE_RADIUS + 1
+    )
     translators = ball(group, TRANSLATE_RADIUS)
     failures = 0
     for w in translators:
         hw = height(w)
         [shifted] = _members(w.inverse(), inner, heights, [high])
-        failures += sum(s != (hu > hw) for s, hu in zip(shifted, heights))
+        failures += sum(n for s, hu, n in zip(shifted, heights, counts) if s != (hu > hw))
     report.checks.append(
-        IdentityCheck("translate_high_is_level_shift", len(translators) * len(inner), failures)
+        IdentityCheck("translate_high_is_level_shift", len(translators) * sum(counts), failures)
     )
     return report
 
@@ -253,16 +324,19 @@ def verify_disjoint_translates(translate_count: int, max_length: int) -> ScanRep
 
     Scanned families: a^k(rest_and_low), b^k(first_and_high), b^k(first),
     a^k(rest) for k < translate_count.  A word lies in at most one member
-    of each sequence: for each distinct power p one `_members` pass is
-    shared by every family using p, and a failure is a word in two or
-    more members.
+    of each sequence.  The words are counted in `_word_classes` by prefix
+    of length K = translate_count and height: every power has length
+    <= K - 1, so `_members` reads no more of a word than that.  For each
+    distinct power p one `_members` pass is shared by every family using
+    p, and a failure is a word in two or more members, counted by its
+    class.
     """
     _check_translate_count(translate_count)
     if max_length > MAX_SCAN_LENGTH:
         raise CapExceeded(f"scan capped at length {MAX_SCAN_LENGTH}")
     group = f2_group()
     a, b = group.generators()
-    words = ball(group, max_length)
+    words, heights, counts = _word_classes(group, max_length, translate_count)
     sets = {k: s.compile(group) for k, s in five_set_specs(group).items()}
     first = first_spec(group).compile(group)
     families = [
@@ -275,16 +349,16 @@ def verify_disjoint_translates(translate_count: int, max_length: int) -> ScanRep
     for i, (_, generator, _) in enumerate(families):
         for k in range(translate_count):
             users.setdefault(generator ** (-k), []).append(i)
-    heights = [height(u) for u in words]
     hits = [[0] * len(words) for _ in families]
     for p, family_ids in users.items():
         tests = [families[i][2] for i in family_ids]
         for i, member in zip(family_ids, _members(p, words, heights, tests)):
             hits[i] = [n + m for n, m in zip(hits[i], member)]
     report = ScanReport(max_length, "pairwise disjointness scanned on words", translate_count)
-    for (name, _, _), counts in zip(families, hits):
-        failures = sum(n > 1 for n in counts)
-        report.checks.append(IdentityCheck(name, len(words), failures))
+    checked = sum(counts)
+    for (name, _, _), by_class in zip(families, hits):
+        failures = sum(n for h, n in zip(by_class, counts) if h > 1)
+        report.checks.append(IdentityCheck(name, checked, failures))
     return report
 
 

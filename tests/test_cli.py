@@ -1262,3 +1262,25 @@ def test_verify_rejects_a_negative_n_max(capsys, tmp_path, argv, n_max):
 
     forge(path, forge_range)
     assert verify_status(capsys, path) == (1, "FAILED")
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["--identities", "-1"], 1, "error: ball radius must be >= 0\n"),
+    (["--disjoint", "4", "-1"], 1, "error: ball radius must be >= 0\n"),
+    (["--identities", "13"], 2, "cap exhausted: scan capped at length 12\n"),
+    (["--disjoint", "9", "8"], 2, "cap exhausted: translate count capped at 8\n"),
+])
+def test_f2_verify_edge_cases_fail_without_envelope(capsys, argv, code, err):
+    assert main(["f2-verify", *argv]) == code
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--identities", "0"], "c7cdc54394d3cf7bcd63df51e3fc8a79ef63c748111b3a5afc38e70c43efab7a"),
+    (["--disjoint", "2", "0"], "6e1e0405f4205921b671327063aedae27c0665cc0d059985ac1f1a34f99644cf"),
+])
+def test_f2_verify_on_the_identity_alone_is_pinned(capsys, tmp_path, argv, digest):
+    path = tmp_path / "f2.json"
+    code, env = run_envelope(capsys, "f2-verify", *argv, "--out", str(path))
+    assert (code, env["digest"]) == (0, "sha256:" + digest)
+    assert run(capsys, "verify", str(path)) == (0, VERIFY_OK.format("f2-verify"))

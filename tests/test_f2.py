@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
@@ -5,6 +6,9 @@ import pytest
 from amenlab import f2
 from amenlab.f2 import (
     FIVE_SET_ORDER,
+    MAX_SCAN_LENGTH,
+    MAX_TRANSLATES,
+    TRANSLATE_RADIUS,
     IdentityCheck,
     InvarianceOutcome,
     ThresholdReport,
@@ -314,16 +318,26 @@ def _rows(system):
     return [(row.coeffs, row.rel, row.rhs) for row in system.rows]
 
 
-def test_identities_scan_matches_per_word_oracle(rotated_sets):
-    report = verify_identities(6)
-    assert report.checks == _oracle_identity_checks(6)
+@pytest.mark.parametrize("max_length", range(8))
+def test_identities_scan_matches_per_word_oracle(rotated_sets, max_length):
+    report = verify_identities(max_length)
+    assert report.checks == _oracle_identity_checks(max_length)
     assert report.ok != rotated_sets
 
 
-def test_disjoint_scan_matches_per_word_oracle(rotated_sets):
+@pytest.mark.parametrize("translate_count", [2, 3, 4, 8])
+@pytest.mark.parametrize("max_length", range(8))
+def test_disjoint_scan_matches_per_word_oracle(rotated_sets, translate_count, max_length):
+    report = verify_disjoint_translates(translate_count, max_length)
+    assert report.checks == _oracle_disjoint_checks(translate_count, max_length)
+
+
+def test_rotated_sets_fail_the_disjoint_scan(rotated_sets):
     report = verify_disjoint_translates(4, 6)
-    assert report.checks == _oracle_disjoint_checks(4, 6)
     assert report.ok != rotated_sets
+    if rotated_sets:
+        # failures short of every word, so the scan weights some classes and not others
+        assert all(0 < c.failures < c.checked for c in report.checks if not c.ok)
 
 
 def test_invariance_systems_match_per_word_oracle(rotated_sets):
@@ -344,3 +358,42 @@ def test_disjoint_scan_needs_two_translates():
     for k in (0, 1):
         with pytest.raises(ValueError):
             verify_disjoint_translates(k, 4)
+
+
+@pytest.mark.parametrize("prefix_length", range(1, 6))
+def test_word_classes_count_the_ball_by_prefix_and_height(prefix_length):
+    words = ball(G, 8)
+    for max_length in range(9):
+        expected = Counter(
+            (x.value[:prefix_length], height(x)) for x in words if len(x.value) <= max_length
+        )
+        reps, heights, counts = f2._word_classes(G, max_length, prefix_length)
+        keys = [(x.value[:prefix_length], h) for x, h in zip(reps, heights)]
+        assert dict(zip(keys, counts)) == expected and len(keys) == len(expected)
+        assert all(height(x) == h and len(x.value) <= max_length for x, h in zip(reps, heights))
+
+
+@pytest.mark.parametrize("prefix_length", [1, 4, 8])
+def test_word_classes_sum_to_the_ball_size(prefix_length):
+    for max_length in range(MAX_SCAN_LENGTH + 1):
+        _, _, counts = f2._word_classes(G, max_length, prefix_length)
+        assert sum(counts) == 2 * 3**max_length - 1
+
+
+def test_scans_at_the_cap_build_no_large_ball(monkeypatch):
+    radii = []
+
+    def recording(group, radius, **kwargs):
+        radii.append(radius)
+        return ball(group, radius, **kwargs)
+
+    monkeypatch.setattr(f2, "ball", recording)
+    identities = verify_identities(MAX_SCAN_LENGTH)
+    disjoint = verify_disjoint_translates(MAX_TRANSLATES, MAX_SCAN_LENGTH)
+    assert max(radii) <= max(MAX_TRANSLATES, TRANSLATE_RADIUS + 1)
+    words = 2 * 3**MAX_SCAN_LENGTH - 1
+    assert words == 1_062_881
+    assert [(c.checked, c.failures) for c in identities.checks] == (
+        [(words, 0)] * 6 + [(53 * (2 * 3**9 - 1), 0)]
+    )
+    assert [(c.checked, c.failures) for c in disjoint.checks] == [(words, 0)] * 4
