@@ -741,14 +741,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The amenlab parser, or for an ``argv`` that starts with a command name,
+    one with that command's subparser alone.
+
+    Each subparser prints its own help and errors, and the top parser's
+    usage keeps the full command list, so the two parse ``argv`` and
+    print the same.  Every other argv, ``verify`` included, gets the full
+    parser.
+    """
     parser = _Parser(
         prog="amenlab",
         description="exact-rational certificates for averaging windows, "
         "balanced families, Folner search, and free-group obstructions",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command in _COMMANDS:
+    chosen = COMMANDS.get(argv[0]) if argv else None
+    # the top parser's usage lists every command, as argparse writes the full list
+    metavar = None if chosen is None else "{" + ",".join([*COMMANDS, "verify"]) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for command in _COMMANDS if chosen is None else (chosen,):
         p = sub.add_parser(command.name, help=command.help)
         if command.group:
             p.add_argument("--group", required=True, help="group descriptor JSON or file path")
@@ -757,13 +768,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="also write the envelope to this file")
         for flags, options in command.arguments:
             p.add_argument(*flags, **options)
-    p = sub.add_parser("verify", help="recheck an envelope's certificates; rerun summaries")
-    p.add_argument("envelope")
+    if chosen is None:
+        p = sub.add_parser("verify", help="recheck an envelope's certificates; rerun summaries")
+        p.add_argument("envelope")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         if args.command == "verify":
             return _verify(args.envelope)

@@ -41,6 +41,13 @@ length <= L by (prefix of length P, height), keeping one real word per
 class; for P at least |w| + 1 every word of a class has the same
 `_members` class under w, so the scans run `_members` on those words and
 weight each result by its class's count.
+
+The LP solve merges ball columns with equal membership profiles, and
+reads the profiles on one column per leading-run signature (height, and
+the length of a leading run of A or B, capped at K, with the letter after
+it), which fixes what `_members` reads of a column under every translate:
+135 columns of ball(6)'s 1,457 at K = 8.  `invariance_system` and every
+verifier keep the full table.
 """
 
 from __future__ import annotations
@@ -470,14 +477,51 @@ def _merged_system(
     column on its canonical-least element.  The rows are those of
     `invariance_system`, which keeps Farkas multipliers and duals valid
     for the full system.
+
+    The profiles are read on one column per `_run_signature` class, the
+    first in canonical order, since every column of a class has the same
+    profile.  Under a^k with k < K, `_members` reads only whether x[:k]
+    is A^k and, when it is, x[k] (with x's height): the first holds when
+    x's leading run of A letters is at least k long, and x[k] is A when
+    the run is longer than k and the letter after the run (or none) when
+    it is k long, so (min(run, K), letter after the run) fixes both.  The
+    B pair does the same under b^k, and under the identity `_members`
+    reads x[:1], which is A when the A run is nonempty and the letter
+    after it otherwise.  The canonical-least column of a profile is then
+    the first of its own signature class, so merging the representatives
+    by profile keeps the same columns in the same order.
     """
-    table = _membership_table(group, columns, translate_count)
-    classes: dict[tuple, int] = {}  # profile -> first column in canonical order
+    firsts: dict[tuple, int] = {}  # signature -> its first column in canonical order
+    for c, x in enumerate(columns):
+        firsts.setdefault(_run_signature(x.value, height(x), translate_count), c)
+    reps = [columns[c] for c in firsts.values()]
+    table = _membership_table(group, reps, translate_count)
+    classes: dict[tuple, int] = {}  # profile -> first representative in canonical order
     for c, profile in enumerate(zip(*(m for per_set in table for m in per_set))):
         classes.setdefault(profile, c)
     keep = list(classes.values())
     rows = _gap_rows(table, delta, keep)
-    return LinearSystem(len(keep), rows, nonneg=True), [columns[c] for c in keep]
+    return LinearSystem(len(keep), rows, nonneg=True), [reps[c] for c in keep]
+
+
+def _run_signature(v: tuple, h: int, translate_count: int) -> tuple:
+    """The signature `_merged_system` reads one column of, for the word v of height h.
+
+    It is (h, v[:1], min(run, K), v[run:run + 1]), where run is the length
+    of v's leading run of its first letter when that is an inverse
+    generator, and 0 otherwise.  That is h with (min(run, K), the letter
+    after the run) for the runs of A and of B, in one tuple: only the run
+    of v's first letter can be nonempty, and an empty run is followed by
+    v's first letter.
+    """
+    run = 0
+    if v and v[0] & 1:  # generator i is code 2i, its inverse 2i + 1
+        first = v[0]
+        for letter in v:
+            if letter != first:
+                break
+            run += 1
+    return h, v[:1], min(run, translate_count), v[run : run + 1]
 
 
 def simultaneous_invariance(translate_count: int, delta, radius: int) -> InvarianceOutcome:

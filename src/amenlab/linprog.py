@@ -2,9 +2,11 @@
 
 A two-phase simplex with Bland's anti-cycling rule, so pivoting
 terminates and identical systems produce identical answers bit for bit.
-Its tableau rows are dense lists of integers over one denominator each; a
-pivot on an entry of 1 updates only the columns where the pivot row is
-nonzero, in place.  System data passes the `rationals.exact` gate (a
+Its tableau rows are dense lists of integers over one denominator each,
+not always in lowest terms: a pivot on an entry of 1 updates only the
+columns where the pivot row is nonzero, in place, and divides out no
+common factor; only the pivot row is brought to lowest terms, before its
+entry is read.  System data passes the `rationals.exact` gate (a
 Fraction or an int; a float, bool or string is a ValueError) and results
 are `fractions.Fraction`, each read off the tableau as one quotient of
 two ints.  `LinearSystem` stores each row once more as integers over one
@@ -186,13 +188,17 @@ class _Simplex:
     so dual values can be read off the final reduced costs.
 
     Row i is the ints ``T[i]`` over the positive ``den[i]``, the cost row
-    ``zrow`` over ``zden``, each in lowest terms: the exact values of a
-    Fraction tableau, so the pivot sequence and all results are the same.
-    Each row starts as the system's own integer row over its ``den``.
-    A pivot lists the pivot row's nonzero columns once and `_eliminate`
-    updates each other row on them alone when the pivot entry is 1, in
-    place, so no two rows may share a list.  Points, duals and values are
-    each read as one ``Fraction(int, int)``.
+    ``zrow`` over ``zden``: the exact values of a Fraction tableau, with
+    ``den[i]`` in row i's basic column.  Each row starts as the system's
+    own integer row over its ``den``.  A pivot lists the pivot row's
+    nonzero columns once and divides them by their gcd, so the pivot
+    entry, the new pivot row and every later ratio test are those of a
+    lowest-terms tableau, and the pivot sequence and all results are the
+    same.  When the pivot entry is then 1, `_eliminate` updates each other
+    row on those columns alone, in place and unreduced, so no two rows may
+    share a list; another row's ``den`` changes only on a pivot entry
+    other than 1, which reduces each row it updates.  Points, duals and
+    values are each read as one ``Fraction(int, int)``.
     """
 
     def __init__(self, system: LinearSystem):
@@ -264,13 +270,19 @@ class _Simplex:
     def _pivot(self, r: int, c: int):
         T, den = self.T, self.den
         rowr = T[r]
+        support = _support(rowr)
+        if den[r] != 1:
+            # unit pivots leave rows unreduced; den[r] is the basic entry, so a
+            # row over 1 is in lowest terms already
+            g = reduce(gcd, map(rowr.__getitem__, support), den[r])
+            if g != 1:
+                for j in support:
+                    rowr[j] //= g
         p = rowr[c]
         if p < 0:
             p = -p
             rowr = [-x for x in rowr]
-        # every row is in lowest terms with den[i] in its basic column, so gcd(rowr) is 1
         T[r], den[r] = rowr, p  # row r now reads rowr / p, with 1 in column c
-        support = _support(rowr)
         for i, row in enumerate(T):
             f = row[c]
             if f and i != r:
@@ -382,21 +394,19 @@ def _support(row: list[int]) -> list[int]:
 def _eliminate(
     row: list[int], den: int, f: int, prow: list[int], p: int, support: list[int]
 ) -> tuple[list[int], int]:
-    """row/den minus (f/den)*(prow/p), as (p*row - f*prow) / (den*p) in lowest terms.
+    """row/den minus (f/den)*(prow/p), as (p*row - f*prow) / (den*p).
 
     `support` lists the columns where prow is nonzero.  When p is 1 only
-    those entries change: they are updated in `row` itself, which is in
-    lowest terms already when den is 1.  Otherwise every entry is scaled
-    by p, into a new row.
+    those entries change: they are updated in `row` itself, over the same
+    den, and no common factor is divided out.  Otherwise every entry is
+    scaled by p, into a new row in lowest terms.
     """
     if p == 1:
         for j in support:
             row[j] -= f * prow[j]
-        if den == 1:
-            return row, den
-    else:
-        row = [p * a - f * b for a, b in zip(row, prow)]
-        den *= p
+        return row, den
+    row = [p * a - f * b for a, b in zip(row, prow)]
+    den *= p
     # reduce, not gcd(*row): a row-sized argument tuple per call raised peak RSS
     g = reduce(gcd, row, den)
     return ([a // g for a in row], den // g) if g != 1 else (row, den)

@@ -256,6 +256,58 @@ def test_help_exits_zero(capsys):
         assert "unrecognized arguments: --cap=-5" in capsys.readouterr().err
 
 
+def parse_outcome(parser, argv, capsys):
+    """(exit code or None, parsed arguments or None, stdout, stderr) of one parse."""
+    try:
+        code, parsed = None, vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        code, parsed = exc.code, None
+    out = capsys.readouterr()
+    return code, parsed, out.out, out.err
+
+
+def bad_value(command):
+    """argv giving the command's first typed argument a bad value, or its first
+    option no value when none is typed."""
+    for flags, options in command.arguments:
+        if "type" in options:
+            return [command.name, *[f for f in flags[:1] if f.startswith("-")], "x"]
+    return [command.name, command.arguments[0][0][0]]
+
+
+@pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+def test_a_command_alone_parses_and_prints_as_the_full_parser(capsys, name):
+    parser = build_parser([name])
+    [choices] = [a.choices for a in parser._actions if a.dest == "command"]
+    assert list(choices) == [name]
+    for argv in (
+        [name, "--help"],
+        [name, "--no-such-option"],  # a required argument missing, or unrecognized
+        [name, "--out", "x", "extra"],
+        bad_value(cli.COMMANDS[name]),
+    ):
+        outcome = parse_outcome(build_parser(argv), argv, capsys)
+        assert outcome == parse_outcome(build_parser(), argv, capsys)
+        assert outcome[0] in (0, 1) and outcome[2] + outcome[3]
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], [], ["no-such-command"], ["verify"], ["verify", "--help"]]
+)
+def test_any_other_argv_gets_the_full_parser(capsys, argv):
+    [choices] = [a.choices for a in build_parser(argv)._actions if a.dest == "command"]
+    assert list(choices) == [*cli.COMMANDS, "verify"]
+    outcome = parse_outcome(build_parser(argv), argv, capsys)
+    assert outcome == parse_outcome(build_parser(), argv, capsys)
+    assert outcome[0] in (0, 1)
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["amenlab", "balance", "--family", FAMILY])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["result"]["deficiency"] == "1/1"
+
+
 def test_ramsey_function_has_one_route(capsys):
     assert usage_exit_code(["ramsey-function", "--help"]) == 0
     assert "--method" not in capsys.readouterr().out
@@ -269,12 +321,13 @@ def readme_commands():
     return [[{"$Z": Z, "$F2": F2}.get(arg, arg) for arg in argv[1:]] for argv in commands]
 
 
-def test_readme_commands_parse():
+def test_readme_commands_parse(capsys):
     commands = readme_commands()
     assert len(commands) >= 10
-    parser = build_parser()
     for argv in commands:
-        parser.parse_args(argv)
+        # each parses, alike with its command's parser alone and the full one
+        parsed = parse_outcome(build_parser(argv), argv, capsys)
+        assert parsed == parse_outcome(build_parser(), argv, capsys) and parsed[0] is None
 
 
 def _load_bench_module(name):

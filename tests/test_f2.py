@@ -1,9 +1,11 @@
+import json
 from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
 
 from amenlab import f2
+from amenlab.cli import main
 from amenlab.f2 import (
     FIVE_SET_ORDER,
     MAX_SCAN_LENGTH,
@@ -352,6 +354,63 @@ def test_invariance_systems_match_per_word_oracle(rotated_sets):
     assert reps == oracle_reps and len(reps) < len(columns)
     assert merged.num_vars == len(reps)
     assert _rows(merged) == rows
+
+
+@pytest.mark.parametrize("translate_count", [2, 4, 8])
+def test_merged_systems_match_per_word_oracle(rotated_sets, translate_count):
+    for radius in range(7):
+        columns = ball(G, radius)
+        for delta in (Q(0), Q(1, 25), Q(10, 11)):
+            merged, reps = _merged_system(G, columns, translate_count, delta)
+            rows, oracle_reps = _oracle_merged_rows(columns, translate_count, delta)
+            assert reps == oracle_reps and merged.num_vars == len(reps)
+            assert _rows(merged) == rows
+
+
+def test_merged_system_reads_one_column_per_run_signature(monkeypatch):
+    def leading_runs(x):
+        # (min(run, K), the letter after the run or None) for A and for B, then height
+        signature = []
+        for code in (1, 3):
+            run = 0
+            while run < len(x.value) and x.value[run] == code:
+                run += 1
+            signature += (min(run, 8), x.value[run] if run < len(x.value) else None)
+        return (*signature, height(x))
+
+    columns = ball(G, 6)
+    firsts = {}
+    for x in columns:
+        firsts.setdefault(leading_runs(x), x)
+    read = []
+    table = f2._membership_table
+    monkeypatch.setattr(
+        f2, "_membership_table", lambda group, cols, k: read.append(cols) or table(group, cols, k)
+    )
+    _merged_system(G, columns, 8, Q(1, 25))
+    assert read == [list(firsts.values())] and len(columns) == 1457 and len(read[0]) == 135
+
+
+# `amenlab f2-infeasible 8 <delta> 6`: neither the column merge nor the pivot
+# arithmetic may change a byte of an envelope
+F2_INFEASIBLE_DIGESTS = {
+    "1/100": "c3cd87aa9869740d2ad4c093d9c177cd7b3b28b19d99b74f3f2cf249e82d45b8",
+    "1/25": "5bdf7761fe79f77f06676f968fe6168b618ed52a7308041960a705995304e109",
+    "1/4": "477d0e6420684a2fdf6a16156f77a28f6ff90d756dbd2798a4ba4c3878f3fee7",
+    "1/2": "5ba49275bb2bfcce8e4f081cb2717e20310139db90c9af227f04ebdd9f81b58c",
+    "10/11": "0ab7d614aa26dd9923c344094fe78c7c5a4f0d320f808ef5d9a88eff2ac7d1e4",
+    "11/12": "31c2898f7d6252ed651bba6fe306b90295545836c7d07130618993c145e9d2f8",
+}
+
+
+@pytest.mark.parametrize("delta", sorted(F2_INFEASIBLE_DIGESTS))
+def test_f2_infeasible_envelopes_keep_their_digests(capsys, tmp_path, delta):
+    path = tmp_path / "env.json"
+    assert main(["f2-infeasible", "8", delta, "6", "--out", str(path)]) == 0
+    assert json.loads(path.read_text())["digest"] == "sha256:" + F2_INFEASIBLE_DIGESTS[delta]
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["certificates"] == "ok"
 
 
 def test_disjoint_scan_needs_two_translates():

@@ -382,34 +382,41 @@ def test_ratio_tie_goes_to_the_smaller_basis_index():
     assert _assert_tableaus_agree(system)["value"] == 1
 
 
-def test_every_pivot_keeps_each_row_in_lowest_terms_over_its_basic_entry():
-    # the invariant by which `_pivot` never divides the pivot row by its gcd
+def test_every_pivot_reduces_its_row_and_a_unit_pivot_keeps_the_other_dens():
+    # `_pivot` brings the pivot row to lowest terms before reading its entry,
+    # and a unit pivot leaves every other row unreduced over its own den
     rng = random.Random(20261021)
     systems = [random_system(rng) for _ in range(150)]
     systems += [_rational_system(rng) for _ in range(300)]
     entries = []
+    unreduced = [0]  # pivot rows that reached their pivot with a common factor
 
-    def assert_invariant(sx):
+    def assert_basic_entries(sx):
         for i, row in enumerate(sx.T):
-            assert row[sx.basis[i]] == sx.den[i]
-            assert gcd(*row, sx.den[i]) == 1
+            assert row[sx.basis[i]] == sx.den[i] > 0
 
     for system in systems:
         sx = _Simplex(system)
         pivot = sx._pivot
 
         def checked(r, c, sx=sx, pivot=pivot):
-            entries.append(abs(sx.T[r][c]))
+            unreduced[0] += gcd(*sx.T[r]) != 1
+            before = list(sx.den)
             pivot(r, c)
-            assert_invariant(sx)
+            p = sx.den[r]
+            entries.append(p)
+            assert sx.T[r][c] == p and gcd(*sx.T[r]) == 1
+            if p == 1:
+                assert sx.den[:r] + sx.den[r + 1:] == before[:r] + before[r + 1:]
+            assert_basic_entries(sx)
 
         sx._pivot = checked
-        assert_invariant(sx)
+        assert_basic_entries(sx)
         if sx.run_phase1():  # phase 2 drives artificials out, by pivots too
             sx.run_phase2(system.objective or [0] * system.num_vars)
-    # most pivots are on entries other than 1, where a gcd step would have run
+    # most pivots are on entries other than 1, and some pivot rows arrive unreduced
     assert len(entries) > 1000 and sum(p != 1 for p in entries) > len(entries) / 2
-
+    assert unreduced[0] > 0
 
 
 # ------------------------------------ integer certificate check vs Fractions
