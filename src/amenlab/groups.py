@@ -353,15 +353,8 @@ class TableGroup(Group):
                 for c in rng:
                     if rab[c] != ra[rb[c]]:
                         raise GroupError("table is not associative")
-        inv = [None] * n
-        for a in range(n):
-            for b in range(n):
-                if rows[a][b] == ident and rows[b][a] == ident:
-                    inv[a] = b
-                    break
-            if inv[a] is None:
-                raise GroupError(f"element {a} has no two-sided inverse")
-        self._inverse_index = tuple(inv)
+        # each Latin row holds ident once; by associativity a right inverse is two-sided
+        self._inverse_index = tuple(row.index(ident) for row in rows)
         if generators is None:
             gens = tuple(i for i in range(n) if i != ident) or (ident,)
         else:

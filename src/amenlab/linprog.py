@@ -2,18 +2,17 @@
 
 A two-phase simplex with Bland's anti-cycling rule, so pivoting
 terminates and identical systems produce identical answers bit for bit.
-Its tableau rows are dense lists of integers over one denominator each,
-not always in lowest terms: a pivot on an entry of 1 updates only the
-columns where the pivot row is nonzero, in place, and divides out no
-common factor; only the pivot row is brought to lowest terms, before its
-entry is read.  System data passes the `rationals.exact` gate (a
-Fraction or an int; a float, bool or string is a ValueError) and results
-are `fractions.Fraction`, each read off the tableau as one quotient of
-two ints.  `LinearSystem` stores each row once more as integers over one
-positive denominator, with the columns of its nonzero coefficients; the
-simplex's tableau starts from those integer rows, and
-`verify_certificate` rechecks every result on them in integer arithmetic
-alone, independent of the solver:
+Its tableau rows are dense lists of integers, each over its own positive
+basic entry, the cost row included.  A pivot divides only the pivot row,
+by its gcd, before its entry p is read; every other row f·prow touches
+becomes p·row − f·prow and is never divided.  System data passes the
+`rationals.exact` gate (a Fraction or an int; a float, bool or string is
+a ValueError) and results are `fractions.Fraction`, each read off the
+tableau as one quotient of two ints.  `LinearSystem` stores each row
+once more as integers over one positive denominator, with the columns of
+its nonzero coefficients; the simplex's tableau starts from those
+integer rows, and `verify_certificate` rechecks every result on them in
+integer arithmetic alone, independent of the solver:
 
 * Feasible     -> a rational point satisfying every constraint exactly.
 * Infeasible   -> Farkas multipliers, one per constraint row, that
@@ -187,18 +186,17 @@ class _Simplex:
     hand side.  Artificial columns are kept (ineligible) through phase 2
     so dual values can be read off the final reduced costs.
 
-    Row i is the ints ``T[i]`` over the positive ``den[i]``, the cost row
-    ``zrow`` over ``zden``: the exact values of a Fraction tableau, with
-    ``den[i]`` in row i's basic column.  Each row starts as the system's
-    own integer row over its ``den``.  A pivot lists the pivot row's
-    nonzero columns once and divides them by their gcd, so the pivot
-    entry, the new pivot row and every later ratio test are those of a
-    lowest-terms tableau, and the pivot sequence and all results are the
-    same.  When the pivot entry is then 1, `_eliminate` updates each other
-    row on those columns alone, in place and unreduced, so no two rows may
-    share a list; another row's ``den`` changes only on a pivot entry
-    other than 1, which reduces each row it updates.  Points, duals and
-    values are each read as one ``Fraction(int, int)``.
+    Row i is the ints ``T[i]`` over its positive basic entry
+    ``T[i][basis[i]]``; the cost row ``zrow`` is over ``zrow[ncols]``, the
+    entry of a basic column of its own just before the rhs.  So each row
+    holds a Fraction tableau's row times a positive factor, and Bland's
+    rule, which reads only signs and ratios, pivots alike.  Each row starts
+    as the system's own integer row.  A pivot lists the pivot row's nonzero
+    columns once and divides them by their gcd before reading the pivot
+    entry p; `_eliminate` then makes each other row p·row − f·prow, in
+    place on those columns alone when p is 1, so no two rows may share a
+    list.  No other row is ever divided.  Points, duals and values are
+    each read as one ``Fraction(int, int)``.
     """
 
     def __init__(self, system: LinearSystem):
@@ -232,11 +230,10 @@ class _Simplex:
         self.art_set = frozenset(b for b, art in zip(self.basis, self.reader_is_artificial) if art)
         self.ncols = ncols
         self.T: list[list[int]] = []
-        self.den: list[int] = []
         nonneg = system.nonneg
         for i, row in enumerate(rows):
             sigma = self.sigma[i]
-            body = [0] * (ncols + 1)
+            body = [0] * (ncols + 2)
             for j, a in zip(row.support, row.nums):
                 col = first_col[j]
                 body[col] = sigma * a
@@ -247,34 +244,33 @@ class _Simplex:
             body[self.basis[i]] = row.den
             body[-1] = sigma * row.rnum
             self.T.append(body)
-            self.den.append(row.den)
         self.pivots = 0
         # Bland's rule terminates within the number of distinct bases.
         self.pivot_cap = comb(ncols, m) if m else 1
         self.zrow: list[int] = []
-        self.zden = 1
 
     def _build_zrow(self, costs: dict[int, Fraction]):
         """Reduced costs: `costs` with each basic row's cost priced out."""
-        zden = lcm(*(q.denominator for q in costs.values()))
-        z = [0] * (self.ncols + 1)
+        d = lcm(*(q.denominator for q in costs.values()))
+        z = [0] * (self.ncols + 2)
         for j, q in costs.items():
-            z[j] = q.numerator * (zden // q.denominator)
-        for i, b in enumerate(self.basis):
+            z[j] = q.numerator * (d // q.denominator)
+        z[self.ncols] = d
+        for b, row in zip(self.basis, self.T):
             # basic columns are unit columns, so pricing out one row keeps
             # the cost of every other basic column as given
             if z[b]:
-                z, zden = _eliminate(z, zden, z[b], self.T[i], self.den[i], _support(self.T[i]))
-        self.zrow, self.zden = z, zden
+                z = _eliminate(z, z[b], row, row[b], _support(row))
+        self.zrow = z
 
     def _pivot(self, r: int, c: int):
-        T, den = self.T, self.den
+        T = self.T
         rowr = T[r]
         support = _support(rowr)
-        if den[r] != 1:
-            # unit pivots leave rows unreduced; den[r] is the basic entry, so a
-            # row over 1 is in lowest terms already
-            g = reduce(gcd, map(rowr.__getitem__, support), den[r])
+        # the gcd divides the basic entry, so a row over 1 is in lowest terms;
+        # reduce, not gcd(*row): a row-sized argument tuple per call raised peak RSS
+        if rowr[self.basis[r]] != 1:
+            g = reduce(gcd, map(rowr.__getitem__, support))
             if g != 1:
                 for j in support:
                     rowr[j] //= g
@@ -282,14 +278,14 @@ class _Simplex:
         if p < 0:
             p = -p
             rowr = [-x for x in rowr]
-        T[r], den[r] = rowr, p  # row r now reads rowr / p, with 1 in column c
+        T[r] = rowr  # row r now reads rowr / p, with 1 in column c
         for i, row in enumerate(T):
             f = row[c]
             if f and i != r:
-                T[i], den[i] = _eliminate(row, den[i], f, rowr, p, support)
+                T[i] = _eliminate(row, f, rowr, p, support)
         f = self.zrow[c]
         if f:
-            self.zrow, self.zden = _eliminate(self.zrow, self.zden, f, rowr, p, support)
+            self.zrow = _eliminate(self.zrow, f, rowr, p, support)
         self.basis[r] = c
         self.pivots += 1
         if self.pivots > self.pivot_cap:
@@ -337,16 +333,17 @@ class _Simplex:
 
     def value(self) -> Fraction:
         """The objective value at the current basis."""
-        return Fraction(-self.zrow[-1], self.zden)
+        return Fraction(-self.zrow[-1], self.zrow[self.ncols])
 
     def duals(self, phase1: bool) -> tuple[Fraction, ...]:
         """Row duals read off the reduced costs, in the rows' own orientation."""
-        z, zden = self.zrow, self.zden
+        z = self.zrow
+        d = z[self.ncols]
         out = []
         for i, col in enumerate(self.reader_col):
             # the reader's cost (1 on a phase-1 artificial, else 0) minus its reduced cost
-            cost = zden if phase1 and self.reader_is_artificial[i] else 0
-            out.append(Fraction(self.sigma[i] * (cost - z[col]), zden))
+            cost = d if phase1 and self.reader_is_artificial[i] else 0
+            out.append(Fraction(self.sigma[i] * (cost - z[col]), d))
         return tuple(out)
 
     def farkas_multipliers(self) -> tuple[Fraction, ...]:
@@ -382,7 +379,8 @@ class _Simplex:
             # a free variable's two parts are opposite columns, so at most one is basic
             if col < nvar:
                 j, sign = self.var_cols[col]
-                x[j] = Fraction(sign * self.T[i][-1], self.den[i])
+                row = self.T[i]
+                x[j] = Fraction(sign * row[-1], row[col])
         return tuple(x)
 
 
@@ -391,25 +389,18 @@ def _support(row: list[int]) -> list[int]:
     return [j for j, a in enumerate(row) if a]
 
 
-def _eliminate(
-    row: list[int], den: int, f: int, prow: list[int], p: int, support: list[int]
-) -> tuple[list[int], int]:
-    """row/den minus (f/den)*(prow/p), as (p*row - f*prow) / (den*p).
+def _eliminate(row: list[int], f: int, prow: list[int], p: int, support: list[int]) -> list[int]:
+    """p*row - f*prow: row minus f/p times prow, over p times row's basic entry.
 
     `support` lists the columns where prow is nonzero.  When p is 1 only
-    those entries change: they are updated in `row` itself, over the same
-    den, and no common factor is divided out.  Otherwise every entry is
-    scaled by p, into a new row in lowest terms.
+    those entries change, in `row` itself; otherwise every entry is scaled
+    by p, into a new row.  Nothing is divided out either way.
     """
     if p == 1:
         for j in support:
             row[j] -= f * prow[j]
-        return row, den
-    row = [p * a - f * b for a, b in zip(row, prow)]
-    den *= p
-    # reduce, not gcd(*row): a row-sized argument tuple per call raised peak RSS
-    g = reduce(gcd, row, den)
-    return ([a // g for a in row], den // g) if g != 1 else (row, den)
+        return row
+    return [p * a - f * b for a, b in zip(row, prow)]
 
 
 def solve_feasibility(system: LinearSystem) -> FeasibilityOutcome:

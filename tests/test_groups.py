@@ -286,11 +286,15 @@ def test_cross_group_operations_rejected():
 
 
 def test_table_group_s3():
-    g = TableGroup(s3_table())
-    assert g.order == 6
-    e = g.identity()
-    for x in ball(g, 3):
-        assert x * x.inverse() == e
+    table = s3_table()
+    # the same group relabelled by i -> 5 - i, so its identity is index 5
+    relabelled = [[5 - table[5 - i][5 - j] for j in range(6)] for i in range(6)]
+    for g in (TableGroup(table), TableGroup(relabelled)):
+        assert g.order == 6
+        e = g.identity()
+        for x in ball(g, 3):
+            assert x * x.inverse() == e and x.inverse() * x == e
+    assert TableGroup(relabelled).identity().value == 5
     # transposition generators reach everything in <= 3 steps
     gsub = TableGroup(s3_table(), generators=[1, 2])
     assert len(ball(gsub, 3)) == 6

@@ -10,8 +10,9 @@ from helpers_lp import (
     oracle_feasible,
     random_system,
 )
-from amenlab import linprog
+from amenlab import folner, linprog
 from amenlab.balance import SetFamily, deficiency_system
+from amenlab.folner import weighted_folner
 from amenlab.groups import FreeAbelianGroup, FreeGroup, ball, sort_elements
 from amenlab.linprog import (
     EQ,
@@ -308,9 +309,9 @@ def test_no_tableau_row_is_shared_and_both_elimination_paths_run(monkeypatch):
     paths = {"in place": 0, "whole row": 0}
     eliminate = linprog._eliminate
 
-    def counted(row, den, f, prow, p, support):
+    def counted(row, f, prow, p, support):
         paths["in place" if p == 1 else "whole row"] += 1
-        return eliminate(row, den, f, prow, p, support)
+        return eliminate(row, f, prow, p, support)
 
     monkeypatch.setattr(linprog, "_eliminate", counted)
     pivots = 0
@@ -382,9 +383,9 @@ def test_ratio_tie_goes_to_the_smaller_basis_index():
     assert _assert_tableaus_agree(system)["value"] == 1
 
 
-def test_every_pivot_reduces_its_row_and_a_unit_pivot_keeps_the_other_dens():
-    # `_pivot` brings the pivot row to lowest terms before reading its entry,
-    # and a unit pivot leaves every other row unreduced over its own den
+def test_every_pivot_reduces_its_row_and_never_divides_another():
+    # `_pivot` brings the pivot row to lowest terms before reading its entry p,
+    # and every other row, the cost row included, becomes p*row - f*prow exactly
     rng = random.Random(20261021)
     systems = [random_system(rng) for _ in range(150)]
     systems += [_rational_system(rng) for _ in range(300)]
@@ -393,7 +394,8 @@ def test_every_pivot_reduces_its_row_and_a_unit_pivot_keeps_the_other_dens():
 
     def assert_basic_entries(sx):
         for i, row in enumerate(sx.T):
-            assert row[sx.basis[i]] == sx.den[i] > 0
+            assert row[sx.basis[i]] > 0 and row[sx.ncols] == 0
+        assert not sx.zrow or sx.zrow[sx.ncols] > 0
 
     for system in systems:
         sx = _Simplex(system)
@@ -401,13 +403,16 @@ def test_every_pivot_reduces_its_row_and_a_unit_pivot_keeps_the_other_dens():
 
         def checked(r, c, sx=sx, pivot=pivot):
             unreduced[0] += gcd(*sx.T[r]) != 1
-            before = list(sx.den)
+            old = [list(row) for row in [*sx.T, sx.zrow]]
             pivot(r, c)
-            p = sx.den[r]
+            prow = sx.T[r]
+            p = prow[c]
             entries.append(p)
-            assert sx.T[r][c] == p and gcd(*sx.T[r]) == 1
-            if p == 1:
-                assert sx.den[:r] + sx.den[r + 1:] == before[:r] + before[r + 1:]
+            assert p > 0 and gcd(*prow) == 1
+            for i, (before, after) in enumerate(zip(old, [*sx.T, sx.zrow])):
+                if i != r:
+                    f = before[c]
+                    assert after == [p * a - f * b for a, b in zip(before, prow)] if f else before
             assert_basic_entries(sx)
 
         sx._pivot = checked
@@ -417,6 +422,25 @@ def test_every_pivot_reduces_its_row_and_a_unit_pivot_keeps_the_other_dens():
     # most pivots are on entries other than 1, and some pivot rows arrive unreduced
     assert len(entries) > 1000 and sum(p != 1 for p in entries) > len(entries) / 2
     assert unreduced[0] > 0
+
+
+@pytest.mark.parametrize(
+    "group, m, n, pivots",
+    [(F2, 1, 2, 105), (FreeAbelianGroup(2), 1, 3, 313)],
+    ids=["F2 ball(1)/ball(2)", "Z2 ball(1)/ball(3)"],
+)
+def test_integer_tableau_pivots_like_fractions_on_weighted_folner_lps(monkeypatch, group, m, n, pivots):
+    # no row but the pivot row is ever divided, so these long LPs grow their entries most
+    systems = []
+
+    def captured(system):
+        systems.append(system)
+        return minimize(system)
+
+    monkeypatch.setattr(folner, "minimize", captured)
+    weighted_folner(group, m, n)
+    (system,) = systems
+    assert _assert_tableaus_agree(system)["pivots"] == pivots
 
 
 # ------------------------------------ integer certificate check vs Fractions
