@@ -32,9 +32,14 @@ no smaller ``delta`` is feasible.
 The scans and the LP builds share one membership pass (`_members`).
 Every set here is decided by a word's first letter and its height, so
 for each translate w the words x fall into classes by the first letter
-and height of w * x, both read off x without multiplying.  One product
-is formed per class, each predicate is evaluated once on it, and every
-word of the class gets that result; only the boolean lists are kept.
+and height of w * x, both read off x without multiplying.  A class names
+the product, not the translate, so one memo of results serves every
+translate of a pass that runs the same predicates: a product is formed
+and each predicate evaluated on it only the first time its (first
+letter, height) occurs, and every word of the class gets that result;
+only the boolean lists are kept.  The level-shift law reads its classes
+off prefix tallies of the words (`_level_shift_failures`), with no pass
+over the words per translator.
 
 The scans never list their words.  `_word_classes` counts the words of
 length <= L by (prefix of length P, height), keeping one real word per
@@ -107,7 +112,7 @@ def five_set_specs(group: FreeGroup) -> dict[str, SetSpec]:
     return {key: SetSpec.from_json(obj) for key, obj in sets.items()}
 
 
-def _members(w: Element, words, heights, tests) -> list[list[bool]]:
+def _members(w: Element, words, heights, tests, memo: dict) -> list[list[bool]]:
     """[test(w * x) for x in words] for each test, one product per class.
 
     ``heights[i]`` is ``height(words[i])``.  Every test must be decided by
@@ -115,33 +120,48 @@ def _members(w: Element, words, heights, tests) -> list[list[bool]]:
     ``h_above`` set, or a complement, union or intersection of such sets,
     which are all the sets f2 builds (an ``explicit`` set is not).  The
     class of ``w * x`` is then (first letter, height), and both are read
-    off ``x`` without forming the product: height is additive, so the
-    height of ``x`` stands in for it, and the first letter is ``w``'s own
-    unless ``x`` begins with ``w^-1``, when it is the letter of ``x`` after
-    that prefix (none for the identity).  Each test runs once per class,
-    on one real product, and every word of the class gets that result.
+    off ``x`` without forming the product: height is additive, so it is
+    ``height(w) + heights[i]``, and the first letter is ``w``'s own unless
+    ``x`` begins with ``w^-1``, when it is the letter of ``x`` after that
+    prefix (none for the identity).
+
+    ``memo`` maps a class to the tests' results on it.  The class names
+    the product, not the pair (w, x), so the caller shares one memo
+    across every translate that runs the same list of tests: a product is
+    formed, and the tests run on it, only for a class no earlier call
+    decided.  Every word of a class gets that result.
     """
     u = w.value
     n = len(u)
     cancel = tuple(code ^ 1 for code in reversed(u))
     lead = u[0] if u else None
-    ids: dict[tuple, int] = {}  # class -> its index in reps
-    reps = []  # one word of each class, in first-seen order
+    hw = height(w)
+    ids: dict[tuple, int] = {}  # class -> its index in first-seen order
     index = []
     for x, h in zip(words, heights):
         v = x.value
         if v[:n] == cancel:
-            key = (v[n] if len(v) > n else None, h)
+            key = (v[n] if len(v) > n else None, hw + h)
         else:
-            key = (lead, h)
+            key = (lead, hw + h)
         i = ids.get(key)
         if i is None:
-            i = ids[key] = len(reps)
-            reps.append(x)
+            i = ids[key] = len(ids)
+            _decide(memo, key, w, x, tests)
         index.append(i)
-    products = [w * x for x in reps]
-    results = ([test(p) for p in products] for test in tests)
-    return [[by_class[i] for i in index] for by_class in results]
+    results = [memo[key] for key in ids]
+    by_test = ([r[t] for r in results] for t in range(len(tests)))
+    return [[by_class[i] for i in index] for by_class in by_test]
+
+
+def _decide(memo: dict, key: tuple, w: Element, x: Element, tests) -> list[bool]:
+    """memo[key], the tests' results on the class of ``w * x``: on a miss
+    the product is formed and every test runs on it once."""
+    out = memo.get(key)
+    if out is None:
+        product = w * x
+        out = memo[key] = [test(product) for test in tests]
+    return out
 
 
 def _word_classes(group: FreeGroup, max_length: int, prefix_length: int):
@@ -280,11 +300,10 @@ def verify_identities(max_length: int) -> ScanReport:
     ``w * high = (height > height(w))`` for all w in the translate ball
     against all words of length <= max_length - TRANSLATE_RADIUS.  The
     words are counted in `_word_classes`: by first letter and height for
-    the six identities, and by prefix of length TRANSLATE_RADIUS + 1 and
-    height for the translation law, which is what `_members` reads under
-    a translator of length <= TRANSLATE_RADIUS.  Each set is evaluated
-    once per `_members` class, and each identity once per distinct
-    membership profile, weighted by the number of words that have it.
+    the six identities, each set evaluated once per class and each
+    identity once per distinct membership profile, weighted by the number
+    of words that have it.  The translation law is counted by
+    `_level_shift_failures` on the words' prefix tallies.
     """
     if max_length > MAX_SCAN_LENGTH:
         raise CapExceeded(f"scan capped at length {MAX_SCAN_LENGTH}")
@@ -292,10 +311,9 @@ def verify_identities(max_length: int) -> ScanReport:
     words, heights, counts = _word_classes(group, max_length, 1)
     sets = five_set_specs(group)
     tests = [first_spec(group).compile(group)] + [sets[k].compile(group) for k in FIVE_SET_ORDER]
-    high = tests[-1]
     # profile (first, then the five sets in FIVE_SET_ORDER) -> number of words having it
     profiles: Counter = Counter()
-    for profile, n in zip(zip(*_members(group.identity(), words, heights, tests)), counts):
+    for profile, n in zip(zip(*_members(group.identity(), words, heights, tests, {})), counts):
         profiles[profile] += n
     identities = (
         ("first_xor_low_is_two_cores", lambda f, fl, fh, rh, rl, h: (f ^ (not h)) == (fh or rl)),
@@ -315,15 +333,65 @@ def verify_identities(max_length: int) -> ScanReport:
         group, max(0, max_length - TRANSLATE_RADIUS), TRANSLATE_RADIUS + 1
     )
     translators = ball(group, TRANSLATE_RADIUS)
-    failures = 0
-    for w in translators:
-        hw = height(w)
-        [shifted] = _members(w.inverse(), inner, heights, [high])
-        failures += sum(n for s, hu, n in zip(shifted, heights, counts) if s != (hu > hw))
+    failures = _level_shift_failures(translators, inner, heights, counts, tests[-1])
     report.checks.append(
         IdentityCheck("translate_high_is_level_shift", len(translators) * sum(counts), failures)
     )
     return report
+
+
+def _level_shift_failures(translators, words, heights, counts, high) -> int:
+    """The counted words x and translators w with ``high(w^-1 * x) != (h(x) > h(w))``.
+
+    The words are classes that share their first d + 1 letters, d the
+    longest translator's length (`_word_classes` with P = d + 1).  They
+    are tallied once by (p, x[k:k+1], height) for every prefix p = x[:k],
+    k <= min(d, |x|), and each translator reads its `_members` classes of
+    ``w^-1 * x`` off the tallies.  A word x that begins with w (tallied
+    under p = w by c = x[|w|:|w|+1]) gives the product x[|w|:], which
+    begins with c (empty when x = w).  Every other word of height h
+    gives a product that begins with the inverse of w's last letter, since
+    at most |w| - 1 letters cancel; there are as many as the words of
+    height h less those that begin with w.  Such a word is w[:k], k < |w|,
+    followed by a letter other than w[k] or by none, so one is found
+    under p = w[:k].  Both products have height h - h(w), and one memo
+    serves every translator.
+    """
+    depth = max(len(w.value) for w in translators)
+    tallies: dict[tuple, dict] = {}  # p -> (x[k:k+1], height) -> [count, one word]
+    totals: Counter = Counter()  # height -> number of words
+    for x, h, n in zip(words, heights, counts):
+        v = x.value
+        totals[h] += n
+        for k in range(min(depth, len(v)) + 1):
+            entry = tallies.setdefault(v[:k], {}).setdefault((v[k : k + 1], h), [0, x])
+            entry[0] += n
+    memo: dict = {}
+    tests = [high]
+    failures = 0
+    for w in translators:
+        g, u, hw = w.inverse(), w.value, height(w)
+        starting: Counter = Counter()  # height -> words that begin with w
+        for (c, h), (n, x) in tallies.get(u, {}).items():
+            starting[h] += n
+            if _decide(memo, (c, h - hw), g, x, tests)[0] != (h > hw):
+                failures += n
+        for h, total in totals.items():
+            n = total - starting[h]
+            if not n:
+                continue
+            key = (g.value[:1], h - hw)
+            if key not in memo:
+                x = next(
+                    x
+                    for k in range(len(u))
+                    for (c, hx), (_, x) in tallies.get(u[:k], {}).items()
+                    if hx == h and c != u[k : k + 1]
+                )
+                _decide(memo, key, g, x, tests)
+            if memo[key][0] != (h > hw):
+                failures += n
+    return failures
 
 
 def verify_disjoint_translates(translate_count: int, max_length: int) -> ScanReport:
@@ -335,8 +403,8 @@ def verify_disjoint_translates(translate_count: int, max_length: int) -> ScanRep
     of length K = translate_count and height: every power has length
     <= K - 1, so `_members` reads no more of a word than that.  For each
     distinct power p one `_members` pass is shared by every family using
-    p, and a failure is a word in two or more members, counted by its
-    class.
+    p, and the powers with the same families share one memo.  A failure
+    is a word in two or more members, counted by its class.
     """
     _check_translate_count(translate_count)
     if max_length > MAX_SCAN_LENGTH:
@@ -357,9 +425,11 @@ def verify_disjoint_translates(translate_count: int, max_length: int) -> ScanRep
         for k in range(translate_count):
             users.setdefault(generator ** (-k), []).append(i)
     hits = [[0] * len(words) for _ in families]
+    memos: dict[tuple, dict] = {}  # family ids -> the memo of their tests
     for p, family_ids in users.items():
         tests = [families[i][2] for i in family_ids]
-        for i, member in zip(family_ids, _members(p, words, heights, tests)):
+        memo = memos.setdefault(tuple(family_ids), {})
+        for i, member in zip(family_ids, _members(p, words, heights, tests, memo)):
             hits[i] = [n + m for n, m in zip(hits[i], member)]
     report = ScanReport(max_length, "pairwise disjointness scanned on words", translate_count)
     checked = sum(counts)
@@ -381,13 +451,15 @@ def _membership_table(group: FreeGroup, columns, translate_count: int) -> list[l
     """table[i][j][c]: whether w_j * columns[c] lies in set i of FIVE_SET_ORDER.
 
     w_0 is the identity, then `invariance_translates` order.  The column
-    heights are computed once and shared by every translate's pass.
+    heights are computed once, and every translate's pass shares one
+    memo, so each (first letter, height) of a product is decided once.
     """
     sets = five_set_specs(group)
     tests = [sets[k].compile(group) for k in FIVE_SET_ORDER]
     translates = [group.identity()] + invariance_translates(group, translate_count)
     heights = [height(x) for x in columns]
-    by_translate = [_members(w, columns, heights, tests) for w in translates]
+    memo: dict = {}
+    by_translate = [_members(w, columns, heights, tests, memo) for w in translates]
     return [[members[i] for members in by_translate] for i in range(len(tests))]
 
 

@@ -87,15 +87,24 @@ def _scaled(values: Sequence) -> tuple[list[int], int] | None:
     None when a value is not an int or a Fraction: a certificate holding
     one cannot be checked exactly, so it fails.
     """
-    if not set(map(type, values)) <= _EXACT_TYPES:
+    types = set(map(type, values))
+    if not types <= _EXACT_TYPES:
         return None
+    if Fraction not in types:
+        return list(values), 1
     d = lcm(*(x.denominator for x in values))
     return [x.numerator * (d // x.denominator) for x in values], d
 
 
 def _row(coeffs: tuple, rel: str, rhs: Fraction | int) -> Row:
     support = tuple(compress(range(len(coeffs)), coeffs))
-    ints, den = _scaled((*compress(coeffs, coeffs), rhs))
+    nonzero = tuple(compress(coeffs, coeffs))
+    if Fraction not in set(map(type, nonzero)):
+        # int coefficients: the lcm of the denominators is the rhs's own
+        den = rhs.denominator
+        nums = nonzero if den == 1 else tuple(map(den.__mul__, nonzero))
+        return Row(coeffs, rel, rhs, support, nums, rhs.numerator, den)
+    ints, den = _scaled((*nonzero, rhs))
     rnum = ints.pop()
     return Row(coeffs, rel, rhs, support, tuple(ints), rnum, den)
 

@@ -197,19 +197,16 @@ def test_members_depend_only_on_the_class():
     assert len(tests) == 484
     words = ball(G, 4)
     heights = [height(x) for x in words]
+    memo = {}  # shared by every translate, as in a pass
     for t in ball(G, 2):
         products = [t * x for x in words]
-        assert f2._members(t, words, heights, tests) == [
+        assert f2._members(t, words, heights, tests, memo) == [
             [test(p) for p in products] for test in tests
         ]
 
 
-def test_membership_table_forms_one_product_per_class(monkeypatch):
-    columns = ball(G, 6)
-    translates = [G.identity()] + invariance_translates(G, 8)
-    classes = sum(
-        len({(p.value[:1], height(p)) for p in (t * x for x in columns)}) for t in translates
-    )
+def _counting_products(monkeypatch):
+    """A one-slot list that counts `FreeGroup.multiply` calls from now on."""
     calls = [0]
     multiply = FreeGroup.multiply
 
@@ -218,11 +215,36 @@ def test_membership_table_forms_one_product_per_class(monkeypatch):
         return multiply(self, g, h)
 
     monkeypatch.setattr(FreeGroup, "multiply", counting)
+    return calls
+
+
+def test_membership_table_forms_one_product_per_class(monkeypatch):
+    columns = ball(G, 6)
+    translates = [G.identity()] + invariance_translates(G, 8)
+    classes = len({(p.value[:1], height(p)) for t in translates for p in (t * x for x in columns)})
+    calls = _counting_products(monkeypatch)
     invariance_translates(G, 8)
     powers, calls[0] = calls[0], 0
     f2._membership_table(G, columns, 8)
-    # one product per (translate, class), plus the powers a^k and b^k themselves
-    assert (calls[0], classes, powers) == (447, 389, 58)
+    # one product per (first letter, height) of w * x over the whole table,
+    # plus the powers a^k and b^k themselves
+    assert (calls[0], classes, powers) == (classes + powers, 61, 58)
+
+
+def test_identities_form_one_product_per_class_and_pass(monkeypatch):
+    # the six identities decide each (first letter, height) of a word once, and the
+    # level-shift law each (first letter, height) of w^-1 * x over the whole pass
+    reps, _, _ = f2._word_classes(G, MAX_SCAN_LENGTH, 1)
+    words = {(x.value[:1], height(x)) for x in reps}
+    inner, _, _ = f2._word_classes(G, MAX_SCAN_LENGTH - TRANSLATE_RADIUS, TRANSLATE_RADIUS + 1)
+    shifted = {
+        (p.value[:1], height(p))
+        for t in ball(G, TRANSLATE_RADIUS)
+        for p in (t.inverse() * x for x in inner)
+    }
+    calls = _counting_products(monkeypatch)
+    assert verify_identities(MAX_SCAN_LENGTH).ok
+    assert calls[0] == len(words) + len(shifted) < 200
 
 
 # Per-word oracles: the scans and LP builds as they were before the
@@ -320,7 +342,7 @@ def _rows(system):
     return [(row.coeffs, row.rel, row.rhs) for row in system.rows]
 
 
-@pytest.mark.parametrize("max_length", range(8))
+@pytest.mark.parametrize("max_length", range(10))
 def test_identities_scan_matches_per_word_oracle(rotated_sets, max_length):
     report = verify_identities(max_length)
     assert report.checks == _oracle_identity_checks(max_length)
@@ -411,6 +433,25 @@ def test_f2_infeasible_envelopes_keep_their_digests(capsys, tmp_path, delta):
     capsys.readouterr()
     assert main(["verify", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["certificates"] == "ok"
+
+
+# `amenlab f2-verify` at the scan cap, past the lengths the golden corpus reaches:
+# the class counts and the shared memo may not change a byte of either report
+F2_VERIFY_CAP_DIGESTS = {
+    ("--identities", "12"): "0349fdb0922395a75f81b4e63a45ed207b8c0665fc430e352b4040d030cf51bc",
+    ("--disjoint", "8", "12"): "25f5b8a14cc082146e0502ff20f2340fa71a0475c5964d957c39fa5f18e4c0b5",
+}
+
+
+@pytest.mark.parametrize("args", sorted(F2_VERIFY_CAP_DIGESTS), ids=" ".join)
+def test_f2_verify_envelopes_at_the_cap_keep_their_digests(capsys, tmp_path, args):
+    path = tmp_path / "env.json"
+    assert main(["f2-verify", *args, "--out", str(path)]) == 0
+    envelope = json.loads(path.read_text())
+    assert envelope["digest"] == "sha256:" + F2_VERIFY_CAP_DIGESTS[args]
+    assert envelope["result"]["ok"]
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 0
 
 
 def test_disjoint_scan_needs_two_translates():

@@ -193,6 +193,24 @@ def test_rows_keep_the_gated_input_and_its_integer_form():
     assert s.objective == (0, 1, Q(1, 2), 0, 0)
 
 
+def test_int_rows_take_the_rhs_denominator_as_the_general_path_does():
+    rng = random.Random(30)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        coeffs = tuple(rng.choice([0, 0, 1, -1, rng.randint(-9, 9)]) for _ in range(n))
+        rhs = rng.choice([rng.randint(-5, 5), Q(rng.randint(-9, 9), rng.randint(1, 12))])
+        # the same row with one coefficient or every one a Fraction takes the lcm path
+        one, i = list(coeffs), rng.choice([k for k, c in enumerate(coeffs) if c] or [0])
+        one[i] = Q(one[i])
+        for general in (tuple(one), tuple(map(Q, coeffs))):
+            fast, slow = linprog._row(coeffs, LE, rhs), linprog._row(general, LE, rhs)
+            assert fast[3:] == slow[3:]
+            assert {type(x) for x in (*fast.nums, fast.rnum, fast.den)} == {int}
+            assert fast.den * rhs == fast.rnum and fast.den == Q(rhs).denominator
+    assert linprog._scaled((3, 0, -2)) == ([3, 0, -2], 1)
+    assert linprog._scaled((3, Q(1, 2))) == ([6, 1], 2)
+
+
 def test_certificates_with_non_exact_entries_do_not_verify():
     s = LinearSystem(1, [([1], GE, 1)], objective=[1])
     assert verify_certificate(s, Optimum(Q(1), (Q(1),), (Q(1),)))
