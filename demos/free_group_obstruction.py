@@ -13,10 +13,13 @@ Two ingredients:
 2. Five sets that cannot share one almost-invariant measure.  Derived
    from "starts with a^{+-1}" and "height > 0", each is almost invariant
    on its own, but powers of the generators translate them disjointly,
-   which an exact LP turns into a Farkas-certified infeasibility for any
-   finitely supported measure once the tolerated error drops below a
+   which an exact LP turns into a Farkas-certified infeasibility for every
+   measure supported in ball(4) once the tolerated error drops below a
    threshold.  One more LP, minimizing the tolerated error, finds that
-   threshold exactly, with dual multipliers proving it minimal.
+   threshold exactly, with dual multipliers proving it minimal among the
+   measures supported in ball(4).  Over all of F2 the threshold is
+   smaller, since measures with a larger support do better (ROADMAP
+   item 13).
 """
 
 from fractions import Fraction as Q
@@ -53,14 +56,15 @@ print("\nintegers: same search ->", realization_search(Z, ball(Z, 1), zweights, 
 print("\nidentity scan (length <= 6):", verify_identities(6).ok)
 print("disjoint translates (K=4, length <= 6):", verify_disjoint_translates(4, 6).ok)
 
-# the finitized conclusion: infeasibility below the threshold, with a
-# verified Farkas certificate, and an explicit measure above it
+# the finitized conclusion for measures supported in ball(4): infeasibility
+# below the threshold, with a verified Farkas certificate, and an explicit
+# measure at it; over all of F2 the threshold is smaller
 tight = simultaneous_invariance(8, Q(1, 100), 4)
-print("\nK=8, delta=1/100, radius 4:", "feasible" if tight.feasible else "infeasible")
+print("\nK=8, delta=1/100, measures on ball(4):", "feasible" if tight.feasible else "infeasible")
 
 report = invariance_threshold(8, 4)
 print(
-    "exact threshold at radius 4: delta =",
+    "exact threshold for measures on ball(4) (smaller over all of F2): delta =",
     report.delta,
     "| checked against the full ball:",
     verify_threshold_report(report),

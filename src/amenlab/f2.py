@@ -37,15 +37,16 @@ the product, not the translate, so one memo of results serves every
 translate of a pass that runs the same predicates: a product is formed
 and each predicate evaluated on it only the first time its (first
 letter, height) occurs, and every word of the class gets that result;
-only the boolean lists are kept.  The level-shift law reads its classes
-off prefix tallies of the words (`_level_shift_failures`), with no pass
-over the words per translator.
+only the boolean lists are kept.
 
-The scans never list their words.  `_word_classes` counts the words of
-length <= L by (prefix of length P, height), keeping one real word per
-class; for P at least |w| + 1 every word of a class has the same
-`_members` class under w, so the scans run `_members` on those words and
-weight each result by its class's count.
+The scans never list their words.  `_path_classes` counts the words of
+length <= L by where they leave a given path and by height, keeping one
+real word per class.  Under every translate w whose inverse is a prefix
+of the path, every word of a class has the same `_members` class, so a
+scan runs `_members` on those words and weights each result by its
+class's count.  The six identities take the empty path, the level-shift
+law takes each translator w as the path for w^-1, and the disjointness
+scan takes g^(K-1) for the powers g^-k of each generator g.
 
 The LP solve merges ball columns with equal membership profiles, and
 reads the profiles on one column per leading-run signature (height, and
@@ -59,10 +60,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 from fractions import Fraction
 from typing import Mapping
 
-from .groups import CapExceeded, Element, FreeGroup, Measure, ball
+from .groups import CapExceeded, Element, FreeGroup, GroupError, Measure, ball
 from .linprog import (
     EQ,
     FeasibilityOutcome,
@@ -147,62 +149,63 @@ def _members(w: Element, words, heights, tests, memo: dict) -> list[list[bool]]:
         i = ids.get(key)
         if i is None:
             i = ids[key] = len(ids)
-            _decide(memo, key, w, x, tests)
+            if key not in memo:
+                product = w * x
+                memo[key] = [test(product) for test in tests]
         index.append(i)
     results = [memo[key] for key in ids]
     by_test = ([r[t] for r in results] for t in range(len(tests)))
     return [[by_class[i] for i in index] for by_class in by_test]
 
 
-def _decide(memo: dict, key: tuple, w: Element, x: Element, tests) -> list[bool]:
-    """memo[key], the tests' results on the class of ``w * x``: on a miss
-    the product is formed and every test runs on it once."""
-    out = memo.get(key)
-    if out is None:
-        product = w * x
-        out = memo[key] = [test(product) for test in tests]
-    return out
+def _path_classes(group: FreeGroup, path: tuple, max_length: int):
+    """The words of length <= max_length, counted by (head, height).
 
+    ``path`` is the letter codes of a reduced word.  A word x's head is
+    where it leaves the path: with k the length of the longest common
+    prefix of x and the path, it is path[:k] when x is path[:k], and
+    path[:k] + (x[k],) otherwise, so x[k] is neither path[k] nor the
+    inverse of path[k - 1].  Every word has exactly one head.  Returns
+    parallel lists: one real word of each class, its height and the
+    number of words in the class.  A word path[:k] is a class of its own;
+    the suffixes after a head path[:k] + (c,) are counted by
+    `_suffix_classes`, never listed, so no ball is built.
 
-def _word_classes(group: FreeGroup, max_length: int, prefix_length: int):
-    """The words of length <= max_length, counted by (x[:P], height(x)).
-
-    P is ``prefix_length`` >= 1.  Returns parallel lists: one real word of each
-    class, its height and the number of words in the class.  A word of
-    ball(P) shorter than P is a class of its own.  Every other word is a
-    head of length exactly P followed by a suffix that does not cancel
-    the head's last letter; the suffixes are counted by `_suffix_classes`
-    once per last letter, never listed, so no ball past radius P is built.
+    Let p be a word whose inverse is a prefix of the path, of length n.
+    Every word x of a class then gives the same `_members` class under p:
+    if n <= k, x begins with p^-1 and the head fixes x[n] (or that there
+    is none), and if n > k, x[k] differs from path[k], so x does not
+    begin with p^-1.  The height is the class's own.
     """
-    heads = ball(group, min(prefix_length, max_length))
-    weights = [height(Element(group, (code,))) for code in range(2 * group.rank)]
-    suffixes: dict = {}  # a head's last letter -> its suffix classes
+    if max_length < 0:
+        raise GroupError("ball radius must be >= 0")
+    weights = tuple(height(Element(group, (code,))) for code in range(2 * group.rank))
     words, heights, counts = [], [], []
-    for head in heads:
-        v, h = head.value, height(head)
-        if len(v) < prefix_length:
-            words.append(head)
-            heights.append(h)
-            counts.append(1)
-            continue
-        last = v[-1]
-        if last not in suffixes:
-            suffixes[last] = _suffix_classes(last, max_length - prefix_length, weights)
-        for dh, (n, tail) in suffixes[last].items():
-            words.append(Element(group, v + tail))
-            heights.append(h + dh)
-            counts.append(n)
+    for k in range(min(len(path), max_length) + 1):
+        head = path[:k]
+        h = sum(weights[code] for code in head)
+        words.append(Element(group, head))
+        heights.append(h)
+        counts.append(1)
+        for c, weight in enumerate(weights):
+            if path[k : k + 1] == (c,) or head[-1:] == (c ^ 1,):
+                continue
+            for dh, (n, tail) in _suffix_classes(c, max_length - k - 1, weights):
+                words.append(Element(group, head + (c,) + tail))
+                heights.append(h + weight + dh)
+                counts.append(n)
     return words, heights, counts
 
 
-def _suffix_classes(last: int, max_length: int, weights) -> dict[int, tuple[int, tuple]]:
-    """height -> (count, one suffix) over the reduced words of length <= max_length
+@cache
+def _suffix_classes(last: int, max_length: int, weights: tuple) -> tuple:
+    """(height, (count, one suffix)) pairs over the reduced words of length <= max_length
     whose first letter does not cancel the letter code ``last``.
 
     A transfer-matrix pass over (length, last letter, height): each state
     holds its word count and one of its words, and ``weights[c]`` is the
     height of letter code c.  It is `groups._free_ball` with counts in
-    place of word lists.
+    place of word lists.  Results are cached, so they are returned as tuples.
     """
     layer = {(last, 0): (1, ())}  # (last letter, height) -> (count, one suffix)
     out: dict[int, tuple[int, tuple]] = {}
@@ -219,7 +222,7 @@ def _suffix_classes(last: int, max_length: int, weights) -> dict[int, tuple[int,
                     total, rep = nxt.get(state, (0, tail + (code,)))
                     nxt[state] = (total + n, rep)
         layer = nxt
-    return out
+    return tuple(out.items())
 
 
 MAX_SCAN_LENGTH = 12
@@ -299,16 +302,18 @@ def verify_identities(max_length: int) -> ScanReport:
     four containments threading the five sets, and the translation law
     ``w * high = (height > height(w))`` for all w in the translate ball
     against all words of length <= max_length - TRANSLATE_RADIUS.  The
-    words are counted in `_word_classes`: by first letter and height for
-    the six identities, each set evaluated once per class and each
-    identity once per distinct membership profile, weighted by the number
-    of words that have it.  The translation law is counted by
-    `_level_shift_failures` on the words' prefix tallies.
+    words are counted in `_path_classes`.  For the six identities the
+    path is empty, so the classes are (first letter, height): each set
+    is evaluated once per class and each identity once per distinct
+    membership profile, weighted by the number of words that have it.
+    For the translation law each translator w is the path of the words
+    x, and ``high(w^-1 * x)`` is read per class with one memo for all
+    translators.
     """
     if max_length > MAX_SCAN_LENGTH:
         raise CapExceeded(f"scan capped at length {MAX_SCAN_LENGTH}")
     group = f2_group()
-    words, heights, counts = _word_classes(group, max_length, 1)
+    words, heights, counts = _path_classes(group, (), max_length)
     sets = five_set_specs(group)
     tests = [first_spec(group).compile(group)] + [sets[k].compile(group) for k in FIVE_SET_ORDER]
     # profile (first, then the five sets in FIVE_SET_ORDER) -> number of words having it
@@ -329,69 +334,17 @@ def verify_identities(max_length: int) -> ScanReport:
         failures = sum(n for m, n in profiles.items() if not holds(*m))
         report.checks.append(IdentityCheck(name, checked, failures))
 
-    inner, heights, counts = _word_classes(
-        group, max(0, max_length - TRANSLATE_RADIUS), TRANSLATE_RADIUS + 1
-    )
-    translators = ball(group, TRANSLATE_RADIUS)
-    failures = _level_shift_failures(translators, inner, heights, counts, tests[-1])
-    report.checks.append(
-        IdentityCheck("translate_high_is_level_shift", len(translators) * sum(counts), failures)
-    )
-    return report
-
-
-def _level_shift_failures(translators, words, heights, counts, high) -> int:
-    """The counted words x and translators w with ``high(w^-1 * x) != (h(x) > h(w))``.
-
-    The words are classes that share their first d + 1 letters, d the
-    longest translator's length (`_word_classes` with P = d + 1).  They
-    are tallied once by (p, x[k:k+1], height) for every prefix p = x[:k],
-    k <= min(d, |x|), and each translator reads its `_members` classes of
-    ``w^-1 * x`` off the tallies.  A word x that begins with w (tallied
-    under p = w by c = x[|w|:|w|+1]) gives the product x[|w|:], which
-    begins with c (empty when x = w).  Every other word of height h
-    gives a product that begins with the inverse of w's last letter, since
-    at most |w| - 1 letters cancel; there are as many as the words of
-    height h less those that begin with w.  Such a word is w[:k], k < |w|,
-    followed by a letter other than w[k] or by none, so one is found
-    under p = w[:k].  Both products have height h - h(w), and one memo
-    serves every translator.
-    """
-    depth = max(len(w.value) for w in translators)
-    tallies: dict[tuple, dict] = {}  # p -> (x[k:k+1], height) -> [count, one word]
-    totals: Counter = Counter()  # height -> number of words
-    for x, h, n in zip(words, heights, counts):
-        v = x.value
-        totals[h] += n
-        for k in range(min(depth, len(v)) + 1):
-            entry = tallies.setdefault(v[:k], {}).setdefault((v[k : k + 1], h), [0, x])
-            entry[0] += n
+    inner_length = max(0, max_length - TRANSLATE_RADIUS)
     memo: dict = {}
-    tests = [high]
-    failures = 0
-    for w in translators:
-        g, u, hw = w.inverse(), w.value, height(w)
-        starting: Counter = Counter()  # height -> words that begin with w
-        for (c, h), (n, x) in tallies.get(u, {}).items():
-            starting[h] += n
-            if _decide(memo, (c, h - hw), g, x, tests)[0] != (h > hw):
-                failures += n
-        for h, total in totals.items():
-            n = total - starting[h]
-            if not n:
-                continue
-            key = (g.value[:1], h - hw)
-            if key not in memo:
-                x = next(
-                    x
-                    for k in range(len(u))
-                    for (c, hx), (_, x) in tallies.get(u[:k], {}).items()
-                    if hx == h and c != u[k : k + 1]
-                )
-                _decide(memo, key, g, x, tests)
-            if memo[key][0] != (h > hw):
-                failures += n
-    return failures
+    checked = failures = 0
+    for w in ball(group, TRANSLATE_RADIUS):
+        words, heights, counts = _path_classes(group, w.value, inner_length)
+        (high,) = _members(w.inverse(), words, heights, tests[-1:], memo)
+        hw = height(w)
+        checked += sum(counts)
+        failures += sum(n for m, h, n in zip(high, heights, counts) if m != (h > hw))
+    report.checks.append(IdentityCheck("translate_high_is_level_shift", checked, failures))
+    return report
 
 
 def verify_disjoint_translates(translate_count: int, max_length: int) -> ScanReport:
@@ -399,19 +352,17 @@ def verify_disjoint_translates(translate_count: int, max_length: int) -> ScanRep
 
     Scanned families: a^k(rest_and_low), b^k(first_and_high), b^k(first),
     a^k(rest) for k < translate_count.  A word lies in at most one member
-    of each sequence.  The words are counted in `_word_classes` by prefix
-    of length K = translate_count and height: every power has length
-    <= K - 1, so `_members` reads no more of a word than that.  For each
-    distinct power p one `_members` pass is shared by every family using
-    p, and the powers with the same families share one memo.  A failure
-    is a word in two or more members, counted by its class.
+    of each sequence.  The words are counted in `_path_classes` once per
+    generator g, along the path g^(K-1) with K = translate_count: the
+    inverse of every power g^-k with k < K is a prefix of it.  Each family
+    runs `_members` under its K powers with one memo.  A failure is a word
+    in two or more members, counted by its class.
     """
     _check_translate_count(translate_count)
     if max_length > MAX_SCAN_LENGTH:
         raise CapExceeded(f"scan capped at length {MAX_SCAN_LENGTH}")
     group = f2_group()
     a, b = group.generators()
-    words, heights, counts = _word_classes(group, max_length, translate_count)
     sets = {k: s.compile(group) for k, s in five_set_specs(group).items()}
     first = first_spec(group).compile(group)
     families = [
@@ -420,22 +371,19 @@ def verify_disjoint_translates(translate_count: int, max_length: int) -> ScanRep
         ("b_pow_first", b, first),
         ("a_pow_rest", a, lambda u: not first(u)),
     ]
-    users: dict[Element, list[int]] = {}  # distinct power -> families translating by it
-    for i, (_, generator, _) in enumerate(families):
-        for k in range(translate_count):
-            users.setdefault(generator ** (-k), []).append(i)
-    hits = [[0] * len(words) for _ in families]
-    memos: dict[tuple, dict] = {}  # family ids -> the memo of their tests
-    for p, family_ids in users.items():
-        tests = [families[i][2] for i in family_ids]
-        memo = memos.setdefault(tuple(family_ids), {})
-        for i, member in zip(family_ids, _members(p, words, heights, tests, memo)):
-            hits[i] = [n + m for n, m in zip(hits[i], member)]
+    classes = {
+        g: _path_classes(group, (g ** (translate_count - 1)).value, max_length) for g in (a, b)
+    }
     report = ScanReport(max_length, "pairwise disjointness scanned on words", translate_count)
-    checked = sum(counts)
-    for (name, _, _), by_class in zip(families, hits):
-        failures = sum(n for h, n in zip(by_class, counts) if h > 1)
-        report.checks.append(IdentityCheck(name, checked, failures))
+    for name, g, test in families:
+        words, heights, counts = classes[g]
+        hits = [0] * len(words)
+        memo: dict = {}
+        for k in range(translate_count):
+            (member,) = _members(g ** (-k), words, heights, [test], memo)
+            hits = [n + m for n, m in zip(hits, member)]
+        failures = sum(n for hit, n in zip(hits, counts) if hit > 1)
+        report.checks.append(IdentityCheck(name, sum(counts), failures))
     return report
 
 

@@ -234,13 +234,13 @@ def test_membership_table_forms_one_product_per_class(monkeypatch):
 def test_identities_form_one_product_per_class_and_pass(monkeypatch):
     # the six identities decide each (first letter, height) of a word once, and the
     # level-shift law each (first letter, height) of w^-1 * x over the whole pass
-    reps, _, _ = f2._word_classes(G, MAX_SCAN_LENGTH, 1)
+    reps, _, _ = f2._path_classes(G, (), MAX_SCAN_LENGTH)
     words = {(x.value[:1], height(x)) for x in reps}
-    inner, _, _ = f2._word_classes(G, MAX_SCAN_LENGTH - TRANSLATE_RADIUS, TRANSLATE_RADIUS + 1)
     shifted = {
         (p.value[:1], height(p))
         for t in ball(G, TRANSLATE_RADIUS)
-        for p in (t.inverse() * x for x in inner)
+        for x in f2._path_classes(G, t.value, MAX_SCAN_LENGTH - TRANSLATE_RADIUS)[0]
+        for p in [t.inverse() * x]
     }
     calls = _counting_products(monkeypatch)
     assert verify_identities(MAX_SCAN_LENGTH).ok
@@ -460,24 +460,38 @@ def test_disjoint_scan_needs_two_translates():
             verify_disjoint_translates(k, 4)
 
 
-@pytest.mark.parametrize("prefix_length", range(1, 6))
-def test_word_classes_count_the_ball_by_prefix_and_height(prefix_length):
-    words = ball(G, 8)
+def _head(path, v):
+    """Where the word v leaves path, k letters in: path[:k] + (v[k],), or
+    path[:k] + (None,) when v is path[:k]."""
+    k = 0
+    while k < min(len(v), len(path)) and v[k] == path[k]:
+        k += 1
+    return (v + (None,))[: k + 1]
+
+
+# the empty path, every translator of the level-shift law and every power path
+_A, _B = G.generators()
+CLASS_PATHS = list(
+    dict.fromkeys([*ball(G, 3), *(g**j for g in (_A, _A**-1, _B, _B**-1) for j in range(8))])
+)
+
+
+@pytest.mark.parametrize("path", CLASS_PATHS, ids=repr)
+def test_path_classes_count_the_ball_by_head_and_height(path):
+    path = path.value
+    by_length = Counter((_head(path, x.value), height(x), len(x.value)) for x in ball(G, 8))
     for max_length in range(9):
-        expected = Counter(
-            (x.value[:prefix_length], height(x)) for x in words if len(x.value) <= max_length
-        )
-        reps, heights, counts = f2._word_classes(G, max_length, prefix_length)
-        keys = [(x.value[:prefix_length], h) for x, h in zip(reps, heights)]
+        expected = Counter()
+        for (head, h, n), count in by_length.items():
+            if n <= max_length:
+                expected[head, h] += count
+        reps, heights, counts = f2._path_classes(G, path, max_length)
+        keys = [(_head(path, x.value), h) for x, h in zip(reps, heights)]
         assert dict(zip(keys, counts)) == expected and len(keys) == len(expected)
-        assert all(height(x) == h and len(x.value) <= max_length for x, h in zip(reps, heights))
-
-
-@pytest.mark.parametrize("prefix_length", [1, 4, 8])
-def test_word_classes_sum_to_the_ball_size(prefix_length):
-    for max_length in range(MAX_SCAN_LENGTH + 1):
-        _, _, counts = f2._word_classes(G, max_length, prefix_length)
         assert sum(counts) == 2 * 3**max_length - 1
+        heads = {head for head, _ in keys}
+        assert not any(head[:k] in heads for head in heads for k in range(len(head)))
+        assert all(height(x) == h and len(x.value) <= max_length for x, h in zip(reps, heights))
 
 
 def test_scans_at_the_cap_build_no_large_ball(monkeypatch):
@@ -490,10 +504,24 @@ def test_scans_at_the_cap_build_no_large_ball(monkeypatch):
     monkeypatch.setattr(f2, "ball", recording)
     identities = verify_identities(MAX_SCAN_LENGTH)
     disjoint = verify_disjoint_translates(MAX_TRANSLATES, MAX_SCAN_LENGTH)
-    assert max(radii) <= max(MAX_TRANSLATES, TRANSLATE_RADIUS + 1)
+    assert max(radii) <= TRANSLATE_RADIUS
     words = 2 * 3**MAX_SCAN_LENGTH - 1
     assert words == 1_062_881
     assert [(c.checked, c.failures) for c in identities.checks] == (
         [(words, 0)] * 6 + [(53 * (2 * 3**9 - 1), 0)]
     )
     assert [(c.checked, c.failures) for c in disjoint.checks] == [(words, 0)] * 4
+
+
+def test_disjoint_scan_at_the_cap_passes_few_words_per_members_call(monkeypatch):
+    # the words are counted along a^7 and b^7, not by (prefix of length 8, height)
+    sizes = []
+    members = f2._members
+
+    def recording(w, words, heights, tests, memo):
+        sizes.append(len(words))
+        return members(w, words, heights, tests, memo)
+
+    monkeypatch.setattr(f2, "_members", recording)
+    assert verify_disjoint_translates(MAX_TRANSLATES, MAX_SCAN_LENGTH).ok
+    assert sizes and max(sizes) <= 300
