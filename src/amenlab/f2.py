@@ -51,9 +51,11 @@ scan takes g^(K-1) for the powers g^-k of each generator g.
 The LP solve merges ball columns with equal membership profiles, and
 reads the profiles on one column per leading-run signature (height, and
 the length of a leading run of A or B, capped at K, with the letter after
-it), which fixes what `_members` reads of a column under every translate:
-135 columns of ball(6)'s 1,457 at K = 8.  `invariance_system` and every
-verifier keep the full table.
+it), which fixes what `_members` reads of a column under every translate.
+`_signature_columns` finds the first ball word of each signature from
+`_path_classes` along A^r and B^r, so the solve lists no ball: 135
+columns stand for ball(6)'s 1,457 at K = 8.  Only `invariance_system`
+and the verifiers list the ball and keep the full table.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from functools import cache
 from fractions import Fraction
 from typing import Mapping
 
-from .groups import CapExceeded, Element, FreeGroup, GroupError, Measure, ball
+from .groups import CapExceeded, Element, FreeGroup, GroupError, Measure, ball, sort_elements
 from .linprog import (
     EQ,
     FeasibilityOutcome,
@@ -281,17 +283,30 @@ def _check_translate_count(translate_count: int) -> None:
         raise CapExceeded(f"translate count capped at {MAX_TRANSLATES}")
 
 
-def _invariance_ball(
-    translate_count: int, delta: Fraction, radius: int
-) -> tuple[FreeGroup, tuple[Element, ...]]:
-    """F2 and the invariance LP's column ball: every solve and verify path
-    raises `ValueError` here for delta < 0 and `CapExceeded` for K or the
-    ball past its cap, before any ball or LP is built."""
+def _invariance_group(translate_count: int, delta: Fraction, radius: int) -> FreeGroup:
+    """F2, once the invariance LP's arguments pass: every solve and verify
+    path raises here, in this order, `ValueError` for delta < 0,
+    `CapExceeded` for K past its cap, `GroupError` for a negative radius
+    and `CapExceeded` for ball(radius) past INVARIANCE_BALL_CAP, before any
+    ball or LP is built."""
     if delta < 0:
         raise ValueError("delta must be >= 0")
     _check_translate_count(translate_count)
-    group = f2_group()
-    return group, ball(group, radius, cap=INVARIANCE_BALL_CAP)
+    if radius < 0:
+        raise GroupError("ball radius must be >= 0")
+    # |ball(r)| = 2·3^r - 1 > r, so a radius past the cap needs no power
+    if radius > INVARIANCE_BALL_CAP or 2 * 3**radius - 1 > INVARIANCE_BALL_CAP:
+        raise CapExceeded(f"ball exceeded cap of {INVARIANCE_BALL_CAP} elements")
+    return f2_group()
+
+
+def _invariance_ball(
+    translate_count: int, delta: Fraction, radius: int
+) -> tuple[FreeGroup, tuple[Element, ...]]:
+    """F2 and the full column ball of the invariance LP, which only the
+    verifiers and `invariance_system` list."""
+    group = _invariance_group(translate_count, delta, radius)
+    return group, ball(group, radius)
 
 
 def verify_identities(max_length: int) -> ScanReport:
@@ -488,7 +503,7 @@ class InvarianceOutcome:
 
 
 def _merged_system(
-    group: FreeGroup, columns: tuple[Element, ...], translate_count: int, delta: Fraction
+    group: FreeGroup, reps: list[Element], translate_count: int, delta: Fraction
 ) -> tuple[LinearSystem, list[Element]]:
     """The invariance LP with identical columns merged, and their representatives.
 
@@ -498,23 +513,21 @@ def _merged_system(
     `invariance_system`, which keeps Farkas multipliers and duals valid
     for the full system.
 
-    The profiles are read on one column per `_run_signature` class, the
-    first in canonical order, since every column of a class has the same
-    profile.  Under a^k with k < K, `_members` reads only whether x[:k]
-    is A^k and, when it is, x[k] (with x's height): the first holds when
-    x's leading run of A letters is at least k long, and x[k] is A when
-    the run is longer than k and the letter after the run (or none) when
-    it is k long, so (min(run, K), letter after the run) fixes both.  The
-    B pair does the same under b^k, and under the identity `_members`
-    reads x[:1], which is A when the A run is nonempty and the letter
-    after it otherwise.  The canonical-least column of a profile is then
-    the first of its own signature class, so merging the representatives
-    by profile keeps the same columns in the same order.
+    The profiles are read on ``reps``, in canonical order, and each
+    profile keeps its first.  ``reps`` is the ball itself or
+    `_signature_columns`, the first ball column of each `_run_signature`
+    class, since every column of a class has the same profile.  Under a^k
+    with k < K, `_members` reads only whether x[:k] is A^k and, when it
+    is, x[k] (with x's height): the first holds when x's leading run of A
+    letters is at least k long, and x[k] is A when the run is longer than
+    k and the letter after the run (or none) when it is k long, so
+    (min(run, K), letter after the run) fixes both.  The B pair does the
+    same under b^k, and under the identity `_members` reads x[:1], which
+    is A when the A run is nonempty and the letter after it otherwise.
+    The canonical-least column of a profile is then the first of its own
+    signature class, so merging the signature columns by profile keeps
+    the same columns in the same order as merging the ball.
     """
-    firsts: dict[tuple, int] = {}  # signature -> its first column in canonical order
-    for c, x in enumerate(columns):
-        firsts.setdefault(_run_signature(x.value, height(x), translate_count), c)
-    reps = [columns[c] for c in firsts.values()]
     table = _membership_table(group, reps, translate_count)
     classes: dict[tuple, int] = {}  # profile -> first representative in canonical order
     for c, profile in enumerate(zip(*(m for per_set in table for m in per_set))):
@@ -522,6 +535,48 @@ def _merged_system(
     keep = list(classes.values())
     rows = _gap_rows(table, delta, keep)
     return LinearSystem(len(keep), rows, nonneg=True), [reps[c] for c in keep]
+
+
+def _signature_columns(group: FreeGroup, translate_count: int, radius: int) -> list[Element]:
+    """The canonically first word of ball(radius) in each `_run_signature`
+    class, in canonical order, counted along two paths with no ball listed.
+
+    `_path_classes` counts the ball along A^radius and along B^radius.
+    From the A path it keeps the classes of the empty word, of the heads
+    a and b, and of every head that starts with A; from the B path those
+    of every head that starts with B.  These cover the ball once: the A
+    path's heads that start with B are left to the B path.  All words of
+    a kept class share their height, their first letter, their leading
+    run of that letter (A^k or B^k, or none) and the letter after the
+    run, so each kept class lies in one signature class.  Each signature
+    class keeps the least (length, word) of its classes' words.
+
+    That word is the first of the signature class in canonical order,
+    because each class's word is the first of its class.  A class is a
+    word path[:k], or the words head + suffix of one height with a fixed
+    head, and `_suffix_classes` keeps the shortlex-least suffix of each
+    height: its transfer matrix walks lengths in order and records a
+    height at the first length that reaches it, from the first state of
+    that layer.  Within a layer the states come in the lex order of their
+    suffixes, and each holds its lex-least suffix.  That holds for the one
+    start state, and the pass keeps it: a state (c, h) is reached only by
+    appending c to parents of height h - weight(c), so its lex-least
+    suffix is c after the lex-least of its parents' suffixes.  The pass
+    walks parents in the lex order of their suffixes and letters in code
+    order, so the first arrival at a state carries that suffix, and the
+    states of the next layer are inserted in lex order.
+    """
+    firsts: dict[tuple, Element] = {}  # signature -> its first word in canonical order
+    # (path letter, first letters kept): the codes of a, A, b, B are 0, 1, 2, 3
+    for code, starts in ((1, ((), (0,), (1,), (2,))), (3, ((3,),))):
+        words, heights, _ = _path_classes(group, (code,) * radius, radius)
+        for x, h in zip(words, heights):
+            if x.value[:1] in starts:
+                key = _run_signature(x.value, h, translate_count)
+                first = firsts.get(key)
+                if first is None or x.key() < first.key():
+                    firsts[key] = x
+    return sort_elements(firsts.values())
 
 
 def _run_signature(v: tuple, h: int, translate_count: int) -> tuple:
@@ -547,13 +602,16 @@ def _run_signature(v: tuple, h: int, translate_count: int) -> tuple:
 def simultaneous_invariance(translate_count: int, delta, radius: int) -> InvarianceOutcome:
     """Decide the five-set invariance LP, with exact certificates.
 
-    The LP is solved on merged columns (see `_merged_system`); feasible
-    points expand by placing each merged weight on the representative.
-    `solve_feasibility` checks the merged system's certificate, which holds for
-    the full system too: merged columns are identical columns over the same rows.
+    The LP is solved on merged columns (see `_merged_system`), read on
+    `_signature_columns`, which counts the ball along A^r and B^r; only
+    the verifiers list the ball.  Feasible points expand by placing each
+    merged weight on the representative.  `solve_feasibility` checks the
+    merged system's certificate, which holds for the full system too:
+    merged columns are identical columns over the same rows.
     """
     delta = exact(delta)
-    group, columns = _invariance_ball(translate_count, delta, radius)
+    group = _invariance_group(translate_count, delta, radius)
+    columns = _signature_columns(group, translate_count, radius)
     system, reps = _merged_system(group, columns, translate_count, delta)
     outcome = solve_feasibility(system)
     if outcome.feasible:
@@ -629,8 +687,14 @@ class ThresholdReport:
 
 
 def invariance_threshold(translate_count: int, radius: int) -> ThresholdReport:
-    """The exact crossover delta of the five-set invariance LP, by one LP."""
-    group, columns = _invariance_ball(translate_count, _F0, radius)
+    """The exact crossover delta of the five-set invariance LP, by one LP.
+
+    The delta LP is built on the merged columns of `_merged_system`, read
+    on `_signature_columns` along A^r and B^r; only
+    `verify_threshold_report` lists the ball.
+    """
+    group = _invariance_group(translate_count, _F0, radius)
+    columns = _signature_columns(group, translate_count, radius)
     system, reps = _merged_system(group, columns, translate_count, _F0)
     opt = minimize(_threshold_system(system))
     weights = {rep: w for rep, w in zip(reps, opt.point[:-1]) if w}

@@ -202,10 +202,11 @@ class _Simplex:
     rule, which reads only signs and ratios, pivots alike.  Each row starts
     as the system's own integer row.  A pivot lists the pivot row's nonzero
     columns once and divides them by their gcd before reading the pivot
-    entry p; `_eliminate` then makes each other row p·row − f·prow, in
-    place on those columns alone when p is 1, so no two rows may share a
-    list.  No other row is ever divided.  Points, duals and values are
-    each read as one ``Fraction(int, int)``.
+    entry p; `_eliminate` then makes each other row p·row − f·prow.  It
+    subtracts f·prow on those columns alone, after scaling the row by p
+    into a new list when p is not 1 and in place when p is 1, so no two
+    rows may share a list.  No other row is ever divided.  Points, duals
+    and values are each read as one ``Fraction(int, int)``.
     """
 
     def __init__(self, system: LinearSystem):
@@ -401,15 +402,16 @@ def _support(row: list[int]) -> list[int]:
 def _eliminate(row: list[int], f: int, prow: list[int], p: int, support: list[int]) -> list[int]:
     """p*row - f*prow: row minus f/p times prow, over p times row's basic entry.
 
-    `support` lists the columns where prow is nonzero.  When p is 1 only
-    those entries change, in `row` itself; otherwise every entry is scaled
-    by p, into a new row.  Nothing is divided out either way.
+    `support` lists the columns where prow is nonzero, and only those
+    entries take f*prow off: in `row` itself when p is 1, and otherwise in
+    a new row that first scales every entry by p.  Nothing is divided out
+    either way.
     """
-    if p == 1:
-        for j in support:
-            row[j] -= f * prow[j]
-        return row
-    return [p * a - f * b for a, b in zip(row, prow)]
+    if p != 1:
+        row = [p * a for a in row]
+    for j in support:
+        row[j] -= f * prow[j]
+    return row
 
 
 def solve_feasibility(system: LinearSystem) -> FeasibilityOutcome:

@@ -1328,6 +1328,19 @@ def test_f2_verify_edge_cases_fail_without_envelope(capsys, argv, code, err):
     assert capsys.readouterr() == ("", err)
 
 
+# the invariance LP checks delta, then K, then the radius, then the ball cap,
+# before it lists any column
+@pytest.mark.parametrize("argv, code, err", [
+    (["8", "1/25", "7"], 2, "cap exhausted: ball exceeded cap of 2000 elements\n"),
+    (["8", "1/25", "-1"], 1, "error: ball radius must be >= 0\n"),
+    (["--", "8", "-1/25", "7"], 1, "error: delta must be >= 0\n"),
+    (["9", "1/25", "-1"], 2, "cap exhausted: translate count capped at 8\n"),
+])
+def test_f2_infeasible_edge_cases_fail_without_envelope(capsys, argv, code, err):
+    assert main(["f2-infeasible", *argv]) == code
+    assert capsys.readouterr() == ("", err)
+
+
 @pytest.mark.parametrize("argv, digest", [
     (["--identities", "0"], "c7cdc54394d3cf7bcd63df51e3fc8a79ef63c748111b3a5afc38e70c43efab7a"),
     (["--disjoint", "2", "0"], "6e1e0405f4205921b671327063aedae27c0665cc0d059985ac1f1a34f99644cf"),

@@ -1,3 +1,4 @@
+import itertools
 import json
 from collections import Counter
 from fractions import Fraction as Q
@@ -27,7 +28,7 @@ from amenlab.f2 import (
     verify_invariance_outcome,
     verify_threshold_report,
 )
-from amenlab.groups import CapExceeded, FreeGroup, ball
+from amenlab.groups import CapExceeded, Element, FreeGroup, ball
 from amenlab.linprog import EQ, GE, LE
 from amenlab.pictures import SetSpec, candidate_pool, height
 
@@ -382,8 +383,9 @@ def test_invariance_systems_match_per_word_oracle(rotated_sets):
 def test_merged_systems_match_per_word_oracle(rotated_sets, translate_count):
     for radius in range(7):
         columns = ball(G, radius)
+        signature_columns = f2._signature_columns(G, translate_count, radius)
         for delta in (Q(0), Q(1, 25), Q(10, 11)):
-            merged, reps = _merged_system(G, columns, translate_count, delta)
+            merged, reps = _merged_system(G, signature_columns, translate_count, delta)
             rows, oracle_reps = _oracle_merged_rows(columns, translate_count, delta)
             assert reps == oracle_reps and merged.num_vars == len(reps)
             assert _rows(merged) == rows
@@ -409,8 +411,45 @@ def test_merged_system_reads_one_column_per_run_signature(monkeypatch):
     monkeypatch.setattr(
         f2, "_membership_table", lambda group, cols, k: read.append(cols) or table(group, cols, k)
     )
-    _merged_system(G, columns, 8, Q(1, 25))
+    radii = []
+    monkeypatch.setattr(
+        f2, "ball", lambda group, radius, **kwargs: radii.append(radius) or ball(group, radius)
+    )
+    _merged_system(G, f2._signature_columns(G, 8, 6), 8, Q(1, 25))
     assert read == [list(firsts.values())] and len(columns) == 1457 and len(read[0]) == 135
+    # the solve and the threshold count their columns along A^6 and B^6
+    assert not simultaneous_invariance(8, Q(1, 25), 6).feasible
+    invariance_threshold(8, 6)
+    assert radii == [] and read[1:] == read[:1] * 2
+
+
+def test_signature_columns_are_the_first_ball_word_of_each_signature():
+    words = ball(G, 8)
+    heights = [height(x) for x in words]
+    for translate_count in range(2, 9):
+        firsts = {}  # signature -> index of its first word in ball(8)
+        for i, (x, h) in enumerate(zip(words, heights)):
+            firsts.setdefault(f2._run_signature(x.value, h, translate_count), i)
+        for radius in range(9):
+            size = 2 * 3**radius - 1  # ball(radius) is the first `size` words of ball(8)
+            expected = [words[i] for i in firsts.values() if i < size]
+            assert f2._signature_columns(G, translate_count, radius) == expected
+
+
+@pytest.mark.parametrize("last", range(4))
+def test_suffix_classes_keep_the_shortlex_least_suffix_of_each_height(last):
+    weights = tuple(height(Element(G, (code,))) for code in range(4))
+    for max_length in range(7):
+        counts, least = Counter(), {}
+        for n in range(max_length + 1):
+            for v in itertools.product(range(4), repeat=n):  # lex order within a length
+                reduced = all(c != d ^ 1 for d, c in zip((last,) + v, v))
+                if reduced:
+                    h = sum(weights[c] for c in v)
+                    counts[h] += 1
+                    least.setdefault(h, v)
+        got = dict(f2._suffix_classes(last, max_length, weights))
+        assert got == {h: (counts[h], least[h]) for h in counts}
 
 
 # `amenlab f2-infeasible 8 <delta> 6`: neither the column merge nor the pivot
