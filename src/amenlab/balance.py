@@ -16,9 +16,8 @@ hashable and deduplication is cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .groups import CapExceeded
 from .linprog import EQ, GE, LE, LinearSystem, Optimum, minimize, solve_feasibility
@@ -98,8 +97,7 @@ class SetFamily:
         return f"SetFamily(ground={self.ground!r}, members={self.member_labels()!r})"
 
 
-@dataclass(frozen=True)
-class BalanceWitness:
+class BalanceWitness(NamedTuple):
     """Convex weights over the members attaining a max-min gap."""
 
     weights: tuple[Fraction, ...]  # aligned with SetFamily.members
@@ -122,8 +120,7 @@ class BalanceWitness:
         )
 
 
-@dataclass(frozen=True)
-class UnbalanceWitness:
+class UnbalanceWitness(NamedTuple):
     """Zero-sum ground weighting with positive sum on every member."""
 
     values: tuple[Fraction, ...]  # aligned with SetFamily.ground

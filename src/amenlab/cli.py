@@ -29,13 +29,13 @@ strings only, so a JSON number where a rational belongs is rejected.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .balance import (
@@ -502,8 +502,7 @@ def _emit_table(env: dict, out_path: str | None) -> int:
 # ---------------------------------------------------------------- table
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """One command: its own parser arguments, its run and its verifier.
 
     ``group`` and ``eps`` say which shared options it takes, which `_steps`
@@ -775,18 +774,28 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    """Run one command and return its exit code.
+
+    The objects that exist on entry, the imported modules above all, are
+    frozen out of the collector for the call, so a collection during the
+    job scans only what the job allocates.
+    """
+    gc.freeze()
     try:
-        if args.command == "verify":
-            return _verify(args.envelope)
-        return _run(COMMANDS[args.command], args)
-    except CapExceeded as exc:
-        sys.stderr.write(f"cap exhausted: {exc}\n")
-        return 2
-    except (CliError, GroupError, ValueError, OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+        argv = sys.argv[1:] if argv is None else argv
+        args = build_parser(argv).parse_args(argv)
+        try:
+            if args.command == "verify":
+                return _verify(args.envelope)
+            return _run(COMMANDS[args.command], args)
+        except CapExceeded as exc:
+            sys.stderr.write(f"cap exhausted: {exc}\n")
+            return 2
+        except (CliError, GroupError, ValueError, OSError, json.JSONDecodeError) as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 1
+    finally:
+        gc.unfreeze()
 
 
 if __name__ == "__main__":

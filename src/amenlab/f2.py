@@ -61,10 +61,9 @@ and the verifiers list the ball and keep the full table.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cache
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .groups import CapExceeded, Element, FreeGroup, GroupError, Measure, ball, sort_elements
 from .linprog import (
@@ -233,8 +232,7 @@ TRANSLATE_RADIUS = 3  # translators of the level-shift check: ball(TRANSLATE_RAD
 INVARIANCE_BALL_CAP = 2000  # largest ball the invariance LP takes as columns
 
 
-@dataclass
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     name: str
     checked: int
     failures: int
@@ -244,8 +242,7 @@ class IdentityCheck:
         return self.failures == 0
 
 
-@dataclass
-class ScanReport:
+class ScanReport(NamedTuple):
     """Named checks scanned on the words of length <= max_length.
 
     ``scope`` opens the report's note; ``translate_count`` is written only
@@ -254,8 +251,8 @@ class ScanReport:
 
     max_length: int
     scope: str
-    translate_count: int | None = None
-    checks: list[IdentityCheck] = field(default_factory=list)
+    translate_count: int | None
+    checks: list[IdentityCheck]
 
     @property
     def ok(self) -> bool:
@@ -343,7 +340,7 @@ def verify_identities(max_length: int) -> ScanReport:
         ("rest_and_low_inside_low", lambda f, fl, fh, rh, rl, h: not rl or not h),
         ("low_inside_first_or_low", lambda f, fl, fh, rh, rl, h: h or fl),
     )
-    report = ScanReport(max_length, "verified pointwise on all words")
+    report = ScanReport(max_length, "verified pointwise on all words", None, [])
     checked = sum(counts)
     for name, holds in identities:
         failures = sum(n for m, n in profiles.items() if not holds(*m))
@@ -389,7 +386,7 @@ def verify_disjoint_translates(translate_count: int, max_length: int) -> ScanRep
     classes = {
         g: _path_classes(group, (g ** (translate_count - 1)).value, max_length) for g in (a, b)
     }
-    report = ScanReport(max_length, "pairwise disjointness scanned on words", translate_count)
+    report = ScanReport(max_length, "pairwise disjointness scanned on words", translate_count, [])
     for name, g, test in families:
         words, heights, counts = classes[g]
         hits = [0] * len(words)
@@ -461,8 +458,7 @@ def invariance_system(
     return LinearSystem(len(columns), rows, nonneg=True), columns
 
 
-@dataclass
-class InvarianceOutcome:
+class InvarianceOutcome(NamedTuple):
     translate_count: int
     delta: Fraction
     radius: int
@@ -671,8 +667,7 @@ def _threshold_system(system: LinearSystem) -> LinearSystem:
     return LinearSystem(n + 1, rows, (0,) * n + (1,), nonneg=True)
 
 
-@dataclass
-class ThresholdReport:
+class ThresholdReport(NamedTuple):
     """The least delta for which the invariance LP is feasible.
 
     ``measure`` attains ``delta``; ``duals`` (one per row of the delta LP)

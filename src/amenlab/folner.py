@@ -24,10 +24,9 @@ optimal normalized set, and an upper bound otherwise.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .groups import (
     CapExceeded,
@@ -56,8 +55,7 @@ WEIGHTED_LP_CAP = 600
 HARNESS_RAMSEY_CAP = 14
 
 
-@dataclass
-class FolnerReport:
+class FolnerReport(NamedTuple):
     window: tuple[Element, ...]
     bset: tuple[Element, ...]
     per_generator: list[tuple[Element, int]]
@@ -96,8 +94,7 @@ def is_epsilon_folner(window: Iterable[Element], bset: Iterable[Element], eps) -
     )
 
 
-@dataclass
-class FolnerFunctionResult:
+class FolnerFunctionResult(NamedTuple):
     k: int
     size: int | None
     witness: tuple[Element, ...] | None
@@ -186,8 +183,7 @@ def invariance_defect(nu: Measure, window: Iterable[Element]) -> Fraction:
     return total
 
 
-@dataclass
-class WeightedFolnerValue:
+class WeightedFolnerValue(NamedTuple):
     m: int
     n: int
     value: Fraction | None  # None when no admissible measure exists
@@ -291,8 +287,7 @@ def folner_from_weighted(nu: Measure, window: Iterable[Element], eps) -> frozens
     raise RuntimeError("internal error: no Folner level set; layer-cake violated")
 
 
-@dataclass
-class HarnessInstance:
+class HarnessInstance(NamedTuple):
     name: str
     params: dict
     lhs: object
@@ -311,8 +306,7 @@ class HarnessInstance:
         }
 
 
-@dataclass
-class HarnessReport:
+class HarnessReport(NamedTuple):
     group: dict
     instances: list[HarnessInstance]
     folner: dict[int, FolnerFunctionResult]  # k -> folner_function result

@@ -33,11 +33,12 @@ Conventions fixed here and relied on by the rest of the package:
 
 from __future__ import annotations
 
-import string
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .rationals import exact, fmt_q, items, parse_q, typed
+
+_LOWERCASE = "abcdefghijklmnopqrstuvwxyz"  # string.ascii_lowercase, without importing string
 
 
 class CapExceeded(Exception):
@@ -153,7 +154,7 @@ class FreeGroup(Group):
         if len(set(names)) != len(names):
             raise GroupError("generator names must be distinct")
         for name in names:
-            if len(name) != 1 or name not in string.ascii_lowercase or name == "e":
+            if len(name) != 1 or name not in _LOWERCASE or name == "e":
                 raise GroupError(
                     f"free-group generator must be a single lowercase letter other than 'e': {name!r}"
                 )

@@ -33,7 +33,6 @@ nonnegative, and have a negative combined right-hand side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
@@ -150,8 +149,7 @@ class LinearSystem:
             raise ValueError("nonneg flags do not match variable count")
 
 
-@dataclass(frozen=True)
-class FeasibilityOutcome:
+class FeasibilityOutcome(NamedTuple):
     feasible: bool
     point: tuple[Fraction, ...] | None = None
     farkas: tuple[Fraction, ...] | None = None
@@ -162,8 +160,7 @@ class FeasibilityOutcome:
         return {"status": "infeasible", "farkas": [fmt_q(x) for x in self.farkas]}
 
 
-@dataclass(frozen=True)
-class Optimum:
+class Optimum(NamedTuple):
     value: Fraction
     point: tuple[Fraction, ...]
     duals: tuple[Fraction, ...]

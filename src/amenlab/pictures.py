@@ -27,9 +27,8 @@ The height function sends the first generator of a rank-2 free group to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .balance import SetFamily, UnbalanceWitness, member_sums, verify_unbalance_witness
 from .groups import (
@@ -210,8 +209,7 @@ def realized_family(
     return SetFamily(window, masks)
 
 
-@dataclass
-class NonAmenabilityCertificate:
+class NonAmenabilityCertificate(NamedTuple):
     """A probe-domain picture family sitting inside a positive-sum cone.
 
     Every picture of the target over the probe ball has strictly positive

@@ -36,9 +36,8 @@ windows to reach any positive gap (the verified contraction is (3/4)^n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .balance import (
     BalanceWitness,
@@ -207,8 +206,7 @@ def direct_gap_system(
     return LinearSystem(nc, rows, nonneg=True)
 
 
-@dataclass(frozen=True)
-class RamseyCounterexample:
+class RamseyCounterexample(NamedTuple):
     e_mask: int
     elements: tuple[Element, ...]
     kind: str  # "direct_farkas" | "balance_optimum" | "empty_interior"
@@ -223,8 +221,7 @@ class RamseyCounterexample:
         }
 
 
-@dataclass
-class RamseyVerdict:
+class RamseyVerdict(NamedTuple):
     """Outcome of one eps-Ramsey decision, with verifiable evidence."""
 
     is_ramsey: bool
@@ -569,16 +566,14 @@ def binary_to_unit(
     return nu
 
 
-@dataclass
-class BoostStep:
+class BoostStep(NamedTuple):
     window: tuple[Element, ...]
     next_window: tuple[Element, ...]
     measure: Measure
     tail_gap: Fraction  # verified gap of the composed tail over `window`
 
 
-@dataclass
-class BoostResult:
+class BoostResult(NamedTuple):
     measure: Measure
     steps: list[BoostStep]
     final_gap: Fraction
@@ -692,14 +687,13 @@ def boost(
     raise CapExceeded("boost failed to find workable windows within the attempt cap")
 
 
-@dataclass
-class RamseyFunctionResult:
+class RamseyFunctionResult(NamedTuple):
     m: int
     eps: Fraction
     n_max: int
     value: int | None
     status: str  # "found" | "exhausted"
-    per_n: list[tuple[int, str]] = field(default_factory=list)
+    per_n: list[tuple[int, str]]
 
     def to_json(self) -> dict:
         return {

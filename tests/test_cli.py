@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import json
 import os
@@ -118,6 +119,33 @@ def test_cap_exhaustion_exit_two(capsys):
 def test_error_exits_one(capsys):
     assert run(capsys, "balance", "--family", '{"broken')[0] == 1
     assert run(capsys, "ramsey-check", "--group", Z, "--m", "1", "--n", "1", "--eps", "1/0")[0] == 1
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["balance", "--family", FAMILY], 0),
+        (["balance", "--family", '{"broken'], 1),
+        (["f2-infeasible", "9", "1/2", "2"], 2),
+        (["no-such-command"], None),  # argparse exits
+    ],
+)
+def test_main_freezes_the_collector_for_the_job_only(capsys, monkeypatch, argv, code):
+    frozen = []
+    run_job = cli._run
+
+    def recording(command, args):
+        frozen.append(gc.get_freeze_count())
+        return run_job(command, args)
+
+    monkeypatch.setattr(cli, "_run", recording)
+    if code is None:
+        with pytest.raises(SystemExit):
+            main(argv)
+    else:
+        assert main(argv) == code
+        assert frozen and frozen[0] > 0
+    assert gc.get_freeze_count() == 0
     assert run(capsys, "ramsey-check", "--group", Z, "--m", "1", "--n", "1", "--eps", "0.5")[0] == 1
     assert (
         run(capsys, "ramsey-check", "--group", '{"kind":"free_abelian","rank":1,"x":2}',

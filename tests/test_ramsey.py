@@ -1,6 +1,5 @@
 import hashlib
 import random
-from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -480,7 +479,7 @@ def test_a_positive_verdict_without_the_witnesses_its_route_keeps_fails():
     for method in ("direct", "pictures"):
         v = is_epsilon_ramsey(zball(1), zball(2), Q(1, 2), method=method)
         assert verify_ramsey_verdict(v) is True
-        assert verify_ramsey_verdict(replace(v, witnesses=None, family_witnesses=None)) is False
+        assert verify_ramsey_verdict(v._replace(witnesses=None, family_witnesses=None)) is False
     # 2^13 subsets: the direct route kept none, so only the layout is checked
     v = is_epsilon_ramsey(zball(1), zball(6), Q(1, 2), method="direct")
     assert v.is_ramsey and v.witnesses is None
