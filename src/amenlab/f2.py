@@ -49,11 +49,9 @@ law takes each translator w as the path for w^-1, and the disjointness
 scan takes g^(K-1) for the powers g^-k of each generator g.
 
 The LP solve merges ball columns with equal membership profiles, and
-reads the profiles on one column per leading-run signature (height, and
-the length of a leading run of A or B, capped at K, with the letter after
-it), which fixes what `_members` reads of a column under every translate.
-`_signature_columns` finds the first ball word of each signature from
-`_path_classes` along A^r and B^r, so the solve lists no ball: 135
+reads the profiles on `_path_columns`: the words `_path_classes` keeps
+along A^(K-1) and B^(K-1), the inverses of the translates a^k and b^k,
+whose classes each have one profile.  So the solve lists no ball: 135
 columns stand for ball(6)'s 1,457 at K = 8.  Only `invariance_system`
 and the verifiers list the ball and keep the full table.
 """
@@ -170,7 +168,10 @@ def _path_classes(group: FreeGroup, path: tuple, max_length: int):
     parallel lists: one real word of each class, its height and the
     number of words in the class.  A word path[:k] is a class of its own;
     the suffixes after a head path[:k] + (c,) are counted by
-    `_suffix_classes`, never listed, so no ball is built.
+    `_suffix_classes`, never listed, so no ball is built.  The word kept
+    of each class is its canonically (shortlex) first: the words of a
+    class share their head, and `_suffix_classes` keeps the shortlex-least
+    suffix of each height.
 
     Let p be a word whose inverse is a prefix of the path, of length n.
     Every word x of a class then gives the same `_members` class under p:
@@ -207,6 +208,18 @@ def _suffix_classes(last: int, max_length: int, weights: tuple) -> tuple:
     holds its word count and one of its words, and ``weights[c]`` is the
     height of letter code c.  It is `groups._free_ball` with counts in
     place of word lists.  Results are cached, so they are returned as tuples.
+
+    The suffix kept of each height is its shortlex-least: the pass walks
+    lengths in order and records a height at the first length that
+    reaches it, from the first state of that layer.  Within a layer the
+    states come in the lex order of their suffixes, and each holds its
+    lex-least suffix.  That holds for the one start state, and the pass
+    keeps it: a state (c, h) is reached only by appending c to parents of
+    height h - weights[c], so its lex-least suffix is c after the
+    lex-least of its parents' suffixes.  The pass walks parents in the lex
+    order of their suffixes and letters in code order, so the first
+    arrival at a state carries that suffix, and the states of the next
+    layer are inserted in lex order.
     """
     layer = {(last, 0): (1, ())}  # (last letter, height) -> (count, one suffix)
     out: dict[int, tuple[int, tuple]] = {}
@@ -481,20 +494,19 @@ class InvarianceOutcome(NamedTuple):
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "InvarianceOutcome":
-        group = f2_group()
-        measure = None
-        farkas = None
-        if "measure" in obj:
-            measure = Measure.from_json(group, obj["measure"])
-        if "farkas" in obj:
-            farkas = tuple(parse_q(x) for x in obj["farkas"])
+        """The outcome `to_json` writes: a feasible status with its measure or
+        an infeasible one with its Farkas multipliers, else a ValueError."""
+        proof = {"feasible": "measure", "infeasible": "farkas"}.get(obj["status"])
+        if proof is None or set(obj) != {"K", "delta", "radius", "status", proof}:
+            raise ValueError("an invariance outcome carries its own status's certificate only")
+        feasible = proof == "measure"
         return cls(
             typed(obj["K"], int, "K"),
             parse_q(obj["delta"]),
             typed(obj["radius"], int, "radius"),
-            obj["status"] == "feasible",
-            measure,
-            farkas,
+            feasible,
+            Measure.from_json(f2_group(), obj["measure"]) if feasible else None,
+            None if feasible else tuple(parse_q(x) for x in obj["farkas"]),
         )
 
 
@@ -509,20 +521,9 @@ def _merged_system(
     `invariance_system`, which keeps Farkas multipliers and duals valid
     for the full system.
 
-    The profiles are read on ``reps``, in canonical order, and each
-    profile keeps its first.  ``reps`` is the ball itself or
-    `_signature_columns`, the first ball column of each `_run_signature`
-    class, since every column of a class has the same profile.  Under a^k
-    with k < K, `_members` reads only whether x[:k] is A^k and, when it
-    is, x[k] (with x's height): the first holds when x's leading run of A
-    letters is at least k long, and x[k] is A when the run is longer than
-    k and the letter after the run (or none) when it is k long, so
-    (min(run, K), letter after the run) fixes both.  The B pair does the
-    same under b^k, and under the identity `_members` reads x[:1], which
-    is A when the A run is nonempty and the letter after it otherwise.
-    The canonical-least column of a profile is then the first of its own
-    signature class, so merging the signature columns by profile keeps
-    the same columns in the same order as merging the ball.
+    The profiles are read on ``reps``, ball words in canonical order,
+    and each profile keeps its first.  ``reps`` is the ball itself or
+    `_path_columns`, which holds the first ball word of every profile.
     """
     table = _membership_table(group, reps, translate_count)
     classes: dict[tuple, int] = {}  # profile -> first representative in canonical order
@@ -533,81 +534,42 @@ def _merged_system(
     return LinearSystem(len(keep), rows, nonneg=True), [reps[c] for c in keep]
 
 
-def _signature_columns(group: FreeGroup, translate_count: int, radius: int) -> list[Element]:
-    """The canonically first word of ball(radius) in each `_run_signature`
-    class, in canonical order, counted along two paths with no ball listed.
+def _path_columns(group: FreeGroup, translate_count: int, radius: int) -> list[Element]:
+    """The words `_path_classes` keeps along A^(K-1) and along B^(K-1) at
+    max length radius, in canonical order: the columns `_merged_system`
+    reads, with no ball listed.
 
-    `_path_classes` counts the ball along A^radius and along B^radius.
-    From the A path it keeps the classes of the empty word, of the heads
-    a and b, and of every head that starts with A; from the B path those
-    of every head that starts with B.  These cover the ball once: the A
-    path's heads that start with B are left to the B path.  All words of
-    a kept class share their height, their first letter, their leading
-    run of that letter (A^k or B^k, or none) and the letter after the
-    run, so each kept class lies in one signature class.  Each signature
-    class keeps the least (length, word) of its classes' words.
-
-    That word is the first of the signature class in canonical order,
-    because each class's word is the first of its class.  A class is a
-    word path[:k], or the words head + suffix of one height with a fixed
-    head, and `_suffix_classes` keeps the shortlex-least suffix of each
-    height: its transfer matrix walks lengths in order and records a
-    height at the first length that reaches it, from the first state of
-    that layer.  Within a layer the states come in the lex order of their
-    suffixes, and each holds its lex-least suffix.  That holds for the one
-    start state, and the pass keeps it: a state (c, h) is reached only by
-    appending c to parents of height h - weight(c), so its lex-least
-    suffix is c after the lex-least of its parents' suffixes.  The pass
-    walks parents in the lex order of their suffixes and letters in code
-    order, so the first arrival at a state carries that suffix, and the
-    states of the next layer are inserted in lex order.
+    Take a class of the A path whose head does not start with B.  Under
+    a^k with k < K its words have one `_members` class, by `_path_classes`,
+    as A^k is a prefix of the path.  Under b^k with k >= 1 none of them
+    starts with B, so b^k times each starts with b.  Under the identity
+    the class is (first letter, height), and the head fixes the first
+    letter: an empty head is the empty word alone.  So all its words have
+    one membership profile, and a class of the B path whose head does not
+    start with A is the same with a and b swapped.  These classes cover
+    ball(radius), so each profile is a union of them, and its canonically
+    first word is the first word of one of them, which `_path_classes`
+    keeps.  Every other word kept is a ball word too, so merging these
+    columns by profile keeps the same columns in the same order as
+    merging the ball.
     """
-    firsts: dict[tuple, Element] = {}  # signature -> its first word in canonical order
-    # (path letter, first letters kept): the codes of a, A, b, B are 0, 1, 2, 3
-    for code, starts in ((1, ((), (0,), (1,), (2,))), (3, ((3,),))):
-        words, heights, _ = _path_classes(group, (code,) * radius, radius)
-        for x, h in zip(words, heights):
-            if x.value[:1] in starts:
-                key = _run_signature(x.value, h, translate_count)
-                first = firsts.get(key)
-                if first is None or x.key() < first.key():
-                    firsts[key] = x
-    return sort_elements(firsts.values())
-
-
-def _run_signature(v: tuple, h: int, translate_count: int) -> tuple:
-    """The signature `_merged_system` reads one column of, for the word v of height h.
-
-    It is (h, v[:1], min(run, K), v[run:run + 1]), where run is the length
-    of v's leading run of its first letter when that is an inverse
-    generator, and 0 otherwise.  That is h with (min(run, K), the letter
-    after the run) for the runs of A and of B, in one tuple: only the run
-    of v's first letter can be nonempty, and an empty run is followed by
-    v's first letter.
-    """
-    run = 0
-    if v and v[0] & 1:  # generator i is code 2i, its inverse 2i + 1
-        first = v[0]
-        for letter in v:
-            if letter != first:
-                break
-            run += 1
-    return h, v[:1], min(run, translate_count), v[run : run + 1]
+    paths = ((code,) * (translate_count - 1) for code in (1, 3))  # A and B are codes 1 and 3
+    return sort_elements({x for path in paths for x in _path_classes(group, path, radius)[0]})
 
 
 def simultaneous_invariance(translate_count: int, delta, radius: int) -> InvarianceOutcome:
     """Decide the five-set invariance LP, with exact certificates.
 
     The LP is solved on merged columns (see `_merged_system`), read on
-    `_signature_columns`, which counts the ball along A^r and B^r; only
-    the verifiers list the ball.  Feasible points expand by placing each
+    `_path_columns`, which counts the ball along A^(K-1) and B^(K-1);
+    only the verifiers list the ball.  Feasible points expand by placing each
     merged weight on the representative.  `solve_feasibility` checks the
     merged system's certificate, which holds for the full system too:
     merged columns are identical columns over the same rows.
     """
     delta = exact(delta)
     group = _invariance_group(translate_count, delta, radius)
-    columns = _signature_columns(group, translate_count, radius)
+    columns = _path_columns(group, translate_count, radius)
     system, reps = _merged_system(group, columns, translate_count, delta)
     outcome = solve_feasibility(system)
     if outcome.feasible:
@@ -685,11 +647,10 @@ def invariance_threshold(translate_count: int, radius: int) -> ThresholdReport:
     """The exact crossover delta of the five-set invariance LP, by one LP.
 
     The delta LP is built on the merged columns of `_merged_system`, read
-    on `_signature_columns` along A^r and B^r; only
-    `verify_threshold_report` lists the ball.
+    on `_path_columns`; only `verify_threshold_report` lists the ball.
     """
     group = _invariance_group(translate_count, _F0, radius)
-    columns = _signature_columns(group, translate_count, radius)
+    columns = _path_columns(group, translate_count, radius)
     system, reps = _merged_system(group, columns, translate_count, _F0)
     opt = minimize(_threshold_system(system))
     weights = {rep: w for rep, w in zip(reps, opt.point[:-1]) if w}

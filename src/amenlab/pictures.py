@@ -243,7 +243,7 @@ class NonAmenabilityCertificate(NamedTuple):
             group,
             parse_elements(group, obj["window"]),
             tuple(parse_q(x) for x in obj["f"]),
-            obj["radius"],
+            typed(obj["radius"], int, "radius"),
             SetSpec.from_json(obj["target"], group),
             SetFamily.from_json(obj["family"], parse=group.read_element),
             UnbalanceWitness.from_json(obj["witness"]),

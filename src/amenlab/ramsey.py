@@ -206,6 +206,14 @@ def direct_gap_system(
     return LinearSystem(nc, rows, nonneg=True)
 
 
+# the payload fields of each counterexample kind
+_PAYLOAD_FIELDS = {
+    "direct_farkas": {"farkas"},
+    "balance_optimum": {"family", "optimum"},
+    "empty_interior": set(),
+}
+
+
 class RamseyCounterexample(NamedTuple):
     e_mask: int
     elements: tuple[Element, ...]
@@ -265,6 +273,10 @@ class RamseyVerdict(NamedTuple):
 
     @classmethod
     def from_json(cls, obj: Mapping, group: Group) -> "RamseyVerdict":
+        """The verdict `to_json` writes; a ValueError for a field it never writes."""
+        unknown = set(obj) - set(cls._fields)  # to_json writes each field under its own name
+        if unknown:
+            raise ValueError(f"unknown verdict fields: {sorted(unknown)}")
         witnesses = family_witnesses = counterexample = None
         if "witnesses" in obj:
             # a mask is a plain decimal, so "05" cannot alias "5"
@@ -274,6 +286,8 @@ class RamseyVerdict(NamedTuple):
                 int(mask): Measure.from_json(group, nu) for mask, nu in obj["witnesses"].items()
             }
         if "family_witnesses" in obj:
+            if any(set(item) != {"family", "witness"} for item in obj["family_witnesses"]):
+                raise ValueError("a family witness has the fields family and witness")
             family_witnesses = [
                 (
                     SetFamily.from_json(item["family"], group.read_element),
@@ -283,6 +297,10 @@ class RamseyVerdict(NamedTuple):
             ]
         if "counterexample" in obj:
             ce = obj["counterexample"]
+            if set(ce) != {"E_mask", "E", "kind", "payload"}:
+                raise ValueError("a counterexample has the fields E_mask, E, kind and payload")
+            if set(ce["payload"]) != _PAYLOAD_FIELDS[ce["kind"]]:
+                raise ValueError(f"unexpected payload fields for a {ce['kind']} counterexample")
             e_mask, e_set = typed(ce["E_mask"], int, "E_mask"), parse_elements(group, ce["E"])
             counterexample = RamseyCounterexample(e_mask, e_set, ce["kind"], ce["payload"])
         return cls(
@@ -299,6 +317,21 @@ class RamseyVerdict(NamedTuple):
             counterexample=counterexample,
             subsets_checked=typed(obj["subsets_checked"], int, "subsets_checked"),
         )
+
+
+def _empty_interior_verdict(eps: Fraction, method: str, window, bset) -> RamseyVerdict:
+    """The one verdict when the interior C is empty: no measure lives in C."""
+    return RamseyVerdict(
+        False,
+        eps,
+        method,
+        window,
+        bset,
+        (),
+        (),
+        reason="empty_interior",
+        counterexample=RamseyCounterexample(0, (), "empty_interior", {}),
+    )
 
 
 def _mask_elements(products: Sequence[Element], mask: int) -> tuple[Element, ...]:
@@ -353,17 +386,7 @@ def is_epsilon_ramsey(
     group = window[0].group
     C, products, _, prod_pos = _layout(window, bset_t)
     if not C:
-        return RamseyVerdict(
-            False,
-            eps,
-            method,
-            window,
-            bset_t,
-            C,
-            (),
-            reason="empty_interior",
-            counterexample=RamseyCounterexample(0, (), "empty_interior", {}),
-        )
+        return _empty_interior_verdict(eps, method, window, bset_t)
     k = len(products)
     if k > cap:
         raise CapExceeded(f"|A*C| = {k} exceeds enumeration cap {cap}")
@@ -453,8 +476,10 @@ def verify_ramsey_verdict(verdict: RamseyVerdict) -> bool | None:
     C, products, pos, prod_pos = _layout(window, verdict.bset)
     if tuple(C) != tuple(verdict.interior):
         return False
-    if verdict.reason == "empty_interior":
-        return not C and not verdict.is_ramsey
+    if verdict.reason is not None:  # only an empty interior gives a reason
+        return not C and verdict == _empty_interior_verdict(
+            verdict.eps, verdict.method, window, verdict.bset
+        )
     if products != tuple(verdict.products):
         return False
     k = len(products)

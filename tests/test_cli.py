@@ -613,9 +613,13 @@ def test_verify_rejects_a_counterexample_family_of_another_subset(capsys, tmp_pa
     assert verify_status(capsys, path) == (1, "FAILED")
 
 
-@pytest.mark.parametrize("field, value", [("subsets_checked", 128.0), ("is_ramsey", 1)])
+@pytest.mark.parametrize(
+    "field, value",
+    [("subsets_checked", 128.0), ("is_ramsey", 1), ("reason", "no_witness"), ("note", "x")],
+)
 def test_verify_rejects_mistyped_ramsey_verdict_fields(capsys, tmp_path, field, value):
-    # 128.0 == 1 << 7 and 1 == True: only the JSON types tell the forgery apart
+    # 128.0 == 1 << 7 and 1 == True: only the JSON types tell the forgery apart; only an
+    # empty interior gives a reason, and no verdict writes a note
     path = tmp_path / "ramsey.json"
     env = ramsey_envelope(capsys, path, "--m", "1", "--n", "3", "--eps", "1/2",
                           "--method", "pictures")
@@ -635,11 +639,46 @@ def test_verify_rejects_a_boolean_counterexample_mask(capsys, tmp_path):
     assert verify_status(capsys, path) == (1, "FAILED")
 
 
-@pytest.mark.parametrize("field, value", [("K", "8"), ("radius", 2.5)])
-def test_verify_rejects_mistyped_invariance_fields(capsys, tmp_path, field, value):
-    # int("8") == 8 and int(2.5) == 2 would echo the job's K = 8 and r = 2
+@pytest.mark.parametrize(
+    "argv, part",
+    [
+        (["--n", "2", "--method", "pictures"], lambda result: result["family_witnesses"][0]),
+        (["--n", "1", "--method", "direct"], lambda result: result["counterexample"]),
+        (["--n", "1", "--method", "direct"], lambda result: result["counterexample"]["payload"]),
+    ],
+    ids=["family-witness", "counterexample", "counterexample-payload"],
+)
+def test_verify_rejects_an_unknown_field_inside_a_ramsey_verdict(capsys, tmp_path, argv, part):
+    path = tmp_path / "ramsey.json"
+    ramsey_envelope(capsys, path, "--m", "1", "--eps", "1/2", *argv)
+    assert verify_status(capsys, path) == (0, "ok")
+    forge(path, lambda env: part(env["result"]).update(note="x"))
+    assert verify_status(capsys, path) == (1, "FAILED")
+
+
+def invariance_result(capsys, path, delta):
+    assert run(capsys, "f2-infeasible", "8", delta, "2", "--out", str(path))[0] == 0
+    return json.loads(path.read_text())["result"]
+
+
+# (delta of the run, field, forged value); a certificate field copies the run at `value`
+@pytest.mark.parametrize(
+    "delta, field, value",
+    [
+        pytest.param("1/100", "K", "8", id="K-8"),
+        pytest.param("1/100", "radius", 2.5, id="radius-2.5"),
+        pytest.param("1/25", "status", "maybe", id="status-maybe"),
+        pytest.param("1/25", "measure", "10/11", id="measure-of-a-feasible-run"),
+        pytest.param("10/11", "farkas", "1/25", id="farkas-of-an-infeasible-run"),
+    ],
+)
+def test_verify_rejects_mistyped_invariance_fields(capsys, tmp_path, delta, field, value):
+    # int("8") == 8 and int(2.5) == 2 would echo the job's K = 8 and r = 2; an unknown
+    # status once read as infeasible, and a second certificate rode along unchecked
+    if field in ("measure", "farkas"):
+        value = invariance_result(capsys, tmp_path / "other.json", value)[field]
     path = tmp_path / "inf.json"
-    assert run(capsys, "f2-infeasible", "8", "1/100", "2", "--out", str(path))[0] == 0
+    invariance_result(capsys, path, delta)
     assert verify_status(capsys, path) == (0, "ok")
     forge(path, lambda env: env["result"].update({field: value}))
     assert verify_status(capsys, path) == (1, "FAILED")
@@ -713,6 +752,18 @@ def test_verify_rejects_boost_job_with_another_ramp(capsys, tmp_path):
         env["result"].update(measure={"0": "1/1"}, final_gap="1/1000000")
 
     forge(path, flatten)
+    assert verify_status(capsys, path) == (1, "FAILED")
+
+
+def test_verify_rejects_a_boolean_realize_search_radius(capsys, tmp_path):
+    # True == 1, so only the JSON type tells a --radius 1 certificate from this forgery
+    path = tmp_path / "search.json"
+    f = '{"e":"0/1","a":"1/1","A":"1/1","b":"-1/1","B":"-1/1"}'
+    assert run(capsys, "realize-search", "--group", F2, "--window-radius", "1",
+               "--f", f, "--radius", "1", "--out", str(path))[0] == 0
+    assert json.loads(path.read_text())["result"]["certificate"]["radius"] == 1
+    assert verify_status(capsys, path) == (0, "ok")
+    forge(path, lambda env: env["result"]["certificate"].update(radius=True))
     assert verify_status(capsys, path) == (1, "FAILED")
 
 
@@ -1111,8 +1162,17 @@ def test_verify_checks_an_empty_interior(capsys, tmp_path):
     env = ramsey_envelope(capsys, path, "--m", "2", "--n", "1", "--eps", "1/2")
     assert (env["result"]["is_ramsey"], env["result"]["reason"]) == (False, "empty_interior")
     assert verify_status(capsys, path) == (0, "ok")
-    forge(path, lambda env: env["result"].update(is_ramsey=True))
-    assert verify_status(capsys, path) == (1, "FAILED")
+    honest = path.read_text()
+    # the verdict, its zero subset count and its empty counterexample are all fixed
+    for change in (
+        lambda result: result.update(is_ramsey=True),
+        lambda result: result.update(subsets_checked=1),
+        lambda result: result["counterexample"].update(E_mask=3),
+        lambda result: result.pop("counterexample"),
+    ):
+        path.write_text(honest)
+        forge(path, lambda env: change(env["result"]))
+        assert verify_status(capsys, path) == (1, "FAILED")
 
 
 def test_folner_function_reports_no_set_inside_a_small_window(capsys, tmp_path):

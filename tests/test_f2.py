@@ -379,13 +379,13 @@ def test_invariance_systems_match_per_word_oracle(rotated_sets):
     assert _rows(merged) == rows
 
 
-@pytest.mark.parametrize("translate_count", [2, 4, 8])
+@pytest.mark.parametrize("translate_count", [2, 3, 4, 8])
 def test_merged_systems_match_per_word_oracle(rotated_sets, translate_count):
     for radius in range(7):
         columns = ball(G, radius)
-        signature_columns = f2._signature_columns(G, translate_count, radius)
+        path_columns = f2._path_columns(G, translate_count, radius)
         for delta in (Q(0), Q(1, 25), Q(10, 11)):
-            merged, reps = _merged_system(G, signature_columns, translate_count, delta)
+            merged, reps = _merged_system(G, path_columns, translate_count, delta)
             rows, oracle_reps = _oracle_merged_rows(columns, translate_count, delta)
             assert reps == oracle_reps and merged.num_vars == len(reps)
             assert _rows(merged) == rows
@@ -415,7 +415,7 @@ def test_merged_system_reads_one_column_per_run_signature(monkeypatch):
     monkeypatch.setattr(
         f2, "ball", lambda group, radius, **kwargs: radii.append(radius) or ball(group, radius)
     )
-    _merged_system(G, f2._signature_columns(G, 8, 6), 8, Q(1, 25))
+    _merged_system(G, f2._path_columns(G, 8, 6), 8, Q(1, 25))
     assert read == [list(firsts.values())] and len(columns) == 1457 and len(read[0]) == 135
     # the solve and the threshold count their columns along A^6 and B^6
     assert not simultaneous_invariance(8, Q(1, 25), 6).feasible
@@ -423,17 +423,27 @@ def test_merged_system_reads_one_column_per_run_signature(monkeypatch):
     assert radii == [] and read[1:] == read[:1] * 2
 
 
-def test_signature_columns_are_the_first_ball_word_of_each_signature():
+def test_path_columns_are_the_first_ball_word_of_each_signature():
+    def signature(v, translate_count):
+        # height, first letter, leading run of an inverse generator capped at K, the letter after
+        run = 0
+        while v[:1] in ((1,), (3,)) and v[run : run + 1] == v[:1]:
+            run += 1
+        return height(Element(G, v)), v[:1], min(run, translate_count), v[run : run + 1]
+
     words = ball(G, 8)
-    heights = [height(x) for x in words]
     for translate_count in range(2, 9):
         firsts = {}  # signature -> index of its first word in ball(8)
-        for i, (x, h) in enumerate(zip(words, heights)):
-            firsts.setdefault(f2._run_signature(x.value, h, translate_count), i)
+        for i, x in enumerate(words):
+            firsts.setdefault(signature(x.value, translate_count), i)
         for radius in range(9):
             size = 2 * 3**radius - 1  # ball(radius) is the first `size` words of ball(8)
             expected = [words[i] for i in firsts.values() if i < size]
-            assert f2._signature_columns(G, translate_count, radius) == expected
+            columns = f2._path_columns(G, translate_count, radius)
+            if translate_count > radius:  # A^(K-1) and B^(K-1) reach past the ball
+                assert columns == expected
+            else:  # a path class may hold words of two signatures past K - 1 letters
+                assert set(columns) <= set(expected) and columns == sorted(columns, key=Element.key)
 
 
 @pytest.mark.parametrize("last", range(4))
@@ -472,6 +482,37 @@ def test_f2_infeasible_envelopes_keep_their_digests(capsys, tmp_path, delta):
     capsys.readouterr()
     assert main(["verify", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["certificates"] == "ok"
+
+
+# `amenlab f2-infeasible K <delta> 6` with K - 1 < 6: the solve's columns are then
+# fewer than the leading-run signatures of ball(6), and no byte may change for it
+F2_INFEASIBLE_SHORT_PATH_DIGESTS = {
+    ("3", "1/8"): ("infeasible", "d67d2a9fdf0c8409cc0948ae09280f3dd53e9813ecc6d571b903b94183d3d60b"),
+    ("3", "1/6"): ("feasible", "82d7b0363e639bf182150b333f90327f6c4c59f77f8c944af2d3f0d482ddf1ce"),
+    ("2", "0"): ("feasible", "539c7df9cc65f64146f4d872507df3bdcc90e2699c97c69b412f679ec314c293"),
+    ("4", "1/5"): ("infeasible", "f5e5a1fb54b178404d6c49072f8a0abc8af31d5b547831d6031f71b7b63763d6"),
+}
+
+
+@pytest.mark.parametrize("args", sorted(F2_INFEASIBLE_SHORT_PATH_DIGESTS), ids=" ".join)
+def test_f2_infeasible_envelopes_on_short_paths_keep_their_digests(capsys, tmp_path, args):
+    status, digest = F2_INFEASIBLE_SHORT_PATH_DIGESTS[args]
+    path = tmp_path / "env.json"
+    assert main(["f2-infeasible", *args, "6", "--out", str(path)]) == 0
+    envelope = json.loads(path.read_text())
+    assert (envelope["result"]["status"], envelope["digest"]) == (status, "sha256:" + digest)
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["certificates"] == "ok"
+
+
+@pytest.mark.parametrize(
+    "radius, delta", [(2, Q(2, 5)), (3, Q(1, 5)), (4, Q(1, 5)), (5, Q(1, 5)), (6, Q(1, 7))]
+)
+def test_threshold_at_three_translates(radius, delta):
+    report = invariance_threshold(3, radius)
+    assert report.delta == delta
+    assert verify_threshold_report(report)
 
 
 # `amenlab f2-verify` at the scan cap, past the lengths the golden corpus reaches:
